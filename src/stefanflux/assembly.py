@@ -95,9 +95,10 @@ class LinearSystem:
         return self.matrix.shape[0]
 
 
-def _require_finite(values, label):
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"non-finite value while assembling {label[0]} row {label[1]}")
+def _require_finite(matrix, rhs, family):
+    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
+    if bad.size:
+        raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
 
 
 def assemble(problem, basis, scheme, stefan_data=None):
@@ -115,67 +116,54 @@ def assemble(problem, basis, scheme, stefan_data=None):
             f"scheme rows ({scheme.size}) must equal basis size ({size}); "
             f"adjust the partition counts to sum to max_order + 1")
     horizon = problem.horizon
-    lam = problem.conductivity
     q = scheme.quadrature_order
-    orders = range(size)
 
-    matrix = np.empty((size, size))
-    rhs = np.empty(size)
-    labels = []
-    row = 0
+    def panel_sums(weighted):
+        # Sums each panel's q nodes; panels stay on a contiguous last axis.
+        return weighted.reshape(weighted.shape[:-1] + (-1, q)).sum(axis=-1)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # Interface temperature rows.
         t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_dirichlet, q)
         s_nodes = sample_curve(problem.boundary, t_nodes)
-        for n in orders:
-            vals = (t_weights * basis.eval(n, s_nodes, t_nodes)).reshape(scheme.n_dirichlet, q)
-            matrix[row:row + scheme.n_dirichlet, n] = vals.sum(axis=1)
-        rhs[row:row + scheme.n_dirichlet] = problem.melt_temperature * (horizon / scheme.n_dirichlet)
-        for i in range(scheme.n_dirichlet):
-            labels.append(("dirichlet", i + 1))
-            _require_finite(matrix[row + i], labels[-1])
-            _require_finite(rhs[row + i], labels[-1])
-        row += scheme.n_dirichlet
+        dirichlet = panel_sums(t_weights * basis.design(s_nodes, t_nodes)).T
+        dirichlet_rhs = np.full(scheme.n_dirichlet,
+                                problem.melt_temperature * (horizon / scheme.n_dirichlet))
+        _require_finite(dirichlet, dirichlet_rhs, "dirichlet")
 
         # Interface energy-balance rows.
         t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_stefan, q)
         s_nodes = sample_curve(problem.boundary, t_nodes)
-        for n in orders:
-            vals = (t_weights * (-lam) * basis.eval_dx(n, s_nodes, t_nodes))
-            matrix[row:row + scheme.n_stefan, n] = vals.reshape(scheme.n_stefan, q).sum(axis=1)
+        stefan = panel_sums(t_weights * (-problem.conductivity)
+                            * basis.design(s_nodes, t_nodes, "dx")).T
         if stefan_data is None:
             edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
             s_edges = sample_curve(problem.boundary, edges)
-            rhs[row:row + scheme.n_stefan] = (
-                problem.latent_heat * problem.density * np.diff(s_edges))
+            stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
         else:
             data = sample_curve(stefan_data, t_nodes)
-            rhs[row:row + scheme.n_stefan] = (
-                (t_weights * data).reshape(scheme.n_stefan, q).sum(axis=1))
-        for i in range(scheme.n_stefan):
-            labels.append(("stefan", i + 1))
-            _require_finite(matrix[row + i], labels[-1])
-            _require_finite(rhs[row + i], labels[-1])
-        row += scheme.n_stefan
+            stefan_rhs = panel_sums(t_weights * data)
+        _require_finite(stefan, stefan_rhs, "stefan")
 
         # Initial rows; the matrix entries have the closed form
         # (x_j^(n+1) - x_{j-1}^(n+1)) / (n + 1).
         s0 = float(sample_curve(problem.boundary, 0.0))
         x_edges = np.linspace(0.0, s0, scheme.n_initial + 1)
-        for n in orders:
-            powers = x_edges ** (n + 1)
-            matrix[row:row + scheme.n_initial, n] = np.diff(powers) / (n + 1)
+        exponents = np.arange(1, size + 1)[:, None]
+        initial = (np.diff(x_edges ** exponents) / exponents).T
         x_nodes, x_weights = quadrature.subdivided_nodes(0.0, s0, scheme.n_initial, q)
         f_vals = sample_curve(problem.initial_profile, x_nodes)
-        rhs[row:row + scheme.n_initial] = (
-            (x_weights * f_vals).reshape(scheme.n_initial, q).sum(axis=1))
-        for j in range(scheme.n_initial):
-            labels.append(("initial", j + 1))
-            _require_finite(matrix[row + j], labels[-1])
-            _require_finite(rhs[row + j], labels[-1])
+        initial_rhs = panel_sums(x_weights * f_vals)
+        _require_finite(initial, initial_rhs, "initial")
 
-    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=tuple(labels))
+    counts = {"dirichlet": scheme.n_dirichlet, "stefan": scheme.n_stefan,
+              "initial": scheme.n_initial}
+    labels = tuple((family, i + 1) for family, count in counts.items() for i in range(count))
+    # The blocks are transposed views; products with a transposed matrix round
+    # differently, so the system keeps C order.
+    matrix = np.ascontiguousarray(np.concatenate([dirichlet, stefan, initial]))
+    rhs = np.concatenate([dirichlet_rhs, stefan_rhs, initial_rhs])
+    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
 
 
 def residual(system, coeffs):

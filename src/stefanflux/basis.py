@@ -48,6 +48,11 @@ class HeatPolynomialBasis:
             raise ValueError(f"max_order must be a non-negative integer, got {max_order}")
         self.diffusivity = diffusivity
         self.max_order = int(max_order)
+        # Step m of the Horner sweep needs K_m of every order that has a
+        # t^m term, i.e. of orders 2m .. N.
+        table = [self.coefficients(n) for n in range(self.size)]
+        self._steps = [np.array([ks[m] for ks in table[2 * m:]])
+                       for m in range(1, self.max_order // 2 + 1)]
 
     def __repr__(self):
         return f"HeatPolynomialBasis(diffusivity={self.diffusivity!r}, max_order={self.max_order})"
@@ -79,39 +84,53 @@ class HeatPolynomialBasis:
             coeffs.append(k)
         return coeffs
 
+    def design(self, x, t, deriv="value"):
+        """Evaluate v_0 .. v_N, or their first derivative in x or t, at once.
+
+        Returns an array of shape (N + 1,) + broadcast(x, t).shape whose row n
+        is the order-n function.  Each row is accumulated exactly as a
+        single-order Horner sweep in x^2 would, so rows do not depend on N.
+        """
+        if deriv not in ("value", "dx", "dt"):
+            raise ValueError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
+        xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
+        column = (slice(None),) + (None,) * xb.ndim
+        x2 = xb * xb
+        tp = np.ones_like(tb)
+        rows = np.ones((self.size,) + xb.shape)
+        for m, k in enumerate(self._steps, start=1):
+            tp = tp * tb
+            rows[2 * m:] *= x2
+            rows[2 * m:] += k[column] * tp
+        rows[1::2] *= xb
+        if deriv == "value":
+            return rows
+        # Ladder identities: d/dx v_n = n v_{n-1}, d/dt v_n = a^2 n (n-1) v_{n-2}.
+        out = np.zeros_like(rows)
+        if deriv == "dx":
+            np.multiply(np.arange(1, self.size)[column], rows[:-1], out=out[1:])
+        else:
+            a2 = self.diffusivity * self.diffusivity
+            scale = np.array([a2 * n * (n - 1) for n in range(2, self.size)])
+            np.multiply(scale[column], rows[:-2], out=out[2:])
+        return out
+
+    def _row(self, n, x, t, deriv):
+        n = self._check_order(n)
+        row = self.design(x, t, deriv)[n]
+        return float(row) if row.ndim == 0 else row
+
     def eval(self, n, x, t):
         """Evaluate v_n at (x, t).  Accepts scalars or broadcastable arrays."""
-        n = self._check_order(n)
-        xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        a2 = self.diffusivity * self.diffusivity
-        x2 = xb * xb
-        acc = np.ones_like(x2)
-        k = 1.0
-        tp = np.ones_like(tb)
-        for m in range(1, n // 2 + 1):
-            k *= a2 * (n - 2 * (m - 1)) * (n - 2 * (m - 1) - 1) / m
-            tp = tp * tb
-            acc = acc * x2 + k * tp
-        if n % 2:
-            acc = acc * xb
-        return float(acc) if acc.ndim == 0 else acc
+        return self._row(n, x, t, "value")
 
     def eval_dx(self, n, x, t):
         """Evaluate d/dx v_n at (x, t) via the ladder identity n v_{n-1}."""
-        n = self._check_order(n)
-        if n == 0:
-            shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(t, dtype=float)).shape
-            return 0.0 if shape == () else np.zeros(shape)
-        return n * self.eval(n - 1, x, t)
+        return self._row(n, x, t, "dx")
 
     def eval_dt(self, n, x, t):
         """Evaluate d/dt v_n at (x, t) via a^2 n (n-1) v_{n-2}."""
-        n = self._check_order(n)
-        if n < 2:
-            shape = np.broadcast(np.asarray(x, dtype=float), np.asarray(t, dtype=float)).shape
-            return 0.0 if shape == () else np.zeros(shape)
-        a2 = self.diffusivity * self.diffusivity
-        return a2 * n * (n - 1) * self.eval(n - 2, x, t)
+        return self._row(n, x, t, "dt")
 
     def eval_combination(self, coeffs, x, t, deriv="value"):
         """Evaluate sum(c_n * v_n) or its first derivative in x or t.
@@ -130,17 +149,10 @@ class HeatPolynomialBasis:
                 f"got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        if deriv == "value":
-            term = self.eval
-        elif deriv == "dx":
-            term = self.eval_dx
-        elif deriv == "dt":
-            term = self.eval_dt
-        else:
-            raise ValueError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
-        xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        acc = np.zeros(xb.shape)
-        for n in range(self.size):
-            if coeffs[n] != 0.0:
-                acc = acc + coeffs[n] * term(n, xb, tb)
+        rows = self.design(x, t, deriv)
+        # Summed order by order, not as rows @ coeffs, to keep the rounding
+        # of a left-to-right sum over the nonzero terms.
+        acc = np.zeros(rows.shape[1:])
+        for n in np.flatnonzero(coeffs):
+            acc = acc + coeffs[n] * rows[n]
         return float(acc) if acc.ndim == 0 else acc

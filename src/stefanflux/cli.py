@@ -182,7 +182,17 @@ def build_parser():
     return parser
 
 
-def _solve_setup(pick):
+def _noise_spec(level, seed, mode):
+    # Only level 0 means clean data; a negative or nan level is a config error.
+    try:
+        return NoiseSpec(level, seed, mode) if level != 0 else None
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _case_setup(pick):
+    """Problem, order, scheme, beta, samples, seed, noise mode and levels of a case."""
+    problem = _resolve_problem(pick)
     order = int(pick("order", 12))
     quad = int(pick("quad", 16))
     scheme_text = pick("scheme", None)
@@ -193,23 +203,16 @@ def _solve_setup(pick):
             scheme = preset_scheme(order, quad)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return order, quad, scheme
+    return (problem, order, scheme, float(pick("beta", 0.0)), int(pick("samples", 101)),
+            int(pick("seed", 0)), pick("noise_mode", "relative"),
+            _parse_list(pick("noise", "0"), float))
 
 
 def cmd_solve(pick):
-    problem = _resolve_problem(pick)
-    order, _, scheme = _solve_setup(pick)
-    beta = float(pick("beta", 0.0))
-    samples = int(pick("samples", 101))
-    seed = int(pick("seed", 0))
-    mode = pick("noise_mode", "relative")
-    levels = _parse_list(pick("noise", "0"), float)
+    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
     if len(levels) != 1:
         raise ConfigError("solve takes a single noise level")
-    try:
-        noise = NoiseSpec(levels[0], seed, mode) if levels[0] > 0 else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    noise = _noise_spec(levels[0], seed, mode)
     out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
 
@@ -298,23 +301,14 @@ def cmd_sweep(pick):
 
 
 def cmd_plotdata(pick):
-    problem = _resolve_problem(pick)
-    order, _, scheme = _solve_setup(pick)
-    beta = float(pick("beta", 0.0))
-    samples = int(pick("samples", 101))
-    seed = int(pick("seed", 0))
-    mode = pick("noise_mode", "relative")
-    levels = _parse_list(pick("noise", "0"), float)
+    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
     if not levels:
         raise ConfigError("plotdata needs at least one noise level")
+    noises = [_noise_spec(level, seed, mode) for level in levels]
     out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
 
-    for level in levels:
-        try:
-            noise = NoiseSpec(level, seed, mode) if level > 0 else None
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+    for level, noise in zip(levels, noises):
         report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
                           flux_samples=samples)
         token = _level_token(level)

@@ -16,10 +16,10 @@ import numpy as np
 from .assembly import CollocationScheme, assemble, preset_scheme, residual
 from .basis import HeatPolynomialBasis
 from .errors import NumericalError, SingularMatrixError
-from .metrics import delta_p, delta_u, flux_curve
+from .metrics import error_report
 from .noise import NoiseSpec, perturb_stefan_data
 from .problem import BenchmarkId, benchmark_problem
-from .solver import condition_number, solve_direct, solve_tikhonov
+from .solver import SolveConfig, condition_number, solve
 
 __all__ = ["SolveReport", "SweepGrid", "CellRecord", "AggregateRow", "SweepResult",
            "run_case", "run_sweep", "horizon_study", "noise_study", "degradation_ratios"]
@@ -55,14 +55,10 @@ def run_case(problem, order, beta=0.0, scheme=None, quadrature_order=16,
     if noise is not None and noise.level > 0.0:
         stefan_data = perturb_stefan_data(problem, noise)
     system = assemble(problem, basis, scheme, stefan_data)
-    if beta == 0.0:
-        coeffs = solve_direct(system)
-    else:
-        coeffs = solve_tikhonov(system, beta)
-    res = residual(system, coeffs)
-    res_norm = float(np.linalg.norm(res))
+    coeffs = solve(system, SolveConfig(float(beta), "direct" if beta == 0.0 else "tikhonov"))
+    res_norm = float(np.linalg.norm(residual(system, coeffs)))
     rhs_norm = float(np.linalg.norm(system.rhs))
-    curve = flux_curve(coeffs, problem, basis, flux_samples)
+    errors = error_report(coeffs, problem, basis, samples=flux_samples)
     return SolveReport(
         coefficients=tuple(float(c) for c in coeffs),
         scheme=scheme,
@@ -70,10 +66,10 @@ def run_case(problem, order, beta=0.0, scheme=None, quadrature_order=16,
         condition_number=condition_number(system, beta),
         residual_norm=res_norm,
         relative_residual=res_norm / rhs_norm if rhs_norm else float("inf"),
-        delta_p=delta_p(coeffs, problem, basis),
-        delta_u=delta_u(coeffs, problem, basis),
-        max_abs_flux_error=float(max(row[3] for row in curve)),
-        flux_curve=tuple(curve))
+        delta_p=errors.delta_p,
+        delta_u=errors.delta_u,
+        max_abs_flux_error=errors.max_abs_flux_error,
+        flux_curve=errors.flux_curve)
 
 
 @dataclass(frozen=True)

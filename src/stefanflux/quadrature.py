@@ -17,7 +17,7 @@ def gauss_rule(order):
 
 
 def panel_nodes(lo, hi, order):
-    """Map the reference rule onto a single panel [lo, hi]."""
+    """Map the reference rule onto the panel [lo, hi]; column bounds give one row per panel."""
     base, weights = gauss_rule(order)
     half = 0.5 * (hi - lo)
     return lo + half * (base + 1.0), half * weights
@@ -31,13 +31,8 @@ def subdivided_nodes(lo, hi, n_panels, order):
     if n_panels < 1:
         raise ValueError(f"need at least one panel, got {n_panels}")
     edges = np.linspace(lo, hi, n_panels + 1)
-    xs = np.empty(n_panels * order)
-    ws = np.empty(n_panels * order)
-    for k in range(n_panels):
-        x, w = panel_nodes(edges[k], edges[k + 1], order)
-        xs[k * order:(k + 1) * order] = x
-        ws[k * order:(k + 1) * order] = w
-    return xs, ws
+    xs, ws = panel_nodes(edges[:-1, None], edges[1:, None], order)
+    return xs.ravel(), ws.ravel()
 
 
 def composite_nodes(lo, hi, total_points, panel_order=16):

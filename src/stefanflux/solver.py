@@ -44,9 +44,17 @@ def solve(system, config):
     return solve_tikhonov(system, config.beta)
 
 
-def _check_finite(matrix):
-    if not np.all(np.isfinite(matrix)):
-        raise NumericalError("matrix contains non-finite entries")
+def _check_finite(*arrays):
+    for values in arrays:
+        if not np.all(np.isfinite(values)):
+            raise NumericalError("matrix contains non-finite entries")
+
+
+def _check_beta(beta):
+    beta = float(beta)
+    if not np.isfinite(beta) or beta < 0.0:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    return beta
 
 
 def solve_direct(system):
@@ -55,24 +63,22 @@ def solve_direct(system):
     Raises SingularMatrixError naming the offending pivot when any pivot
     falls below PIVOT_RTOL * max|A|.
     """
-    matrix = system.matrix
-    _check_finite(matrix)
-    _check_finite(system.rhs)
-    lu, piv = _quiet_lu(matrix)
-    pivots = np.abs(np.diag(lu))
-    tol = PIVOT_RTOL * np.abs(matrix).max()
-    bad = np.nonzero(pivots <= tol)[0]
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]))
-    return scipy.linalg.lu_solve((lu, piv), system.rhs, check_finite=False)
+    _check_finite(system.matrix, system.rhs)
+    return _lu_solve(system.matrix, system.rhs)
 
 
-def _quiet_lu(matrix):
+def _lu_solve(matrix, rhs, subject="matrix is"):
+    """Pivoted LU solve; a pivot at or below PIVOT_RTOL * max|matrix| is singular."""
     # Singularity is detected from the pivots and raised as a typed error;
     # scipy's advisory warning would just duplicate it.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        return scipy.linalg.lu_factor(matrix, check_finite=False)
+        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
+    bad = np.nonzero(np.abs(np.diag(lu)) <= PIVOT_RTOL * np.abs(matrix).max())[0]
+    if bad.size:
+        raise SingularMatrixError(
+            int(bad[0]), f"{subject} numerically singular at pivot {int(bad[0])}")
+    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
 
 
 def penalty_weights(size):
@@ -91,6 +97,15 @@ def penalty_weights(size):
     return weights
 
 
+def _shifted_gram(matrix, beta):
+    """Column-normalized B = A diag(1/n!) and B^T B + beta I (no shift at beta = 0)."""
+    scaled = matrix * penalty_weights(matrix.shape[1])
+    gram = scaled.T @ scaled
+    if beta:
+        gram = gram + beta * np.eye(matrix.shape[1])
+    return scaled, gram
+
+
 def solve_tikhonov(system, beta):
     """Solve the damped normal equations with the penalty on normalized coefficients.
 
@@ -105,17 +120,10 @@ def solve_tikhonov(system, beta):
     falls back to pivoted LU on the same equations, which is also the beta = 0
     path.
     """
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    matrix = system.matrix
-    _check_finite(matrix)
-    _check_finite(system.rhs)
+    beta = _check_beta(beta)
+    _check_finite(system.matrix, system.rhs)
+    scaled, gram = _shifted_gram(system.matrix, beta)
     weights = penalty_weights(system.size)
-    scaled = matrix * weights
-    gram = scaled.T @ scaled
-    if beta:
-        gram = gram + beta * np.eye(system.size)
     rhs = scaled.T @ system.rhs
     if beta:
         try:
@@ -123,13 +131,7 @@ def solve_tikhonov(system, beta):
             return scipy.linalg.cho_solve(factor, rhs, check_finite=False) * weights
         except scipy.linalg.LinAlgError:
             pass
-    lu, piv = _quiet_lu(gram)
-    pivots = np.abs(np.diag(lu))
-    bad = np.nonzero(pivots <= PIVOT_RTOL * np.abs(gram).max())[0]
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]), "normal equations are numerically singular "
-                                  f"at pivot {int(bad[0])}")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False) * weights
+    return _lu_solve(gram, rhs, "normal equations are") * weights
 
 
 def condition_number(system, beta=0.0):
@@ -139,14 +141,11 @@ def condition_number(system, beta=0.0):
     it is the shifted normal matrix of the column-normalized system that the
     regularized solver factors.
     """
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    beta = _check_beta(beta)
     matrix = system.matrix
     _check_finite(matrix)
     if beta:
-        scaled = matrix * penalty_weights(system.size)
-        matrix = scaled.T @ scaled + beta * np.eye(system.size)
+        matrix = _shifted_gram(matrix, beta)[1]
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma[-1] == 0.0:
         return float("inf")

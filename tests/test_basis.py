@@ -61,6 +61,7 @@ def test_eval_matches_brute_force_expansion():
             t = float(rng.uniform(0, 2))
             ref = brute_force_eval(n, 1, x, t)
             assert basis.eval(n, x, t) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            assert basis.design(x, t)[n] == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
 def test_derivative_ladder_four_ulps():
@@ -84,6 +85,7 @@ def test_eval_dx_matches_termwise_differentiation():
             t = float(rng.uniform(0, 2))
             ref = brute_force_eval_dx(n, 1, x, t)
             assert basis.eval_dx(n, x, t) == pytest.approx(ref, rel=1e-11, abs=1e-11)
+            assert basis.design(x, t, "dx")[n] == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
 
 def test_time_derivative_against_finite_differences():
@@ -166,6 +168,8 @@ def test_combination_broadcasts_like_pointwise_loop():
     ts = rng.uniform(0, 1, (3, 4))
     grid = basis.eval_combination(coeffs, xs, ts)
     assert grid.shape == (3, 4)
+    assert basis.design(0.5, 0.5).shape == (6,)
+    assert basis.design(xs, ts).shape == (6, 3, 4)
     for i in range(3):
         for j in range(4):
             point = basis.eval_combination(coeffs, float(xs[i, j]), float(ts[i, j]))
@@ -188,4 +192,6 @@ def test_validation_errors():
         basis.eval_combination(np.array([1.0, np.inf, 0, 0, 0]), 0.0, 0.0)
     with pytest.raises(ValueError):
         basis.eval_combination(np.ones(5), 0.0, 0.0, deriv="dy")
+    with pytest.raises(ValueError):
+        basis.design(0.0, 0.0, deriv="dy")
     assert basis.size == 5

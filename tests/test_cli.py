@@ -210,6 +210,16 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     assert _run(capsys, "solve", "--config", str(unknown), "--out", out)[0] == 2
 
 
+def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
+    # Validation runs before the output directory is created.
+    for argv in (["solve", "--noise", "-1"], ["plotdata", "--noise", "0,-1"]):
+        out = tmp_path / argv[0]
+        code, _, err = _run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
+        assert not out.exists()
+
+
 def test_custom_family_solve(tmp_path, capsys):
     cfg = tmp_path / "linear.cfg"
     cfg.write_text("family = linear\np0 = 0.4\np1 = 0.7\n")
