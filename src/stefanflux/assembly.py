@@ -21,7 +21,6 @@ import numpy as np
 
 from . import quadrature
 from .errors import NumericalError
-from .problem import sample_curve
 
 __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual"]
 
@@ -106,8 +105,9 @@ def assemble(problem, basis, scheme, stefan_data=None):
 
     stefan_data replaces the clean interface energy-balance data
     latent_heat * density * s'(t) on the right-hand side; pass the output of
-    a noise model to assemble a perturbed system.  With clean data the
-    energy-balance right side uses the closed form
+    a noise model to assemble a perturbed system.  It is called on an array
+    of quadrature times and must return an array of the same shape.  With
+    clean data the energy-balance right side uses the closed form
     latent_heat * density * (s(t_i) - s(t_{i-1})).
     """
     size = basis.size
@@ -125,7 +125,7 @@ def assemble(problem, basis, scheme, stefan_data=None):
     with np.errstate(over="ignore", invalid="ignore"):
         # Interface temperature rows.
         t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_dirichlet, q)
-        s_nodes = sample_curve(problem.boundary, t_nodes)
+        s_nodes = problem.boundary(t_nodes)
         dirichlet = panel_sums(t_weights * basis.design(s_nodes, t_nodes)).T
         dirichlet_rhs = np.full(scheme.n_dirichlet,
                                 problem.melt_temperature * (horizon / scheme.n_dirichlet))
@@ -133,26 +133,26 @@ def assemble(problem, basis, scheme, stefan_data=None):
 
         # Interface energy-balance rows.
         t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_stefan, q)
-        s_nodes = sample_curve(problem.boundary, t_nodes)
+        s_nodes = problem.boundary(t_nodes)
         stefan = panel_sums(t_weights * (-problem.conductivity)
                             * basis.design(s_nodes, t_nodes, "dx")).T
         if stefan_data is None:
             edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
-            s_edges = sample_curve(problem.boundary, edges)
+            s_edges = problem.boundary(edges)
             stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
         else:
-            data = sample_curve(stefan_data, t_nodes)
+            data = stefan_data(t_nodes)
             stefan_rhs = panel_sums(t_weights * data)
         _require_finite(stefan, stefan_rhs, "stefan")
 
         # Initial rows; the matrix entries have the closed form
         # (x_j^(n+1) - x_{j-1}^(n+1)) / (n + 1).
-        s0 = float(sample_curve(problem.boundary, 0.0))
+        s0 = float(problem.boundary(0.0))
         x_edges = np.linspace(0.0, s0, scheme.n_initial + 1)
         exponents = np.arange(1, size + 1)[:, None]
         initial = (np.diff(x_edges ** exponents) / exponents).T
         x_nodes, x_weights = quadrature.subdivided_nodes(0.0, s0, scheme.n_initial, q)
-        f_vals = sample_curve(problem.initial_profile, x_nodes)
+        f_vals = problem.initial_profile(x_nodes)
         initial_rhs = panel_sums(x_weights * f_vals)
         _require_finite(initial, initial_rhs, "initial")
 

@@ -23,6 +23,7 @@ from .errors import NumericalError, SingularMatrixError
 from .experiments import SweepGrid, run_case, run_sweep
 from .noise import MODES, NoiseSpec
 from .problem import benchmark_problem, linear_boundary_problem, sqrt_boundary_problem
+from .solver import _check_beta
 
 __all__ = ["main"]
 
@@ -88,10 +89,7 @@ def _parse_scheme(text, quad):
         counts = [int(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"scheme must contain integers: {exc}") from exc
-    try:
-        return CollocationScheme(*counts, quadrature_order=quad)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return CollocationScheme(*counts, quadrature_order=quad)
 
 
 def _parse_list(text, kind):
@@ -120,11 +118,7 @@ def _resolve_problem(pick):
     if benchmark is not None and family is not None:
         raise ConfigError("specify either benchmark or family, not both")
     if family is None:
-        name = benchmark if benchmark is not None else "example1"
-        try:
-            return benchmark_problem(name, horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return benchmark_problem(benchmark if benchmark is not None else "example1", horizon)
     physical = dict(
         horizon=horizon,
         diffusivity=float(pick("diffusivity", 1.0)),
@@ -183,11 +177,8 @@ def build_parser():
 
 
 def _noise_spec(level, seed, mode):
-    # Only level 0 means clean data; a negative or nan level is a config error.
-    try:
-        return NoiseSpec(level, seed, mode) if level != 0 else None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # Only level 0 means clean data; NoiseSpec rejects a negative or nan level.
+    return NoiseSpec(level, seed, mode) if level != 0 else None
 
 
 def _case_setup(pick):
@@ -196,14 +187,10 @@ def _case_setup(pick):
     order = int(pick("order", 12))
     quad = int(pick("quad", 16))
     scheme_text = pick("scheme", None)
-    if scheme_text is not None:
-        scheme = _parse_scheme(scheme_text, quad)
-    else:
-        try:
-            scheme = preset_scheme(order, quad)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return (problem, order, scheme, float(pick("beta", 0.0)), int(pick("samples", 101)),
+    scheme = (_parse_scheme(scheme_text, quad) if scheme_text is not None
+              else preset_scheme(order, quad))
+    # beta is checked here, before any command creates its output directory.
+    return (problem, order, scheme, _check_beta(pick("beta", 0.0)), int(pick("samples", 101)),
             int(pick("seed", 0)), pick("noise_mode", "relative"),
             _parse_list(pick("noise", "0"), float))
 
@@ -264,18 +251,14 @@ def cmd_sweep(pick):
     quad = int(pick("quad", 16))
     scheme_text = pick("scheme", None)
     scheme = _parse_scheme(scheme_text, quad) if scheme_text is not None else None
+    grid = SweepGrid(orders=orders, betas=betas, noise_levels=levels, seeds=seeds,
+                     horizons=horizons,
+                     benchmark=benchmark if benchmark is not None else "example1",
+                     scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),
+                     quadrature_order=quad)
     jobs = int(pick("jobs", 1))
     out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-
-    try:
-        grid = SweepGrid(orders=orders, betas=betas, noise_levels=levels, seeds=seeds,
-                         horizons=horizons,
-                         benchmark=benchmark if benchmark is not None else "example1",
-                         scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),
-                         quadrature_order=quad)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
     result = run_sweep(grid, jobs=jobs)
     rows = result.aggregate()
@@ -335,7 +318,7 @@ def main(argv=None):
         config = load_config(args.config) if args.config else {}
         pick = _merged(args, config)
         return COMMANDS[args.command](pick)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(json.dumps({"error": "config_error", "message": str(exc)}), file=sys.stderr)
         return 2
     except SingularMatrixError as exc:

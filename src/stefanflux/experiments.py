@@ -6,6 +6,7 @@ keyed and emitted in a fixed deterministic order so repeated runs (and
 worker pools of any size) produce identical results.
 """
 
+import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -107,14 +108,8 @@ class SweepGrid:
 
     def cells(self):
         """Cell tuples in the fixed deterministic emission order."""
-        out = []
-        for horizon in self.horizons:
-            for order in self.orders:
-                for beta in self.betas:
-                    for level in self.noise_levels:
-                        for seed in self.seeds:
-                            out.append((horizon, order, beta, level, seed))
-        return out
+        return list(itertools.product(self.horizons, self.orders, self.betas,
+                                      self.noise_levels, self.seeds))
 
 
 @dataclass(frozen=True)

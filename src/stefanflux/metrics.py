@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .problem import sample_curve, sample_field
 
 __all__ = ["ErrorReport", "delta_p", "delta_u", "flux_curve", "coefficient_decay",
            "error_report"]
@@ -45,7 +44,7 @@ def delta_p(coeffs, problem, basis, quad_points=256):
     nodes, weights = quadrature.composite_nodes(0.0, problem.horizon, quad_points)
     lam = problem.conductivity
     rec = -lam * basis.eval_combination(coeffs, 0.0, nodes, deriv="dx")
-    ref = -lam * sample_curve(exact_ux0, nodes)
+    ref = -lam * exact_ux0(nodes)
     denom = float(weights @ (ref * ref))
     if denom == 0.0:
         raise ValueError("exact flux is identically zero on the quadrature grid")
@@ -59,13 +58,13 @@ def delta_u(coeffs, problem, basis, quad_points_t=64, quad_points_x=64):
     if quad_points_t < 1 or quad_points_x < 1:
         raise ValueError("quadrature point counts must be >= 1")
     t_nodes, t_weights = quadrature.panel_nodes(0.0, problem.horizon, quad_points_t)
-    s_vals = sample_curve(problem.boundary, t_nodes)
+    s_vals = problem.boundary(t_nodes)
     unit, unit_w = quadrature.panel_nodes(0.0, 1.0, quad_points_x)
     x_grid = np.outer(s_vals, unit)
     t_grid = np.broadcast_to(t_nodes[:, None], x_grid.shape)
     # Jacobian of x = s(t) * xi maps the inner weights onto [0, s(t)].
     w_grid = np.outer(t_weights * s_vals, unit_w)
-    ref = sample_field(exact, x_grid, t_grid)
+    ref = exact(x_grid, t_grid)
     rec = basis.eval_combination(coeffs, x_grid, t_grid)
     denom = float(np.sum(w_grid * ref * ref))
     if denom == 0.0:
@@ -85,7 +84,7 @@ def flux_curve(coeffs, problem, basis, samples=101):
     ts = np.linspace(0.0, problem.horizon, samples)
     rec = basis.eval_combination(coeffs, 0.0, ts, deriv="dx")
     if problem.exact_flux_gradient is not None:
-        ref = sample_curve(problem.exact_flux_gradient, ts)
+        ref = problem.exact_flux_gradient(ts)
         err = np.abs(rec - ref)
     else:
         ref = np.full_like(ts, np.nan)

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import sample_curve
-
 __all__ = ["NoiseSpec", "perturb_stefan_data"]
 
 T_QUANTUM = 1e-12
@@ -55,12 +53,10 @@ def perturb_stefan_data(problem, spec):
     At level 0 the returned callable reproduces the clean data exactly.
     Scalars give floats, arrays give arrays of the same shape.
     """
-    scale = problem.latent_heat * problem.density
-
     def noisy(t):
         scalar = np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        clean = scale * sample_curve(problem.boundary_rate, ts)
+        clean = problem.interface_flux(ts)
         if spec.level == 0.0:
             return float(clean[0]) if scalar else clean
         if spec.mode == "relative":

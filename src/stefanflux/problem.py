@@ -15,6 +15,11 @@ pairs with a travelling-wave exponential solution, and a square-root
 boundary s = 2 alpha sqrt(t + t0) pairs with the classical similarity
 solution in erf.  The benchmark presets are fixed members of these
 families.
+
+Problem callables may be scalar-only (math-based, say).  A StefanProblem
+probes each one once, when it is built, on an array of times; a callable
+that rejects the array or returns another shape is wrapped in np.vectorize
+there, so every caller evaluates the stored callables on arrays directly.
 """
 
 import math
@@ -34,8 +39,6 @@ __all__ = [
     "linear_boundary_problem",
     "sqrt_boundary_problem",
     "neumann_consistency",
-    "sample_curve",
-    "sample_field",
     "EXAMPLE2_ALPHA",
     "EXAMPLE2_T0",
 ]
@@ -51,41 +54,15 @@ class BenchmarkId(str, Enum):
     EXAMPLE2 = "example2"
 
 
-def sample_curve(f, x):
-    """Evaluate a callable on an array, tolerating scalar-only callables."""
-    x = np.asarray(x, dtype=float)
-    y = None
-    try:
-        y = np.asarray(f(x), dtype=float)
-    except (TypeError, ValueError):
-        pass
-    if y is None or y.shape != x.shape:
-        flat = np.array([float(f(float(v))) for v in np.atleast_1d(x).ravel()])
-        y = flat.reshape(x.shape)
-    return float(y) if x.ndim == 0 else y
-
-
-def sample_field(f, x, t):
-    """Evaluate a two-argument callable on broadcast arrays."""
-    xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-    try:
-        y = np.asarray(f(xb, tb), dtype=float)
-        if y.shape == xb.shape:
-            return y
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([float(f(float(a), float(b)))
-                     for a, b in zip(xb.ravel(), tb.ravel())])
-    return flat.reshape(xb.shape)
-
-
 @dataclass(frozen=True)
 class StefanProblem:
     """Problem data plus optional exact oracles for error reporting.
 
     boundary and boundary_rate are s(t) and s'(t); initial_profile is f(x).
     exact_solution(x, t) and exact_flux_gradient(t) (the exact u_x(0, t))
-    are only needed when computing errors against a known solution.
+    are only needed when computing errors against a known solution.  Each
+    callable that does not map an array of times to an array of the same
+    shape is replaced by its np.vectorize wrapper when the problem is built.
     """
 
     diffusivity: float
@@ -110,13 +87,33 @@ class StefanProblem:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not np.isfinite(self.melt_temperature):
             raise ValueError("melt_temperature must be finite")
-        probe = sample_curve(self.boundary, np.linspace(0.0, self.horizon, 101))
-        if not np.all(np.isfinite(probe)) or np.any(probe <= 0.0):
-            raise ValueError("boundary s(t) must stay positive and finite on [0, horizon]")
+        ts = np.linspace(0.0, self.horizon, 101)
+        # The probes only decide how each callable is called.  Overflow in the
+        # probed values (a sqrt family with alpha = 30 has an infinite
+        # amplitude) is left to the stages that use the data.
+        with np.errstate(all="ignore"):
+            for name in ("boundary", "boundary_rate", "initial_profile",
+                         "exact_flux_gradient", "exact_solution"):
+                f = getattr(self, name)
+                if f is None:
+                    continue
+                args = (ts, ts) if name == "exact_solution" else (ts,)
+                try:
+                    values = f(*args)
+                except (TypeError, ValueError):
+                    values = None
+                if np.shape(values) != ts.shape:
+                    f = np.vectorize(f, otypes=[float])
+                    object.__setattr__(self, name, f)
+                    values = f(*args) if name == "boundary" else None
+                if name == "boundary" and (not np.all(np.isfinite(values))
+                                           or np.any(values <= 0.0)):
+                    raise ValueError(
+                        "boundary s(t) must stay positive and finite on [0, horizon]")
 
     def interface_flux(self, t):
         """Clean interface energy-balance data latent_heat * density * s'(t)."""
-        return self.latent_heat * self.density * sample_curve(self.boundary_rate, t)
+        return self.latent_heat * self.density * self.boundary_rate(t)
 
 
 def linear_boundary_problem(p0, p1, *, horizon=1.0, diffusivity=1.0, conductivity=1.0,
@@ -231,13 +228,12 @@ def benchmark_problem(benchmark, horizon=1.0):
     return example2(horizon)
 
 
-def neumann_consistency(alpha, t0=None):
+def neumann_consistency(alpha):
     """Value of alpha * sqrt(pi) * exp(alpha^2) * erf(alpha).
 
     Equals 1 exactly when alpha is the similarity root of the classical
     one-phase melting problem, so evaluating it at preset constants checks
-    that they describe a genuine similarity solution.  t0 is accepted for
-    signature symmetry with the preset constants and is not used.
+    that they describe a genuine similarity solution.
     """
     alpha = float(alpha)
     return float(alpha * math.sqrt(math.pi) * np.exp(alpha * alpha) * erf(alpha))

@@ -31,8 +31,7 @@ class SolveConfig:
     def __post_init__(self):
         if self.method not in ("direct", "tikhonov"):
             raise ValueError(f"method must be 'direct' or 'tikhonov', got {self.method!r}")
-        if not np.isfinite(self.beta) or self.beta < 0.0:
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
+        _check_beta(self.beta)
         if self.method == "direct" and self.beta != 0.0:
             raise ValueError("direct solves require beta = 0")
 

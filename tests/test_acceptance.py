@@ -235,7 +235,7 @@ def test_criterion_11_determinism_and_performance(tmp_path, report):
     assert cli_main(argv + ["--out", str(d2)]) == 0
     assert cli_main(argv + ["--jobs", "4", "--out", str(d4)]) == 0
 
-    cells = sum(1 for _ in open(d1 / "sweep.csv")) - 1
+    cells = len((d1 / "sweep.csv").read_text().splitlines()) - 1
     same = all((d1 / f).read_bytes() == (d2 / f).read_bytes()
                and (d1 / f).read_bytes() == (d4 / f).read_bytes()
                for f in ("sweep.csv", "table1_style.csv"))

@@ -212,8 +212,11 @@ def test_flag_errors_exit_2(tmp_path, capsys):
 
 def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
     # Validation runs before the output directory is created.
-    for argv in (["solve", "--noise", "-1"], ["plotdata", "--noise", "0,-1"]):
-        out = tmp_path / argv[0]
+    bad = (["solve", "--noise", "-1"], ["plotdata", "--noise", "0,-1"],
+           ["solve", "--beta", "-1"], ["plotdata", "--beta", "-1"],
+           ["sweep", "--betas", "-1"], ["sweep", "--orders", "1"])
+    for i, argv in enumerate(bad):
+        out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))
         assert code == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"

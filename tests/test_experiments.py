@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stefanflux import (
     BenchmarkId,
@@ -21,11 +23,13 @@ from stefanflux import (
     delta_u,
     example1,
     horizon_study,
+    linear_boundary_problem,
     noise_study,
     preset_scheme,
     run_case,
     run_sweep,
     solve_direct,
+    sqrt_boundary_problem,
 )
 from stefanflux.experiments import _error_tag
 
@@ -181,3 +185,28 @@ def test_noise_damping_regime():
     clean = run_sweep(SweepGrid(orders=(6,), betas=(1e-3,)))
     zero_row = result.lookup(6, beta=1e-3, noise_level=0.0)
     assert zero_row.delta_p_median == clean.records[0].delta_p
+
+
+# (factory, p0, p1) for s = p0 + p1 t, or (factory, alpha, t0) for s = 2 alpha sqrt(t + t0).
+FAMILIES = st.one_of(
+    st.tuples(st.just(linear_boundary_problem), st.floats(0.1, 2.0), st.floats(-0.5, 2.0)),
+    st.tuples(st.just(sqrt_boundary_problem), st.floats(0.1, 2.0), st.floats(0.05, 1.0)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(family=FAMILIES, order=st.integers(3, 16), horizon=st.floats(0.2, 2.0),
+       beta=st.sampled_from([0.0, 1e-6, 1e-3]), level=st.sampled_from([0.0, 0.01]),
+       seed=st.integers(0, 99))
+def test_run_case_is_finite_or_fails_typed(family, order, horizon, beta, level, seed):
+    # Random members of both families either reconstruct with finite metrics
+    # or raise a typed error; no other exception and no silent nan.
+    factory, first, second = family
+    try:
+        report = run_case(factory(first, second, horizon=horizon), order, beta=beta,
+                          noise=NoiseSpec(level, seed) if level else None)
+    except (NumericalError, ValueError):
+        return
+    values = [report.delta_p, report.delta_u, report.condition_number,
+              report.residual_norm, report.relative_residual, report.max_abs_flux_error,
+              *report.coefficients]
+    assert np.all(np.isfinite(values))

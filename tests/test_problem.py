@@ -16,7 +16,7 @@ from stefanflux import (
     neumann_consistency,
     sqrt_boundary_problem,
 )
-from stefanflux.problem import EXAMPLE2_ALPHA, EXAMPLE2_T0, sample_curve, sample_field
+from stefanflux.problem import EXAMPLE2_ALPHA, EXAMPLE2_T0
 
 
 def test_example1_pinned_values():
@@ -100,7 +100,7 @@ def test_erf_accuracy_against_mpmath():
 
 
 def test_neumann_consistency_values():
-    val = neumann_consistency(EXAMPLE2_ALPHA, EXAMPLE2_T0)
+    val = neumann_consistency(EXAMPLE2_ALPHA)
     assert val == pytest.approx(1.0, abs=1e-4)
     ref = float(EXAMPLE2_ALPHA * mpmath.sqrt(mpmath.pi)
                 * mpmath.exp(EXAMPLE2_ALPHA ** 2) * mpmath.erf(EXAMPLE2_ALPHA))
@@ -152,12 +152,18 @@ def test_factory_validation():
 
 
 def test_scalar_only_callables_are_sampled_pointwise():
-    # math-based callables reject arrays; the samplers fall back to a loop.
+    # math-based callables reject arrays and a constant rate returns a
+    # scalar; the problem wraps each of them once, so arrays work everywhere.
     s = lambda t: math.exp(t)
-    out = sample_curve(s, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(out, [1.0, math.e], rtol=1e-15)
     u = lambda x, t: math.sin(x) + t
-    out = sample_field(u, np.array([0.0, 0.5]), np.array([1.0, 2.0]))
+    prob = StefanProblem(
+        diffusivity=1.0, conductivity=1.0, latent_heat=1.0, density=1.0,
+        melt_temperature=0.0, horizon=1.0, boundary=s, boundary_rate=lambda t: 1.0,
+        initial_profile=lambda x: math.sin(x), exact_solution=u)
+    out = prob.boundary(np.array([0.0, 1.0]))
+    np.testing.assert_allclose(out, [1.0, math.e], rtol=1e-15)
+    np.testing.assert_array_equal(prob.boundary_rate(np.array([0.0, 0.5, 1.0])), np.ones(3))
+    out = prob.exact_solution(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
     np.testing.assert_allclose(out, [1.0, math.sin(0.5) + 2.0], rtol=1e-15)
 
 
