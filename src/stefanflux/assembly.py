@@ -22,7 +22,8 @@ import numpy as np
 from . import quadrature
 from .errors import NumericalError
 
-__all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual"]
+__all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
+           "stefan_nodes", "with_stefan_data"]
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,11 @@ def _require_finite(matrix, rhs, family):
         raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
 
 
+def stefan_nodes(problem, scheme):
+    """Quadrature times and weights of the energy-balance rows, panel by panel."""
+    return quadrature.subdivided_nodes(0.0, problem.horizon, scheme.n_stefan, scheme.quadrature_order)
+
+
 def assemble(problem, basis, scheme, stefan_data=None):
     """Build the collocation system for the given problem and basis.
 
@@ -132,18 +138,15 @@ def assemble(problem, basis, scheme, stefan_data=None):
         _require_finite(dirichlet, dirichlet_rhs, "dirichlet")
 
         # Interface energy-balance rows.
-        t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_stefan, q)
+        t_nodes, t_weights = stefan_nodes(problem, scheme)
         s_nodes = problem.boundary(t_nodes)
         stefan = panel_sums(t_weights * (-problem.conductivity)
                             * basis.design(s_nodes, t_nodes, "dx")).T
-        if stefan_data is None:
-            edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
-            s_edges = problem.boundary(edges)
-            stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
-        else:
-            data = stefan_data(t_nodes)
-            stefan_rhs = panel_sums(t_weights * data)
+        edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
+        s_edges = problem.boundary(edges)
+        stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
         _require_finite(stefan, stefan_rhs, "stefan")
+        data = None if stefan_data is None else stefan_data(t_nodes)
 
         # Initial rows; the matrix entries have the closed form
         # (x_j^(n+1) - x_{j-1}^(n+1)) / (n + 1).
@@ -163,7 +166,19 @@ def assemble(problem, basis, scheme, stefan_data=None):
     # differently, so the system keeps C order.
     matrix = np.ascontiguousarray(np.concatenate([dirichlet, stefan, initial]))
     rhs = np.concatenate([dirichlet_rhs, stefan_rhs, initial_rhs])
-    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
+    system = LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
+    return system if data is None else with_stefan_data(system, scheme, t_weights, data)
+
+
+def with_stefan_data(system, scheme, weights, data):
+    """system with the energy-balance right side integrated from data at stefan_nodes."""
+    rows = slice(scheme.n_dirichlet, scheme.n_dirichlet + scheme.n_stefan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stefan_rhs = (weights * data).reshape(-1, scheme.quadrature_order).sum(axis=-1)
+    _require_finite(system.matrix[rows], stefan_rhs, "stefan")
+    rhs = system.rhs.copy()
+    rhs[rows] = stefan_rhs
+    return LinearSystem(matrix=system.matrix, rhs=rhs, row_labels=system.row_labels)
 
 
 def residual(system, coeffs):

@@ -142,6 +142,11 @@ class HeatPolynomialBasis:
         x, t : scalars or broadcastable arrays
         deriv : {"value", "dx", "dt"}
         """
+        return self.combine(coeffs, self.design(x, t, deriv))
+
+    def combine(self, coeffs, rows):
+        """Sum c_n * rows[n] over a design() block, order by order over the nonzero
+        coefficients; rows @ coeffs would reorder the sum and round differently."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise ValueError(
@@ -149,10 +154,7 @@ class HeatPolynomialBasis:
                 f"got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficients must be finite")
-        rows = self.design(x, t, deriv)
-        # Summed order by order, not as rows @ coeffs, to keep the rounding
-        # of a left-to-right sum over the nonzero terms.
         acc = np.zeros(rows.shape[1:])
         for n in np.flatnonzero(coeffs):
-            acc = acc + coeffs[n] * rows[n]
+            acc += coeffs[n] * rows[n]
         return float(acc) if acc.ndim == 0 else acc

@@ -256,11 +256,10 @@ def cmd_sweep(pick):
                      benchmark=benchmark if benchmark is not None else "example1",
                      scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),
                      quadrature_order=quad)
-    jobs = int(pick("jobs", 1))
+    # run_sweep validates jobs before it runs a cell; --out is made after it.
+    result = run_sweep(grid, jobs=int(pick("jobs", 1)))
     out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-
-    result = run_sweep(grid, jobs=jobs)
     rows = result.aggregate()
     _write_csv(out / "sweep.csv",
                ["benchmark", "N", "beta", "eps", "seed_count", "T",

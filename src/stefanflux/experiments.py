@@ -1,9 +1,17 @@
 """Parameter sweeps over order, damping, noise level, seed, and horizon.
 
-Each grid cell runs one assemble/solve/measure cycle.  Failures never abort
-a sweep; they become records with an error tag and nan metrics.  Cells are
-keyed and emitted in a fixed deterministic order so repeated runs (and
-worker pools of any size) produce identical results.
+A sweep runs one group at a time: the cells sharing (horizon, order), which
+the grid emits contiguously.  A group builds its problem, basis, scheme and
+clean system once, its error-functional grids at its first solve, and keeps
+each seed's noise draws and each beta's condition number; a cell only rebuilds
+a noisy right-hand side, solves and sums.  Memory holds one group; run_case is
+a group of one cell.
+
+Failures become records with an error tag and nan metrics: all cells of a
+group that fails to build, or one cell.  wall_time is a cell's own time (the
+first solved cell's includes the grids) plus an equal share of its group's
+build.  Cells come in a fixed order and pools spread whole groups, so reruns
+and pools of any size give identical results.
 """
 
 import itertools
@@ -14,11 +22,12 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import CollocationScheme, assemble, preset_scheme, residual
+from .assembly import (CollocationScheme, assemble, preset_scheme, residual, stefan_nodes,
+                       with_stefan_data)
 from .basis import HeatPolynomialBasis
 from .errors import NumericalError, SingularMatrixError
-from .metrics import error_report
-from .noise import NoiseSpec, perturb_stefan_data
+from .metrics import _delta_p_on, _delta_u_on, flux_curve
+from .noise import NoiseSpec, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
 from .solver import SolveConfig, condition_number, solve
 
@@ -42,35 +51,56 @@ class SolveReport:
     flux_curve: tuple
 
 
+class _Group:
+    """What the cells of one (problem, order, scheme) share, built once."""
+
+    def __init__(self, problem, order, scheme=None, quadrature_order=16):
+        self.problem = problem
+        self.basis = HeatPolynomialBasis(problem.diffusivity, order)
+        self.scheme = scheme if scheme is not None else preset_scheme(order, quadrature_order)
+        self.system = assemble(problem, self.basis, self.scheme)
+        self.nodes = self.delta_p = self.delta_u = None
+        self.draws, self.conds = {}, {}
+
+    def evaluate(self, beta, noise=None):
+        """One cell's delta_p, delta_u, condition number, residual norm, coefficients, system."""
+        system = self.system
+        if noise is not None and noise.level > 0.0:
+            if self.nodes is None:
+                self.nodes = stefan_nodes(self.problem, self.scheme)
+            t_nodes, t_weights = self.nodes
+            # Draws depend on the seed and the times alone; each level scales them.
+            if noise.seed not in self.draws:
+                self.draws[noise.seed] = standard_draws(noise.seed, t_nodes)
+            with np.errstate(over="ignore", invalid="ignore"):
+                data = scale_draws(noise, self.problem.interface_flux(t_nodes),
+                                   self.draws[noise.seed], self.problem.conductivity)
+            system = with_stefan_data(system, self.scheme, t_weights, data)
+        coeffs = solve(system, SolveConfig(float(beta), "direct" if beta == 0.0 else "tikhonov"))
+        res_norm = float(np.linalg.norm(residual(system, coeffs)))
+        if self.delta_p is None:  # built at the first solve: a failed one costs no grid
+            self.delta_p, self.delta_u = (_delta_p_on(self.problem, self.basis),
+                                          _delta_u_on(self.problem, self.basis))
+        dp, du = self.delta_p(coeffs), self.delta_u(coeffs)
+        if beta not in self.conds:  # a property of the matrix, whatever the data
+            self.conds[beta] = condition_number(system, beta)
+        return dp, du, self.conds[beta], res_norm, coeffs, system
+
+
 def run_case(problem, order, beta=0.0, scheme=None, quadrature_order=16,
              noise=None, flux_samples=101):
-    """Assemble, solve, and measure one reconstruction.
+    """Assemble, solve, and measure one reconstruction: a sweep group of one cell.
 
     noise is an optional NoiseSpec; beta = 0 selects the direct solver and
     beta > 0 the damped normal equations.
     """
-    basis = HeatPolynomialBasis(problem.diffusivity, order)
-    if scheme is None:
-        scheme = preset_scheme(order, quadrature_order)
-    stefan_data = None
-    if noise is not None and noise.level > 0.0:
-        stefan_data = perturb_stefan_data(problem, noise)
-    system = assemble(problem, basis, scheme, stefan_data)
-    coeffs = solve(system, SolveConfig(float(beta), "direct" if beta == 0.0 else "tikhonov"))
-    res_norm = float(np.linalg.norm(residual(system, coeffs)))
+    group = _Group(problem, order, scheme, quadrature_order)
+    dp, du, cond, res_norm, coeffs, system = group.evaluate(beta, noise)
+    curve = flux_curve(coeffs, problem, group.basis, flux_samples)
     rhs_norm = float(np.linalg.norm(system.rhs))
-    errors = error_report(coeffs, problem, basis, samples=flux_samples)
-    return SolveReport(
-        coefficients=tuple(float(c) for c in coeffs),
-        scheme=scheme,
-        beta=float(beta),
-        condition_number=condition_number(system, beta),
-        residual_norm=res_norm,
-        relative_residual=res_norm / rhs_norm if rhs_norm else float("inf"),
-        delta_p=errors.delta_p,
-        delta_u=errors.delta_u,
-        max_abs_flux_error=errors.max_abs_flux_error,
-        flux_curve=errors.flux_curve)
+    return SolveReport(tuple(float(c) for c in coeffs), group.scheme, float(beta), cond, res_norm,
+                       res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
+                       float(max(row[3] for row in curve)), tuple(curve))
 
 
 @dataclass(frozen=True)
@@ -99,12 +129,12 @@ class SweepGrid:
                 raise ValueError(f"{name} must be non-empty")
         if any(n < 2 for n in self.orders):
             raise ValueError("orders below 2 cannot carry all three condition families")
-        if any(b < 0 for b in self.betas):
-            raise ValueError("betas must be >= 0")
-        if any(e < 0 for e in self.noise_levels):
-            raise ValueError("noise levels must be >= 0")
-        if any(t <= 0 for t in self.horizons):
-            raise ValueError("horizons must be positive")
+        if not all(np.isfinite(b) and b >= 0 for b in self.betas):
+            raise ValueError("betas must be finite and >= 0")
+        if not all(np.isfinite(e) and e >= 0 for e in self.noise_levels):
+            raise ValueError("noise levels must be finite and >= 0")
+        if not all(np.isfinite(t) and t > 0 for t in self.horizons):
+            raise ValueError("horizons must be positive and finite")
 
     def cells(self):
         """Cell tuples in the fixed deterministic emission order."""
@@ -112,9 +142,9 @@ class SweepGrid:
                                       self.noise_levels, self.seeds))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellRecord:
-    """Outcome of one grid cell; error is None on success."""
+    """Outcome of one grid cell; error is None on success.  Slotted: callers keep many."""
 
     benchmark: str
     order: int
@@ -155,27 +185,32 @@ def _error_tag(exc):
     return "domain_error"
 
 
-def _evaluate_cell(task):
-    grid, cell = task
-    horizon, order, beta, level, seed = cell
+_CELL_ERRORS = (ValueError, NumericalError, FloatingPointError, OverflowError)
+
+
+def _evaluate_group(task):
+    """(delta_p, delta_u, condition number, residual norm, wall time, error) per cell."""
+    grid, cells = task
+    horizon, order = cells[0][:2]
     start = time.perf_counter()
     try:
-        problem = benchmark_problem(grid.benchmark, horizon)
-        noise = NoiseSpec(level, seed, grid.noise_mode) if level > 0.0 else None
-        report = run_case(problem, order, beta=beta, scheme=grid.scheme_override,
-                          quadrature_order=grid.quadrature_order, noise=noise)
-        return CellRecord(
-            benchmark=grid.benchmark.value, order=order, beta=beta, noise_level=level,
-            seed=seed, horizon=horizon, delta_p=report.delta_p, delta_u=report.delta_u,
-            condition_number=report.condition_number, residual_norm=report.residual_norm,
-            wall_time=time.perf_counter() - start)
-    except (ValueError, NumericalError, FloatingPointError, OverflowError) as exc:
-        nan = float("nan")
-        return CellRecord(
-            benchmark=grid.benchmark.value, order=order, beta=beta, noise_level=level,
-            seed=seed, horizon=horizon, delta_p=nan, delta_u=nan, condition_number=nan,
-            residual_norm=nan, wall_time=time.perf_counter() - start,
-            error=_error_tag(exc))
+        group, failure = _Group(benchmark_problem(grid.benchmark, horizon), order,
+                                grid.scheme_override, grid.quadrature_order), None
+    except _CELL_ERRORS as exc:
+        group, failure = None, _error_tag(exc)
+    share = (time.perf_counter() - start) / len(cells)
+    results = []
+    for _, _, beta, level, seed in cells:
+        start = time.perf_counter()
+        values, error = (float("nan"),) * 4, failure
+        if group is not None:
+            try:
+                noise = NoiseSpec(level, seed, grid.noise_mode) if level > 0.0 else None
+                values = group.evaluate(beta, noise)[:4]
+            except _CELL_ERRORS as exc:
+                error = _error_tag(exc)
+        results.append((*values, time.perf_counter() - start + share, error))
+    return results
 
 
 @dataclass
@@ -223,14 +258,21 @@ class SweepResult:
 
 
 def run_sweep(grid, jobs=1):
-    """Run every cell of the grid, optionally on a process pool."""
-    tasks = [(grid, cell) for cell in grid.cells()]
+    """Run every cell of the grid group by group, optionally spreading groups on a process pool."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(grid, list(cells))
+             for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_evaluate_cell, tasks, chunksize=4))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            results = list(pool.map(_evaluate_group, tasks))
     else:
-        records = [_evaluate_cell(task) for task in tasks]
-    return SweepResult(grid=grid, records=records)
+        results = [_evaluate_group(task) for task in tasks]
+    # Records are built here, so they share the grid's floats whichever process ran them.
+    return SweepResult(grid=grid, records=[
+        CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *values)
+        for (_, cells), group in zip(tasks, results)
+        for (horizon, order, beta, level, seed), values in zip(cells, group)])
 
 
 def horizon_study(benchmark, horizons, orders, jobs=1):

@@ -47,6 +47,20 @@ def standard_draw(seed, t):
     return float(rng.standard_normal())
 
 
+def standard_draws(seed, ts):
+    """standard_draw at each time in ts; the level and the mode only scale them."""
+    return np.array([standard_draw(seed, tv) for tv in ts])
+
+
+def scale_draws(spec, clean, draws, conductivity):
+    """Noisy data clean + sigma * draws, with sigma set by the spec's level and mode."""
+    if spec.mode == "relative":
+        sigma = spec.level * np.abs(clean / conductivity)
+    else:
+        sigma = np.full_like(clean, spec.level)
+    return clean + sigma * draws
+
+
 def perturb_stefan_data(problem, spec):
     """Return a deterministic noisy surrogate for latent_heat * density * s'(t).
 
@@ -59,12 +73,7 @@ def perturb_stefan_data(problem, spec):
         clean = problem.interface_flux(ts)
         if spec.level == 0.0:
             return float(clean[0]) if scalar else clean
-        if spec.mode == "relative":
-            sigma = spec.level * np.abs(clean / problem.conductivity)
-        else:
-            sigma = np.full_like(clean, spec.level)
-        draws = np.array([standard_draw(spec.seed, tv) for tv in ts])
-        out = clean + sigma * draws
+        out = scale_draws(spec, clean, standard_draws(spec.seed, ts), problem.conductivity)
         return float(out[0]) if scalar else out
 
     return noisy

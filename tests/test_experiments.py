@@ -1,5 +1,6 @@
 """Sweep orchestration: determinism, aggregation, failure handling, windows."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ from stefanflux import (
     solve_direct,
     sqrt_boundary_problem,
 )
+from stefanflux import experiments, noise
 from stefanflux.experiments import _error_tag
 
 
@@ -94,6 +96,10 @@ def test_grid_validation():
         SweepGrid(orders=(8,), noise_levels=(-0.01,))
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), horizons=(0.0,))
+    for bad in ({"betas": (math.nan,)}, {"noise_levels": (0.01, math.nan)},
+                {"horizons": (math.nan,)}, {"horizons": (math.inf,)}):
+        with pytest.raises(ValueError):
+            SweepGrid(orders=(8,), **bad)
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), benchmark="example9")
     grid = SweepGrid(orders=[8], benchmark="example2")
@@ -109,6 +115,86 @@ def test_sweep_determinism_and_worker_invariance():
     assert serial.records == again.records  # wall_time is excluded from equality
     parallel = run_sweep(grid, jobs=2)
     assert parallel.records == serial.records
+
+
+def test_jobs_must_be_positive():
+    grid = SweepGrid(orders=(4,))
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(grid, jobs=jobs)
+
+
+def _case_key(grid, cell):
+    # What a sweep record should hold for one cell, from a run_case call of its own.
+    horizon, order, beta, level, seed = cell
+    spec = NoiseSpec(level, seed, grid.noise_mode) if level > 0.0 else None
+    try:
+        rep = run_case(benchmark_problem(grid.benchmark, horizon), order, beta=beta, noise=spec)
+    except (NumericalError, ValueError) as exc:
+        return cell, _error_tag(exc)
+    return cell, (rep.delta_p, rep.delta_u, rep.condition_number, rep.residual_norm)
+
+
+def _record_key(rec):
+    cell = (rec.horizon, rec.order, rec.beta, rec.noise_level, rec.seed)
+    if rec.error is not None:
+        assert all(math.isnan(v) for v in (rec.delta_p, rec.delta_u,
+                                           rec.condition_number, rec.residual_norm))
+        return cell, rec.error
+    return cell, (rec.delta_p, rec.delta_u, rec.condition_number, rec.residual_norm)
+
+
+@pytest.mark.parametrize("problem_id", ["example1", "example2"])
+@pytest.mark.parametrize("mode", ["relative", "constant"])
+def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
+    # Cells share their (horizon, order) group's matrix, error grids and noise
+    # draws; each record must still equal an independent run_case, field by
+    # field.  N=20 at T=1.5 and beta=0 is singular in every such cell.
+    grid = SweepGrid(orders=(4, 12, 20), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
+                     seeds=(0, 1), horizons=(0.5, 1.5), benchmark=problem_id, noise_mode=mode)
+    expected = [_case_key(grid, cell) for cell in grid.cells()]
+    assert sum(key[1] == "singular_matrix" for key in expected) == 4
+    for jobs in (1, 2):
+        records = run_sweep(grid, jobs=jobs).records
+        assert [_record_key(rec) for rec in records] == expected
+        assert all(rec.wall_time > 0.0 for rec in records)
+
+
+def test_group_build_failure_tags_every_cell(monkeypatch):
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-3), noise_levels=(0.0, 0.01),
+                     scheme_override=preset_scheme(12))
+    assert [rec.error for rec in run_sweep(grid).records] == ["domain_error"] * 4
+    # The error grids are built at a group's first solve; one that cannot be
+    # built (no temperature oracle) fails every cell that reaches it alike.
+    monkeypatch.setattr(experiments, "benchmark_problem",
+                        lambda benchmark, horizon: dataclasses.replace(
+                            example1(horizon), exact_solution=None))
+    grid = SweepGrid(orders=(6,), betas=(0.0, 1e-3))
+    assert [rec.error for rec in run_sweep(grid).records] == ["domain_error"] * 2
+
+
+def test_noise_draws_are_shared_across_levels_and_betas(monkeypatch):
+    # Draws depend on (seed, time) alone: a group draws each seed once and
+    # scales the draws per level, instead of drawing again for every cell.
+    calls = []
+    draw = noise.standard_draw
+    monkeypatch.setattr(noise, "standard_draw", lambda seed, t: calls.append(seed) or draw(seed, t))
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.01, 0.05), seeds=(0, 1))
+    result = run_sweep(grid)
+    assert all(rec.error is None for rec in result.records)
+    scheme = preset_scheme(8)
+    assert len(calls) == len(grid.seeds) * scheme.n_stefan * scheme.quadrature_order
+
+
+def test_overflowing_oracles_raise_numerical_error(monkeypatch):
+    # A steep linear family overflows its exact oracles; the metrics raise a
+    # typed error instead of returning nan and inf.
+    with pytest.raises(NumericalError):
+        run_case(linear_boundary_problem(0.5, 30.0), 8)
+    monkeypatch.setattr(experiments, "benchmark_problem",
+                        lambda benchmark, horizon: linear_boundary_problem(0.5, 30.0,
+                                                                           horizon=horizon))
+    assert run_sweep(SweepGrid(orders=(8,))).records[0].error == "numerical_error"
 
 
 def test_zero_level_is_seed_invariant():
