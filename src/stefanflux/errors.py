@@ -6,7 +6,11 @@ class NumericalError(RuntimeError):
 
 
 class SingularMatrixError(NumericalError):
-    """Pivoted factorization met a pivot below the singularity tolerance."""
+    """A matrix failed the rank test of the direct solve.
+
+    pivot_index is the numerical rank: the count of singular values of the
+    column-equilibrated matrix above the singularity tolerance.
+    """
 
     def __init__(self, pivot_index, message=None):
         self.pivot_index = pivot_index

@@ -27,7 +27,7 @@ from .assembly import (CollocationScheme, assemble, preset_scheme, residual, ste
 from .basis import HeatPolynomialBasis
 from .errors import NumericalError, SingularMatrixError
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
-from .noise import NoiseSpec, scale_draws, standard_draws
+from .noise import MODES, NoiseSpec, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
 from .solver import SolveConfig, condition_number, solve
 
@@ -91,8 +91,8 @@ def run_case(problem, order, beta=0.0, scheme=None, quadrature_order=16,
              noise=None, flux_samples=101):
     """Assemble, solve, and measure one reconstruction: a sweep group of one cell.
 
-    noise is an optional NoiseSpec; beta = 0 selects the direct solver and
-    beta > 0 the damped normal equations.
+    noise is an optional NoiseSpec; beta = 0 selects the direct solve and
+    beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
     group = _Group(problem, order, scheme, quadrature_order)
     dp, du, cond, res_norm, coeffs, system = group.evaluate(beta, noise)
@@ -135,6 +135,8 @@ class SweepGrid:
             raise ValueError("noise levels must be finite and >= 0")
         if not all(np.isfinite(t) and t > 0 for t in self.horizons):
             raise ValueError("horizons must be positive and finite")
+        if self.noise_mode not in MODES:
+            raise ValueError(f"noise_mode must be one of {MODES}, got {self.noise_mode!r}")
 
     def cells(self):
         """Cell tuples in the fixed deterministic emission order."""

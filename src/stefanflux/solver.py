@@ -1,10 +1,8 @@
-"""Direct and regularized solvers plus conditioning diagnostics."""
+"""Direct and Tikhonov solvers plus condition numbers, each from one numpy SVD."""
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, SingularMatrixError
 
@@ -17,13 +15,14 @@ __all__ = [
     "solve_tikhonov",
 ]
 
-# Pivot smaller than this times max|A| counts as numerically singular.
+# Singular values of the column-equilibrated matrix at or below this times the
+# largest count as zero; the count of those above it is the numerical rank.
 PIVOT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver selection: direct elimination at beta = 0, ridge damping otherwise."""
+    """Solver selection: direct solve at beta = 0, ridge damping otherwise."""
 
     beta: float = 0.0
     method: str = "direct"
@@ -57,27 +56,27 @@ def _check_beta(beta):
 
 
 def solve_direct(system):
-    """Solve A c = b by pivoted LU elimination.
+    """Solve A c = b through the SVD of A with its columns scaled to unit 2-norm.
 
-    Raises SingularMatrixError naming the offending pivot when any pivot
-    falls below PIVOT_RTOL * max|A|.
+    Column scaling (van der Sluis) removes the spread of column magnitudes, so
+    only a genuine loss of rank remains.  Raises SingularMatrixError carrying
+    the numerical rank, the count of scaled singular values above
+    PIVOT_RTOL times the largest, when it is below the size.
     """
     _check_finite(system.matrix, system.rhs)
-    return _lu_solve(system.matrix, system.rhs)
+    return _svd_solve(system.matrix, system.rhs)
 
 
-def _lu_solve(matrix, rhs, subject="matrix is"):
-    """Pivoted LU solve; a pivot at or below PIVOT_RTOL * max|matrix| is singular."""
-    # Singularity is detected from the pivots and raised as a typed error;
-    # scipy's advisory warning would just duplicate it.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(matrix, check_finite=False)
-    bad = np.nonzero(np.abs(np.diag(lu)) <= PIVOT_RTOL * np.abs(matrix).max())[0]
-    if bad.size:
+def _svd_solve(matrix, rhs, subject="matrix is"):
+    """c = D V diag(1/sigma) U^T b for the SVD of A D, D the inverse column norms."""
+    norms = np.linalg.norm(matrix, axis=0)
+    norms[norms == 0.0] = 1.0  # a zero column stays zero and fails the rank test
+    u, sigma, vt = np.linalg.svd(matrix / norms)
+    rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
+    if rank < sigma.size:
         raise SingularMatrixError(
-            int(bad[0]), f"{subject} numerically singular at pivot {int(bad[0])}")
-    return scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+            rank, f"{subject} numerically singular at pivot {rank} (rank {rank} of {sigma.size})")
+    return vt.T @ ((u.T @ rhs) / sigma) / norms
 
 
 def penalty_weights(size):
@@ -96,56 +95,39 @@ def penalty_weights(size):
     return weights
 
 
-def _shifted_gram(matrix, beta):
-    """Column-normalized B = A diag(1/n!) and B^T B + beta I (no shift at beta = 0)."""
-    scaled = matrix * penalty_weights(matrix.shape[1])
-    gram = scaled.T @ scaled
-    if beta:
-        gram = gram + beta * np.eye(matrix.shape[1])
-    return scaled, gram
-
-
 def solve_tikhonov(system, beta):
-    """Solve the damped normal equations with the penalty on normalized coefficients.
+    """Minimize ||A c - b||^2 + beta ||y||^2 over the normalized coefficients y = n! c.
 
-    Columns are rescaled by 1/n! first, the shifted normal equations
-    (B^T B + beta I) y = B^T b are solved for the normalized coefficients y,
-    and the result is mapped back to raw coefficients c = y / n!.  At beta = 0
-    the rescaling cancels exactly and this reduces to the plain normal
-    equations for A c = b.
-
-    Uses a Cholesky factorization of the shifted normal matrix.  When beta is
-    so small that rounding makes the shifted matrix numerically indefinite,
-    falls back to pivoted LU on the same equations, which is also the beta = 0
-    path.
+    With B = A diag(1/n!) and its SVD B = U diag(sigma) V^T, the minimizer is
+    y = V diag(sigma / (sigma^2 + beta)) U^T b, mapped back to c = y / n!.  This
+    is the solution of the shifted normal equations (B^T B + beta I) y = B^T b
+    without forming them, so the condition number is not squared.  At beta = 0
+    the problem is the plain solve of A c = b, which takes the direct path and
+    reports a rank loss as singular normal equations.
     """
     beta = _check_beta(beta)
     _check_finite(system.matrix, system.rhs)
-    scaled, gram = _shifted_gram(system.matrix, beta)
+    if not beta:
+        return _svd_solve(system.matrix, system.rhs, "normal equations are")
     weights = penalty_weights(system.size)
-    rhs = scaled.T @ system.rhs
-    if beta:
-        try:
-            factor = scipy.linalg.cho_factor(gram, check_finite=False)
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False) * weights
-        except scipy.linalg.LinAlgError:
-            pass
-    return _lu_solve(gram, rhs, "normal equations are") * weights
+    u, sigma, vt = np.linalg.svd(system.matrix * weights)
+    return vt.T @ ((u.T @ system.rhs) * (sigma / (sigma * sigma + beta))) * weights
 
 
 def condition_number(system, beta=0.0):
-    """Spectral condition number of the matrix the chosen path actually inverts.
+    """Spectral condition number of the problem the chosen path solves.
 
-    At beta = 0 that is A itself (the direct elimination target); at beta > 0
-    it is the shifted normal matrix of the column-normalized system that the
-    regularized solver factors.
+    At beta = 0 that is sigma_max(A) / sigma_min(A).  At beta > 0 it is the
+    condition number (sigma_max^2 + beta) / (sigma_min^2 + beta) of the shifted
+    normal matrix B^T B + beta I of the column-normalized B = A diag(1/n!),
+    from the singular values of B.
     """
     beta = _check_beta(beta)
-    matrix = system.matrix
-    _check_finite(matrix)
+    _check_finite(system.matrix)
     if beta:
-        matrix = _shifted_gram(matrix, beta)[1]
-    sigma = np.linalg.svd(matrix, compute_uv=False)
+        sigma = np.linalg.svd(system.matrix * penalty_weights(system.size), compute_uv=False)
+        return float((sigma[0] ** 2 + beta) / (sigma[-1] ** 2 + beta))
+    sigma = np.linalg.svd(system.matrix, compute_uv=False)
     if sigma[-1] == 0.0:
         return float("inf")
     return float(sigma[0] / sigma[-1])

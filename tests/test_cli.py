@@ -3,9 +3,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import stefanflux
 from stefanflux.cli import main
 
 
@@ -223,6 +229,14 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
         assert code == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
         assert not out.exists()
+    # A config file can name a noise mode the --noise-mode flag would refuse.
+    cfg = tmp_path / "bogus_mode.cfg"
+    cfg.write_text("noise_mode = bogus\nnoise = 0,0.01\norder = 6\n")
+    out = tmp_path / "out_mode"
+    code, _, err = _run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
+    assert not out.exists()
 
 
 def test_custom_family_solve(tmp_path, capsys):
@@ -253,3 +267,24 @@ def test_argparse_paths(capsys):
     assert main(["solve", "--help"]) == 0
     assert main(["solve", "--benchmark", "example9"]) == 2
     capsys.readouterr()
+
+
+def test_start_up_imports_no_scipy_linalg():
+    # scipy.linalg costs about 0.3 s of every CLI process; the solver needs only
+    # numpy, and scipy.special loads only for the square-root family's erf.
+    script = textwrap.dedent("""
+        import json, sys
+        import stefanflux.cli
+        from stefanflux import example1, example2, run_case
+        run_case(example1(), 8)
+        before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        run_case(example2(), 8)
+        print(json.dumps({"before": before, "linalg": "scipy.linalg" in sys.modules}))
+    """)
+    src = str(Path(stefanflux.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert loaded == {"before": [], "linalg": False}

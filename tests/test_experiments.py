@@ -102,6 +102,8 @@ def test_grid_validation():
             SweepGrid(orders=(8,), **bad)
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), benchmark="example9")
+    with pytest.raises(ValueError, match="noise_mode"):
+        SweepGrid(orders=(8,), noise_levels=(0.0, 0.01), noise_mode="bogus")
     grid = SweepGrid(orders=[8], benchmark="example2")
     assert grid.benchmark is BenchmarkId.EXAMPLE2
     assert grid.orders == (8,)
@@ -149,15 +151,32 @@ def _record_key(rec):
 def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
     # Cells share their (horizon, order) group's matrix, error grids and noise
     # draws; each record must still equal an independent run_case, field by
-    # field.  N=20 at T=1.5 and beta=0 is singular in every such cell.
+    # field.  N=20 at T=1.5 and beta=0 has full rank once its columns are
+    # scaled, so every cell solves.
     grid = SweepGrid(orders=(4, 12, 20), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
                      seeds=(0, 1), horizons=(0.5, 1.5), benchmark=problem_id, noise_mode=mode)
     expected = [_case_key(grid, cell) for cell in grid.cells()]
-    assert sum(key[1] == "singular_matrix" for key in expected) == 4
+    assert sum(key[1] == "singular_matrix" for key in expected) == 0
     for jobs in (1, 2):
         records = run_sweep(grid, jobs=jobs).records
         assert [_record_key(rec) for rec in records] == expected
         assert all(rec.wall_time > 0.0 for rec in records)
+
+
+def test_rank_deficient_group_tags_direct_cells_singular(monkeypatch):
+    # Two equal columns make the group's matrix rank deficient: its direct
+    # cells fail with a typed singular_matrix tag, its damped cells still solve.
+    def assemble_with_repeated_column(*args, **kwargs):
+        system = assemble(*args, **kwargs)
+        matrix = system.matrix.copy()
+        matrix[:, 1] = matrix[:, 0]
+        return dataclasses.replace(system, matrix=matrix)
+
+    monkeypatch.setattr(experiments, "assemble", assemble_with_repeated_column)
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01))
+    records = run_sweep(grid).records
+    assert [rec.error for rec in records] == ["singular_matrix"] * 2 + [None] * 2
+    assert all(math.isnan(rec.delta_p) for rec in records[:2])
 
 
 def test_group_build_failure_tags_every_cell(monkeypatch):

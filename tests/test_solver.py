@@ -89,10 +89,47 @@ def test_singular_matrix_names_pivot():
     with pytest.raises(SingularMatrixError, match="normal equations"):
         solve_tikhonov(system, 0.0)
 
+    # A genuine rank loss raises with the numerical rank; a column that is only
+    # small is not singular once the columns are scaled to unit norm.
+    dependent = _system([[1.0, 2.0, 3.0], [4.0, 5.0, 9.0], [7.0, 8.0, 15.0]], [1.0, 2.0, 3.0])
+    with pytest.raises(SingularMatrixError, match="pivot 2") as info:
+        solve_direct(dependent)
+    assert info.value.pivot_index == 2
+
     tiny = _system(np.diag([1.0, 1e-20]), [1.0, 1.0])
-    with pytest.raises(SingularMatrixError) as info:
-        solve_direct(tiny)
-    assert info.value.pivot_index == 1
+    np.testing.assert_allclose(solve_direct(tiny), [1.0, 1e20], rtol=1e-15)
+
+    # A zero column is left unscaled, so it fails the rank test.
+    for matrix, rank in (([[1.0, 0.0], [2.0, 0.0]], 1), (np.zeros((2, 2)), 0)):
+        with pytest.raises(SingularMatrixError) as info:
+            solve_direct(_system(matrix, [1.0, 2.0]))
+        assert info.value.pivot_index == rank
+
+
+def test_tikhonov_matches_explicit_normal_equations():
+    # On a well-conditioned system the filter-factor solve and an explicit
+    # solve of (B^T B + beta I) y = B^T b agree to rounding.
+    rng = np.random.default_rng(41)
+    matrix = np.eye(8) + 0.1 * rng.standard_normal((8, 8))
+    rhs = rng.standard_normal(8)
+    system = _system(matrix, rhs)
+    beta = 1e-3
+    scaled = matrix * penalty_weights(8)
+    gram = scaled.T @ scaled + beta * np.eye(8)
+    expected = np.linalg.solve(gram, scaled.T @ rhs) * penalty_weights(8)
+    coeffs = solve_tikhonov(system, beta)
+    assert np.linalg.norm(coeffs - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert condition_number(system, beta) == pytest.approx(np.linalg.cond(gram), rel=1e-8)
+
+
+@pytest.mark.parametrize("horizon", [1.2, 1.5])
+def test_long_horizon_order_20_solves(horizon):
+    # cond(A) exceeds 1/eps here, but only because the columns differ in scale
+    # by up to 20!; with unit-norm columns the system has full rank.
+    prob = example1(horizon)
+    basis = HeatPolynomialBasis(1.0, 20)
+    coeffs = solve_direct(assemble(prob, basis, preset_scheme(20)))
+    assert delta_p(coeffs, prob, basis) <= 1e-10
 
 
 def test_random_backward_stability():
