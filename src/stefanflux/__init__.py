@@ -9,7 +9,7 @@ gradient recovers the unknown heating flux at x = 0.
 
 from .assembly import CollocationScheme, LinearSystem, assemble, preset_scheme, residual
 from .basis import HeatPolynomialBasis
-from .errors import NumericalError, SingularMatrixError
+from .errors import DomainError, NumericalError, SingularMatrixError
 from .experiments import (AggregateRow, CellRecord, SolveReport, SweepGrid, SweepResult,
                           degradation_ratios, horizon_study, noise_study, run_case,
                           run_sweep)
@@ -30,8 +30,8 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateRow", "BenchmarkId", "CellRecord", "CollocationScheme", "ErrorReport",
-    "HeatPolynomialBasis", "LinearSystem", "NoiseSpec", "NumericalError",
+    "AggregateRow", "BenchmarkId", "CellRecord", "CollocationScheme", "DomainError",
+    "ErrorReport", "HeatPolynomialBasis", "LinearSystem", "NoiseSpec", "NumericalError",
     "SingularMatrixError", "SolveConfig", "SolveReport", "StefanProblem", "SweepGrid",
     "SweepResult", "assemble", "benchmark_problem", "coefficient_decay",
     "condition_number", "degradation_ratios", "delta_p", "delta_u", "error_report",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 
 __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
            "stefan_nodes", "with_stefan_data"]
@@ -44,12 +44,13 @@ class CollocationScheme:
         for name in ("n_dirichlet", "n_stefan", "n_initial"):
             value = getattr(self, name)
             if int(value) != value or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value}")
+                raise DomainError(f"{name} must be a positive integer, got {value}")
         if self.n_dirichlet < self.n_stefan:
-            raise ValueError(
+            raise DomainError(
                 f"n_dirichlet ({self.n_dirichlet}) must be >= n_stefan ({self.n_stefan})")
         if int(self.quadrature_order) != self.quadrature_order or self.quadrature_order < 8:
-            raise ValueError(f"quadrature_order must be an integer >= 8, got {self.quadrature_order}")
+            raise DomainError(
+                f"quadrature_order must be an integer >= 8, got {self.quadrature_order}")
 
     @property
     def size(self):
@@ -65,7 +66,7 @@ def preset_scheme(order, quadrature_order=16):
     (6, 4, 1) at order 10.
     """
     if int(order) != order or order < 3:
-        raise ValueError(f"preset schemes need order >= 3, got {order}")
+        raise DomainError(f"preset schemes need order >= 3, got {order}")
     size = int(order) + 1
     n_initial = 1 if size <= 11 else 2
     rem = size - n_initial
@@ -84,11 +85,11 @@ class LinearSystem:
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {self.matrix.shape}")
+            raise DomainError(f"matrix must be square, got shape {self.matrix.shape}")
         if self.rhs.shape != (self.matrix.shape[0],):
-            raise ValueError("rhs length must match matrix size")
+            raise DomainError("rhs length must match matrix size")
         if len(self.row_labels) != self.matrix.shape[0]:
-            raise ValueError("row_labels length must match matrix size")
+            raise DomainError("row_labels length must match matrix size")
 
     @property
     def size(self):
@@ -118,7 +119,7 @@ def assemble(problem, basis, scheme, stefan_data=None):
     """
     size = basis.size
     if scheme.size != size:
-        raise ValueError(
+        raise DomainError(
             f"scheme rows ({scheme.size}) must equal basis size ({size}); "
             f"adjust the partition counts to sum to max_order + 1")
     horizon = problem.horizon
@@ -185,5 +186,5 @@ def residual(system, coeffs):
     """Row residuals A c - b of a candidate coefficient vector."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (system.size,):
-        raise ValueError(f"expected {system.size} coefficients, got shape {coeffs.shape}")
+        raise DomainError(f"expected {system.size} coefficients, got shape {coeffs.shape}")
     return system.matrix @ coeffs - system.rhs

@@ -16,6 +16,8 @@ boundary-data fitting.
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["HeatPolynomialBasis"]
 
 
@@ -43,9 +45,9 @@ class HeatPolynomialBasis:
     def __init__(self, diffusivity, max_order):
         diffusivity = float(diffusivity)
         if not np.isfinite(diffusivity) or diffusivity <= 0.0:
-            raise ValueError(f"diffusivity must be a positive finite number, got {diffusivity}")
+            raise DomainError(f"diffusivity must be a positive finite number, got {diffusivity}")
         if int(max_order) != max_order or max_order < 0:
-            raise ValueError(f"max_order must be a non-negative integer, got {max_order}")
+            raise DomainError(f"max_order must be a non-negative integer, got {max_order}")
         self.diffusivity = diffusivity
         self.max_order = int(max_order)
         # Step m of the Horner sweep needs K_m of every order that has a
@@ -64,7 +66,7 @@ class HeatPolynomialBasis:
 
     def _check_order(self, n):
         if int(n) != n or n < 0 or n > self.max_order:
-            raise ValueError(f"order must be an integer in [0, {self.max_order}], got {n}")
+            raise DomainError(f"order must be an integer in [0, {self.max_order}], got {n}")
         return int(n)
 
     def coefficients(self, n):
@@ -92,7 +94,7 @@ class HeatPolynomialBasis:
         single-order Horner sweep in x^2 would, so rows do not depend on N.
         """
         if deriv not in ("value", "dx", "dt"):
-            raise ValueError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
+            raise DomainError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
         xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
         column = (slice(None),) + (None,) * xb.ndim
         x2 = xb * xb
@@ -149,11 +151,11 @@ class HeatPolynomialBasis:
         coefficients; rows @ coeffs would reorder the sum and round differently."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
-            raise ValueError(
+            raise DomainError(
                 f"expected {self.size} coefficients for max_order {self.max_order}, "
                 f"got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must be finite")
+            raise DomainError("coefficients must be finite")
         acc = np.zeros(rows.shape[1:])
         for n in np.flatnonzero(coeffs):
             acc += coeffs[n] * rows[n]

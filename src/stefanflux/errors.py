@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class DomainError(ValueError):
+    """An argument or input lies outside the domain the library accepts."""
+
+
 class NumericalError(RuntimeError):
     """A computation produced non-finite values or an unusable factorization."""
 

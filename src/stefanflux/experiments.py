@@ -16,7 +16,6 @@ and pools of any size give identical results.
 
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +24,7 @@ import numpy as np
 from .assembly import (CollocationScheme, assemble, preset_scheme, residual, stefan_nodes,
                        with_stefan_data)
 from .basis import HeatPolynomialBasis
-from .errors import NumericalError, SingularMatrixError
+from .errors import DomainError, NumericalError, SingularMatrixError
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
 from .noise import MODES, NoiseSpec, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
@@ -126,17 +125,17 @@ class SweepGrid:
         object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):
             if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
+                raise DomainError(f"{name} must be non-empty")
         if any(n < 2 for n in self.orders):
-            raise ValueError("orders below 2 cannot carry all three condition families")
+            raise DomainError("orders below 2 cannot carry all three condition families")
         if not all(np.isfinite(b) and b >= 0 for b in self.betas):
-            raise ValueError("betas must be finite and >= 0")
+            raise DomainError("betas must be finite and >= 0")
         if not all(np.isfinite(e) and e >= 0 for e in self.noise_levels):
-            raise ValueError("noise levels must be finite and >= 0")
+            raise DomainError("noise levels must be finite and >= 0")
         if not all(np.isfinite(t) and t > 0 for t in self.horizons):
-            raise ValueError("horizons must be positive and finite")
+            raise DomainError("horizons must be positive and finite")
         if self.noise_mode not in MODES:
-            raise ValueError(f"noise_mode must be one of {MODES}, got {self.noise_mode!r}")
+            raise DomainError(f"noise_mode must be one of {MODES}, got {self.noise_mode!r}")
 
     def cells(self):
         """Cell tuples in the fixed deterministic emission order."""
@@ -187,7 +186,8 @@ def _error_tag(exc):
     return "domain_error"
 
 
-_CELL_ERRORS = (ValueError, NumericalError, FloatingPointError, OverflowError)
+# Typed failures only: a stray numpy ValueError inside a cell is a defect and propagates.
+_CELL_ERRORS = (DomainError, NumericalError, FloatingPointError, OverflowError)
 
 
 def _evaluate_group(task):
@@ -262,10 +262,12 @@ class SweepResult:
 def run_sweep(grid, jobs=1):
     """Run every cell of the grid group by group, optionally spreading groups on a process pool."""
     if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     tasks = [(grid, list(cells))
              for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here: concurrent.futures.process adds start-up cost to every serial run.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_evaluate_group, tasks))
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import NumericalError
+from .errors import DomainError, NumericalError
 
 __all__ = ["ErrorReport", "delta_p", "delta_u", "flux_curve", "coefficient_decay",
            "error_report"]
@@ -34,7 +34,7 @@ class ErrorReport:
 def _require_oracle(problem, attr):
     f = getattr(problem, attr)
     if f is None:
-        raise ValueError(f"problem has no {attr} oracle; errors are undefined without it")
+        raise DomainError(f"problem has no {attr} oracle; errors are undefined without it")
     return f
 
 
@@ -48,7 +48,7 @@ def _delta_p_on(problem, basis, quad_points=256):
     """delta_p as a function of the coefficients, its grid built once for many solves."""
     exact_ux0 = _require_oracle(problem, "exact_flux_gradient")
     if quad_points < 1:
-        raise ValueError(f"quad_points must be >= 1, got {quad_points}")
+        raise DomainError(f"quad_points must be >= 1, got {quad_points}")
     nodes, weights = quadrature.composite_nodes(0.0, problem.horizon, quad_points)
     lam = problem.conductivity
     rows = basis.design(0.0, nodes, "dx")
@@ -57,7 +57,7 @@ def _delta_p_on(problem, basis, quad_points=256):
         # The weights are positive, so the norm is finite only if ref is.
         denom = _require_finite(float(weights @ (ref * ref)), "exact flux norm")
     if denom == 0.0:
-        raise ValueError("exact flux is identically zero on the quadrature grid")
+        raise DomainError("exact flux is identically zero on the quadrature grid")
 
     def error(coeffs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -71,7 +71,7 @@ def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
     """delta_u as a function of the coefficients, its grid built once for many solves."""
     exact = _require_oracle(problem, "exact_solution")
     if quad_points_t < 1 or quad_points_x < 1:
-        raise ValueError("quadrature point counts must be >= 1")
+        raise DomainError("quadrature point counts must be >= 1")
     t_nodes, t_weights = quadrature.panel_nodes(0.0, problem.horizon, quad_points_t)
     s_vals = problem.boundary(t_nodes)
     unit, unit_w = quadrature.panel_nodes(0.0, 1.0, quad_points_x)
@@ -84,7 +84,7 @@ def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
         ref = exact(x_grid, t_grid)
         denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
     if denom == 0.0:
-        raise ValueError("exact solution is identically zero on the quadrature grid")
+        raise DomainError("exact solution is identically zero on the quadrature grid")
 
     def error(coeffs):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -111,7 +111,7 @@ def flux_curve(coeffs, problem, basis, samples=101):
     the exact columns are nan when the problem has no flux oracle.
     """
     if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+        raise DomainError(f"samples must be >= 2, got {samples}")
     ts = np.linspace(0.0, problem.horizon, samples)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = basis.eval_combination(coeffs, 0.0, ts, deriv="dx")
@@ -134,7 +134,7 @@ def coefficient_decay(coeffs, t_ref, horizon=0.0):
     """
     t_ref = float(t_ref)
     if t_ref <= horizon:
-        raise ValueError(f"t_ref must exceed the horizon {horizon}, got {t_ref}")
+        raise DomainError(f"t_ref must exceed the horizon {horizon}, got {t_ref}")
     coeffs = np.asarray(coeffs, dtype=float)
     shapes = np.empty(coeffs.shape)
     shapes[0] = 1.0

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = ["NoiseSpec", "perturb_stefan_data"]
 
 T_QUANTUM = 1e-12
@@ -33,11 +35,11 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not np.isfinite(self.level) or self.level < 0.0:
-            raise ValueError(f"noise level must be finite and >= 0, got {self.level}")
+            raise DomainError(f"noise level must be finite and >= 0, got {self.level}")
         if int(self.seed) != self.seed:
-            raise ValueError(f"seed must be an integer, got {self.seed}")
+            raise DomainError(f"seed must be an integer, got {self.seed}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 def standard_draw(seed, t):

@@ -4,12 +4,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
+
 
 @lru_cache(maxsize=None)
 def gauss_rule(order):
     """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
     if order < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {order}")
+        raise DomainError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -29,7 +31,7 @@ def subdivided_nodes(lo, hi, n_panels, order):
     Returns flat arrays of length n_panels * order, panel by panel.
     """
     if n_panels < 1:
-        raise ValueError(f"need at least one panel, got {n_panels}")
+        raise DomainError(f"need at least one panel, got {n_panels}")
     edges = np.linspace(lo, hi, n_panels + 1)
     xs, ws = panel_nodes(edges[:-1, None], edges[1:, None], order)
     return xs.ravel(), ws.ravel()

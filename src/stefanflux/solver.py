@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, SingularMatrixError
+from .errors import DomainError, NumericalError, SingularMatrixError
 
 __all__ = [
     "SolveConfig",
@@ -29,10 +29,10 @@ class SolveConfig:
 
     def __post_init__(self):
         if self.method not in ("direct", "tikhonov"):
-            raise ValueError(f"method must be 'direct' or 'tikhonov', got {self.method!r}")
+            raise DomainError(f"method must be 'direct' or 'tikhonov', got {self.method!r}")
         _check_beta(self.beta)
         if self.method == "direct" and self.beta != 0.0:
-            raise ValueError("direct solves require beta = 0")
+            raise DomainError("direct solves require beta = 0")
 
 
 def solve(system, config):
@@ -51,7 +51,7 @@ def _check_finite(*arrays):
 def _check_beta(beta):
     beta = float(beta)
     if not np.isfinite(beta) or beta < 0.0:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+        raise DomainError(f"beta must be finite and >= 0, got {beta}")
     return beta
 
 

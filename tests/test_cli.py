@@ -1,5 +1,6 @@
 """Command line artifacts, determinism, config handling, exit codes."""
 
+import ast
 import csv
 import json
 import math
@@ -269,22 +270,57 @@ def test_argparse_paths(capsys):
     capsys.readouterr()
 
 
+def _fresh_process_json(script):
+    """Run script in a fresh interpreter on this checkout; its last line as JSON."""
+    src = str(Path(stefanflux.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_start_up_imports_no_scipy_linalg():
-    # scipy.linalg costs about 0.3 s of every CLI process; the solver needs only
-    # numpy, and scipy.special loads only for the square-root family's erf.
-    script = textwrap.dedent("""
+    # scipy.linalg costs about 0.3 s of every CLI process and scipy.special
+    # about 0.2 s; the package needs numpy alone, erf included.
+    loaded = _fresh_process_json("""
         import json, sys
         import stefanflux.cli
         from stefanflux import example1, example2, run_case
         run_case(example1(), 8)
         before = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
         run_case(example2(), 8)
-        print(json.dumps({"before": before, "linalg": "scipy.linalg" in sys.modules}))
+        after = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+        print(json.dumps({"before": before, "linalg": "scipy.linalg" in sys.modules,
+                          "after": after}))
     """)
-    src = str(Path(stefanflux.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    loaded = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert loaded == {"before": [], "linalg": False}
+    assert loaded == {"before": [], "linalg": False, "after": []}
+
+
+def test_serial_sweep_does_not_import_the_process_pool():
+    loaded = _fresh_process_json("""
+        import json, sys
+        import stefanflux.cli
+        from stefanflux import SweepGrid, run_sweep
+        records = run_sweep(SweepGrid(orders=(4,))).records
+        print(json.dumps({"cells": len(records),
+                          "pool": "concurrent.futures.process" in sys.modules}))
+    """)
+    assert loaded == {"cells": 1, "pool": False}
+
+
+def test_package_source_imports_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the benchmark harness alone.
+    package = Path(stefanflux.__file__).resolve().parent
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.relative_to(package)}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert offenders == []

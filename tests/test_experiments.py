@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from stefanflux import (
     BenchmarkId,
     CollocationScheme,
+    DomainError,
     HeatPolynomialBasis,
     NoiseSpec,
     NumericalError,
@@ -177,6 +178,25 @@ def test_rank_deficient_group_tags_direct_cells_singular(monkeypatch):
     records = run_sweep(grid).records
     assert [rec.error for rec in records] == ["singular_matrix"] * 2 + [None] * 2
     assert all(math.isnan(rec.delta_p) for rec in records[:2])
+
+
+def test_only_domain_errors_become_domain_error_records(monkeypatch):
+    # A bare ValueError inside a cell (a numpy broadcast mismatch, say) is a
+    # defect and propagates; the library's own DomainError is a tagged outcome.
+    def solve_raising(exc_type):
+        def solve(system, config):
+            raise exc_type("stage failed")
+        return solve
+
+    grid = SweepGrid(orders=(6,), betas=(0.0, 1e-7))
+    monkeypatch.setattr(experiments, "solve", solve_raising(ValueError))
+    with pytest.raises(ValueError, match="stage failed") as info:
+        run_sweep(grid)
+    assert type(info.value) is ValueError
+    monkeypatch.setattr(experiments, "solve", solve_raising(DomainError))
+    records = run_sweep(grid).records
+    assert [rec.error for rec in records] == ["domain_error"] * 2
+    assert all(math.isnan(rec.delta_p) for rec in records)
 
 
 def test_group_build_failure_tags_every_cell(monkeypatch):

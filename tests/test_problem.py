@@ -8,6 +8,7 @@ import pytest
 
 from stefanflux import (
     BenchmarkId,
+    DomainError,
     StefanProblem,
     benchmark_problem,
     example1,
@@ -16,7 +17,7 @@ from stefanflux import (
     neumann_consistency,
     sqrt_boundary_problem,
 )
-from stefanflux.problem import EXAMPLE2_ALPHA, EXAMPLE2_T0
+from stefanflux.problem import EXAMPLE2_ALPHA, EXAMPLE2_T0, _erf
 
 
 def test_example1_pinned_values():
@@ -93,10 +94,29 @@ def test_flux_gradient_matches_numerical_derivative():
 
 
 def test_erf_accuracy_against_mpmath():
-    from scipy.special import erf
-
     for z in np.linspace(0.0, 4.0, 21):
-        assert abs(erf(z) - float(mpmath.erf(z))) <= 1e-12
+        assert abs(_erf(z) - float(mpmath.erf(z))) <= 4e-16
+
+
+def test_erf_within_4_ulp_of_math_erf():
+    # Both branches of the rational approximation, their seam at 0.5 and the
+    # clip at 6 lie inside the grid.
+    x = np.linspace(-6.5, 6.5, 200_001)
+    ref = np.array([math.erf(v) for v in x])
+    ulps = np.abs(_erf(x) - ref) / np.spacing(np.abs(ref))
+    assert ulps.max() <= 4.0
+
+
+def test_erf_special_values_and_shape():
+    x = np.linspace(0.0, 7.0, 701)
+    np.testing.assert_array_equal(_erf(-x), -_erf(x))
+    zeros = _erf(np.array([0.0, -0.0]))
+    np.testing.assert_array_equal(zeros, [0.0, 0.0])
+    np.testing.assert_array_equal(np.signbit(zeros), [False, True])
+    np.testing.assert_array_equal(_erf(np.array([np.inf, -np.inf])), [1.0, -1.0])
+    assert np.isnan(_erf(np.nan))
+    assert _erf(np.ones((3, 4))).shape == (3, 4)
+    assert np.shape(_erf(0.5)) == ()
 
 
 def test_neumann_consistency_values():
@@ -134,17 +154,17 @@ def test_benchmark_factory():
 
 
 def test_factory_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         linear_boundary_problem(0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         linear_boundary_problem(0.1, -0.2)  # boundary crosses zero before T
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         sqrt_boundary_problem(-1.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         sqrt_boundary_problem(0.5, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         example1(horizon=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         StefanProblem(
             diffusivity=1.0, conductivity=-1.0, latent_heat=1.0, density=1.0,
             melt_temperature=0.0, horizon=1.0, boundary=lambda t: 1.0 + t,
