@@ -26,7 +26,7 @@ from .assembly import (CollocationScheme, assemble, preset_scheme, residual, ste
 from .basis import HeatPolynomialBasis
 from .errors import DomainError, NumericalError, SingularMatrixError
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
-from .noise import MODES, NoiseSpec, scale_draws, standard_draws
+from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
 from .solver import SolveConfig, condition_number, solve
 
@@ -120,7 +120,7 @@ class SweepGrid:
         object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "noise_levels", tuple(float(e) for e in self.noise_levels))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
         object.__setattr__(self, "horizons", tuple(float(t) for t in self.horizons))
         object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):

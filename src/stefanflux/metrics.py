@@ -116,13 +116,12 @@ def flux_curve(coeffs, problem, basis, samples=101):
     with np.errstate(over="ignore", invalid="ignore"):
         rec = basis.eval_combination(coeffs, 0.0, ts, deriv="dx")
         if problem.exact_flux_gradient is not None:
-            ref = problem.exact_flux_gradient(ts)
+            ref = np.asarray(problem.exact_flux_gradient(ts), dtype=float)
             err = _require_finite(np.abs(rec - ref), "flux error")
         else:
             ref = np.full_like(ts, np.nan)
             err = np.full_like(ts, np.nan)
-    return [(float(a), float(b), float(c), float(d))
-            for a, b, c, d in zip(ts, rec, ref, err)]
+    return list(zip(ts.tolist(), rec.tolist(), ref.tolist(), err.tolist()))
 
 
 def coefficient_decay(coeffs, t_ref, horizon=0.0):

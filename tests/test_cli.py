@@ -223,7 +223,10 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
            ["solve", "--beta", "-1"], ["plotdata", "--beta", "-1"],
            ["sweep", "--betas", "-1"], ["sweep", "--orders", "1"],
            ["sweep", "--orders", "8", "--noise", "nan"], ["sweep", "--betas", "nan"],
-           ["sweep", "--orders", "8", "--jobs", "0"], ["sweep", "--orders", "8", "--jobs", "-1"])
+           ["sweep", "--orders", "8", "--jobs", "0"], ["sweep", "--orders", "8", "--jobs", "-1"],
+           ["solve", "--seed", "-1"], ["solve", "--noise", "0.01", "--seed", str(2 ** 64)],
+           ["plotdata", "--noise", "0.01", "--seed", "-1"],
+           ["sweep", "--orders", "8", "--noise", "0.01", "--seeds", "0,-1"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))

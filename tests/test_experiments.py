@@ -33,7 +33,7 @@ from stefanflux import (
     solve_direct,
     sqrt_boundary_problem,
 )
-from stefanflux import experiments, noise
+from stefanflux import experiments
 from stefanflux.experiments import _error_tag
 
 
@@ -105,6 +105,11 @@ def test_grid_validation():
         SweepGrid(orders=(8,), benchmark="example9")
     with pytest.raises(ValueError, match="noise_mode"):
         SweepGrid(orders=(8,), noise_levels=(0.0, 0.01), noise_mode="bogus")
+    # Seeds outside [0, 2**64) used to alias: 2**64 drew seed 0's noise.
+    for seed in (-1, 2 ** 64, 0.5):
+        with pytest.raises(DomainError, match="seed"):
+            SweepGrid(orders=(8,), noise_levels=(0.01,), seeds=(0, seed))
+    assert SweepGrid(orders=(8,), seeds=(2 ** 64 - 1,)).seeds == (2 ** 64 - 1,)
     grid = SweepGrid(orders=[8], benchmark="example2")
     assert grid.benchmark is BenchmarkId.EXAMPLE2
     assert grid.orders == (8,)
@@ -215,14 +220,16 @@ def test_group_build_failure_tags_every_cell(monkeypatch):
 def test_noise_draws_are_shared_across_levels_and_betas(monkeypatch):
     # Draws depend on (seed, time) alone: a group draws each seed once and
     # scales the draws per level, instead of drawing again for every cell.
-    calls = []
-    draw = noise.standard_draw
-    monkeypatch.setattr(noise, "standard_draw", lambda seed, t: calls.append(seed) or draw(seed, t))
+    # The count is the number of times passed to standard_draws.
+    sizes = []
+    draws = experiments.standard_draws
+    monkeypatch.setattr(experiments, "standard_draws",
+                        lambda seed, ts: sizes.append(np.size(ts)) or draws(seed, ts))
     grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.01, 0.05), seeds=(0, 1))
     result = run_sweep(grid)
     assert all(rec.error is None for rec in result.records)
     scheme = preset_scheme(8)
-    assert len(calls) == len(grid.seeds) * scheme.n_stefan * scheme.quadrature_order
+    assert sum(sizes) == len(grid.seeds) * scheme.n_stefan * scheme.quadrature_order
 
 
 def test_overflowing_oracles_raise_numerical_error(monkeypatch):

@@ -1,12 +1,30 @@
 """Deterministic Gaussian perturbation of the energy-balance data."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from stefanflux import NoiseSpec, example1, example2, perturb_stefan_data
-from stefanflux.noise import standard_draw
+from stefanflux import (DomainError, NoiseSpec, benchmark_problem, example1, example2,
+                        perturb_stefan_data, preset_scheme)
+from stefanflux import noise
+from stefanflux.assembly import stefan_nodes
+from stefanflux.noise import standard_draw, standard_draws
+
+# Seeds whose entropy takes one uint32 word and two, and the ends of the range.
+ORACLE_SEEDS = (0, 1, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+
+
+def _oracle(seed, t):
+    """The draw as a fresh generator per sample gives it."""
+    tq = int(round(t / 1e-12)) & (2 ** 64 - 1)
+    return np.random.default_rng((seed, tq)).standard_normal()
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def test_zero_level_reproduces_clean_data():
@@ -86,6 +104,11 @@ def test_spec_validation():
         NoiseSpec(0.01, seed=0.5)
     with pytest.raises(ValueError):
         NoiseSpec(0.01, mode="multiplicative")
+    # 2**64 used to draw seed 0's noise and -1 seed 2**64 - 1's.
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(DomainError, match="seed"):
+            NoiseSpec(0.01, seed=seed)
+    assert NoiseSpec(0.01, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_scalar_and_array_shapes():
@@ -95,3 +118,58 @@ def test_scalar_and_array_shapes():
     out = noisy(np.linspace(0.1, 0.9, 5))
     assert isinstance(out, np.ndarray)
     assert out.shape == (5,)
+
+
+def test_draws_equal_a_generator_per_sample():
+    # tq = 2**32 - 1 and 2**32 sit on both sides of the one-word entropy limit.
+    times = [0.0, 1e-13, 4.294967295e-3, 4.294967296e-3, 1e4]
+    times += np.random.default_rng(11).uniform(0.0, 1.5, 40).tolist()
+    # Every energy-balance node of the sweep_noisy benchmark grid.
+    prob = benchmark_problem("example2")
+    for order in (8, 12, 16):
+        times += stefan_nodes(prob, preset_scheme(order))[0].tolist()
+    assert len(ORACLE_SEEDS) * len(times) >= 2000
+    for seed in ORACLE_SEEDS:
+        expected = [_oracle(seed, t) for t in times]
+        np.testing.assert_array_equal(_bits(standard_draws(seed, np.array(times))),
+                                      _bits(expected))
+    assert standard_draw(2 ** 63, 0.3) == _oracle(2 ** 63, 0.3)
+    empty = standard_draws(5, np.array([]))
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_draws_reject_seeds_outside_uint64_and_non_finite_times():
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(DomainError, match="seed"):
+            standard_draws(seed, [0.1])
+    # nan and inf used to raise a bare ValueError and OverflowError.
+    for bad in (math.nan, math.inf, -math.inf, 1e300):
+        with pytest.raises(DomainError, match="finite"):
+            standard_draws(3, [0.1, bad])
+
+
+def test_draws_are_thread_safe():
+    # Each call sets its states on its own PCG64, so concurrent calls cannot
+    # draw from one another's states.  A thread switch seldom falls between
+    # setting a state and drawing from it, so the module must also hold no
+    # generator that calls could share.
+    assert not any(isinstance(value, (np.random.Generator, np.random.BitGenerator))
+                   for value in vars(noise).values())
+    ts = np.linspace(0.0, 1.0, 16)
+    serial = {seed: _bits(standard_draws(seed, ts)) for seed in (3, 4)}
+
+    def repeat(seed):
+        return [standard_draws(seed, ts) for _ in range(200)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = {seed: pool.submit(repeat, seed) for seed in serial}
+            results = {seed: future.result(timeout=120) for seed, future in futures.items()}
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, runs in results.items():
+        assert len(runs) == 200
+        for run in runs:
+            np.testing.assert_array_equal(_bits(run), serial[seed])
