@@ -5,8 +5,9 @@ The functions
     v_n(x, t) = sum_{m=0}^{floor(n/2)} a^(2m) * n! / (m! (n-2m)!) * x^(n-2m) t^m
 
 satisfy v_t = a^2 v_xx exactly for every order n, reduce to the monomials
-x^n at t = 0, and obey the ladder identities
+x^n at t = 0, and obey the three-term recurrence and ladder identities
 
+    v_{n+1} = x v_n + 2 a^2 n t v_{n-1}     (Rosenbloom & Widder, 1959),
     d/dx v_n = n v_{n-1},        d/dt v_n = a^2 n (n-1) v_{n-2}.
 
 Truncated combinations sum(c_n v_n) therefore solve the heat equation
@@ -33,13 +34,14 @@ class HeatPolynomialBasis:
 
     Notes
     -----
-    Coefficients are built by the multiplicative recurrence
+    Evaluation runs the three-term recurrence from v_0 = 1 and v_1 = x, one
+    row update per order, with rounding errors of a few eps * sum |terms| of
+    the monomial sum; at t = 0 it forms x^n by repeated products.  Monomial
+    coefficients are built separately by
 
         K_0 = 1,   K_{m+1} = K_m * a^2 (n - 2m)(n - 2m - 1) / (m + 1),
 
-    which avoids explicit factorials, and evaluation accumulates the sum
-    Horner-style in x^2 with t powers updated incrementally.  Both are O(n)
-    per point and stay exact in floating point for small integer data.
+    which avoids explicit factorials and is exact for small integer data.
     """
 
     def __init__(self, diffusivity, max_order):
@@ -50,11 +52,6 @@ class HeatPolynomialBasis:
             raise DomainError(f"max_order must be a non-negative integer, got {max_order}")
         self.diffusivity = diffusivity
         self.max_order = int(max_order)
-        # Step m of the Horner sweep needs K_m of every order that has a
-        # t^m term, i.e. of orders 2m .. N.
-        table = [self.coefficients(n) for n in range(self.size)]
-        self._steps = [np.array([ks[m] for ks in table[2 * m:]])
-                       for m in range(1, self.max_order // 2 + 1)]
 
     def __repr__(self):
         return f"HeatPolynomialBasis(diffusivity={self.diffusivity!r}, max_order={self.max_order})"
@@ -90,24 +87,29 @@ class HeatPolynomialBasis:
         """Evaluate v_0 .. v_N, or their first derivative in x or t, at once.
 
         Returns an array of shape (N + 1,) + broadcast(x, t).shape whose row n
-        is the order-n function.  Each row is accumulated exactly as a
-        single-order Horner sweep in x^2 would, so rows do not depend on N.
+        is the order-n function.  Row n + 1 is x v_n + 2 a^2 n t v_{n-1},
+        computed from rows n and n - 1 alone, so rows do not depend on N.
         """
         if deriv not in ("value", "dx", "dt"):
             raise DomainError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
         xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        column = (slice(None),) + (None,) * xb.ndim
-        x2 = xb * xb
-        tp = np.ones_like(tb)
-        rows = np.ones((self.size,) + xb.shape)
-        for m, k in enumerate(self._steps, start=1):
-            tp = tp * tb
-            rows[2 * m:] *= x2
-            rows[2 * m:] += k[column] * tp
-        rows[1::2] *= xb
+        # Flat rows, so that rows[n] is a writable view even for scalar input.
+        xs = xb.reshape(-1)
+        st = (2.0 * self.diffusivity * self.diffusivity) * tb.reshape(-1)
+        rows = np.empty((self.size, xs.size))
+        rows[0] = 1.0
+        rows[1:2] = xs
+        term = np.empty_like(st)
+        for n in range(1, self.max_order):
+            np.multiply(st, rows[n - 1], out=term)
+            term *= n
+            np.multiply(xs, rows[n], out=rows[n + 1])
+            rows[n + 1] += term
+        rows = rows.reshape((self.size,) + xb.shape)
         if deriv == "value":
             return rows
         # Ladder identities: d/dx v_n = n v_{n-1}, d/dt v_n = a^2 n (n-1) v_{n-2}.
+        column = (slice(None),) + (None,) * xb.ndim
         out = np.zeros_like(rows)
         if deriv == "dx":
             np.multiply(np.arange(1, self.size)[column], rows[:-1], out=out[1:])
@@ -147,8 +149,8 @@ class HeatPolynomialBasis:
         return self.combine(coeffs, self.design(x, t, deriv))
 
     def combine(self, coeffs, rows):
-        """Sum c_n * rows[n] over a design() block, order by order over the nonzero
-        coefficients; rows @ coeffs would reorder the sum and round differently."""
+        """Sum c_n * rows[n] over a design() block as one BLAS vector-matrix
+        product, which rounds within a few eps * sum |c_n rows[n]|."""
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise DomainError(
@@ -156,7 +158,5 @@ class HeatPolynomialBasis:
                 f"got shape {coeffs.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise DomainError("coefficients must be finite")
-        acc = np.zeros(rows.shape[1:])
-        for n in np.flatnonzero(coeffs):
-            acc += coeffs[n] * rows[n]
+        acc = (coeffs @ rows.reshape(self.size, -1)).reshape(rows.shape[1:])
         return float(acc) if acc.ndim == 0 else acc

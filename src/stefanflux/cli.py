@@ -200,11 +200,11 @@ def cmd_solve(pick):
     if len(levels) != 1:
         raise ConfigError("solve takes a single noise level")
     noise = _noise_spec(levels[0], seed, mode)
-    out = Path(pick("out", "."))
-    out.mkdir(parents=True, exist_ok=True)
-
     report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
                       flux_samples=samples)
+    # run_case validates the samples and scheme; --out is made after it.
+    out = Path(pick("out", "."))
+    out.mkdir(parents=True, exist_ok=True)
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -287,12 +287,11 @@ def cmd_plotdata(pick):
     if not levels:
         raise ConfigError("plotdata needs at least one noise level")
     noises = [_noise_spec(level, seed, mode) for level in levels]
+    reports = [run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
+                        flux_samples=samples) for noise in noises]
     out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-
-    for level, noise in zip(levels, noises):
-        report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
-                          flux_samples=samples)
+    for level, report in zip(levels, reports):
         token = _level_token(level)
         _write_csv(out / f"flux_eps_{token}.csv",
                    ["t", "ux0_reconstructed", "ux0_exact"],

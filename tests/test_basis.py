@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from stefanflux import HeatPolynomialBasis
+from stefanflux.errors import DomainError
 
 
 def brute_force_coefficients(n, a2):
@@ -126,8 +127,9 @@ def test_restriction_to_time_zero():
     for n in range(21):
         got = basis.eval(n, xs, 0.0)
         ref = xs ** n
-        # Horner in x^2 performs about n/2 roundings against the correctly
-        # rounded power, so the drift is bounded by one ulp per multiply.
+        # At t = 0 the recurrence forms x^n as n - 1 successive products,
+        # each rounding by at most half an ulp; the roundings partly cancel,
+        # and the drift stays within about one ulp per two multiplies.
         tol = (n // 2 + 2) * np.spacing(np.abs(ref) + 1e-300)
         assert np.all(np.abs(got - ref) <= tol)
 
@@ -195,3 +197,73 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         basis.design(0.0, 0.0, deriv="dy")
     assert basis.size == 5
+
+
+def test_rows_do_not_depend_on_max_order():
+    rng = np.random.default_rng(17)
+    xs = rng.uniform(-2, 2, 50)
+    ts = rng.uniform(-1, 2, 50)
+    for a in (1.0, 1.3):
+        small, large = HeatPolynomialBasis(a, 12), HeatPolynomialBasis(a, 24)
+        for deriv in ("value", "dx", "dt"):
+            assert np.array_equal(small.design(xs, ts, deriv), large.design(xs, ts, deriv)[:13])
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3])
+def test_design_against_exact_rational_sums(a):
+    # Reference: the monomial sum in exact rationals at the float inputs, with
+    # a^2 taken exactly from the float a.  The recurrence must stay within
+    # 8 eps of the sum of the terms' magnitudes, negative times included.
+    basis = HeatPolynomialBasis(a, 24)
+    a2 = Fraction(a) ** 2
+    rng = np.random.default_rng(29)
+    xs = rng.uniform(-2, 2, 40)
+    ts = rng.uniform(-1, 2, 40)
+    rows = basis.design(xs, ts)
+    eps = Fraction(np.finfo(float).eps)
+    for n in range(25):
+        ks = brute_force_coefficients(n, a2)
+        for j in range(40):
+            x, t = Fraction(xs[j]), Fraction(ts[j])
+            terms = [k * x ** (n - 2 * m) * t ** m for m, k in enumerate(ks)]
+            err = abs(Fraction(rows[n, j]) - sum(terms))
+            assert err <= 8 * eps * sum(abs(term) for term in terms)
+
+
+def test_combine_against_exact_sum():
+    basis = HeatPolynomialBasis(1.3, 20)
+    rng = np.random.default_rng(31)
+    rows = basis.design(rng.uniform(-2, 2, (5, 8)), rng.uniform(-1, 2, (5, 8)))
+    coeffs = rng.standard_normal(21) * 10.0 ** rng.integers(-6, 3, 21)
+    got = basis.combine(coeffs, rows)
+    assert got.shape == (5, 8)
+    eps = Fraction(np.finfo(float).eps)
+    for i in range(5):
+        for j in range(8):
+            products = [Fraction(c) * Fraction(r) for c, r in zip(coeffs, rows[:, i, j])]
+            err = abs(Fraction(got[i, j]) - sum(products))
+            assert err <= 4 * eps * sum(abs(p) for p in products)
+
+
+def test_combine_validation_and_scalar_return():
+    basis = HeatPolynomialBasis(1.0, 4)
+    rows = basis.design(np.linspace(0, 1, 7), 0.5)
+    for bad in (np.ones(4), np.ones(6), np.ones((1, 5)), np.array([1.0, np.nan, 0, 0, 0]),
+                np.array([0, 0, 0, 0, -np.inf])):
+        with pytest.raises(DomainError):
+            basis.combine(bad, rows)
+    value = basis.combine(np.ones(5), basis.design(1.0, 1.0))
+    assert type(value) is float
+    assert value == 1.0 + 1.0 + 3.0 + 7.0 + 25.0
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_lowest_orders_skip_the_recurrence(order):
+    basis = HeatPolynomialBasis(1.3, order)
+    xs = np.array([-1.5, 0.0, 2.0])
+    ts = np.array([0.5, -1.0, 2.0])
+    assert np.array_equal(basis.design(xs, ts), [np.ones(3), xs][:order + 1])
+    assert np.array_equal(basis.design(xs, ts, "dx"), [np.zeros(3), np.ones(3)][:order + 1])
+    assert np.array_equal(basis.design(xs, ts, "dt"), np.zeros((order + 1, 3)))
+    assert basis.design(0.5, 0.5).shape == (order + 1,)
+    assert basis.eval_combination(np.full(order + 1, 2.0), 0.5, 0.5) == 2.0 + order

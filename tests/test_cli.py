@@ -226,7 +226,9 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
            ["sweep", "--orders", "8", "--jobs", "0"], ["sweep", "--orders", "8", "--jobs", "-1"],
            ["solve", "--seed", "-1"], ["solve", "--noise", "0.01", "--seed", str(2 ** 64)],
            ["plotdata", "--noise", "0.01", "--seed", "-1"],
-           ["sweep", "--orders", "8", "--noise", "0.01", "--seeds", "0,-1"])
+           ["sweep", "--orders", "8", "--noise", "0.01", "--seeds", "0,-1"],
+           ["solve", "--samples", "1"], ["plotdata", "--samples", "1"],
+           ["solve", "--order", "12", "--scheme", "6,5,1"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))
