@@ -132,10 +132,6 @@ class HeatPolynomialBasis:
         """Evaluate d/dx v_n at (x, t) via the ladder identity n v_{n-1}."""
         return self._row(n, x, t, "dx")
 
-    def eval_dt(self, n, x, t):
-        """Evaluate d/dt v_n at (x, t) via a^2 n (n-1) v_{n-2}."""
-        return self._row(n, x, t, "dt")
-
     def eval_combination(self, coeffs, x, t, deriv="value"):
         """Evaluate sum(c_n * v_n) or its first derivative in x or t.
 

@@ -57,14 +57,13 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
 
 
-def _level_token(level):
-    return format(level, "g")
-
-
 def load_config(path):
     """Parse a flat key = value file into typed entries."""
     entries = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -176,9 +175,13 @@ def build_parser():
     return parser
 
 
-def _noise_spec(level, seed, mode):
-    # Only level 0 means clean data; NoiseSpec rejects a negative or nan level.
-    return NoiseSpec(level, seed, mode) if level != 0 else None
+def _out_dir(pick):
+    """--out as a Path; a file there or in its way is rejected before any case runs."""
+    out = Path(pick("out", "."))
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
+    return out
 
 
 def _case_setup(pick):
@@ -199,11 +202,11 @@ def cmd_solve(pick):
     problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
     if len(levels) != 1:
         raise ConfigError("solve takes a single noise level")
-    noise = _noise_spec(levels[0], seed, mode)
+    noise = NoiseSpec(levels[0], seed, mode)
+    out = _out_dir(pick)
     report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
                       flux_samples=samples)
     # run_case validates the samples and scheme; --out is made after it.
-    out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
 
     payload = {
@@ -256,9 +259,9 @@ def cmd_sweep(pick):
                      benchmark=benchmark if benchmark is not None else "example1",
                      scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),
                      quadrature_order=quad)
+    out = _out_dir(pick)
     # run_sweep validates jobs before it runs a cell; --out is made after it.
     result = run_sweep(grid, jobs=int(pick("jobs", 1)))
-    out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
     rows = result.aggregate()
     _write_csv(out / "sweep.csv",
@@ -286,13 +289,15 @@ def cmd_plotdata(pick):
     problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
     if not levels:
         raise ConfigError("plotdata needs at least one noise level")
-    noises = [_noise_spec(level, seed, mode) for level in levels]
+    tokens = [format(level, "g") for level in levels]
+    if len(set(tokens)) != len(tokens):
+        raise ConfigError(f"noise levels {list(levels)} would share file names {tokens}")
+    noises = [NoiseSpec(level, seed, mode) for level in levels]
+    out = _out_dir(pick)
     reports = [run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
                         flux_samples=samples) for noise in noises]
-    out = Path(pick("out", "."))
     out.mkdir(parents=True, exist_ok=True)
-    for level, report in zip(levels, reports):
-        token = _level_token(level)
+    for token, report in zip(tokens, reports):
         _write_csv(out / f"flux_eps_{token}.csv",
                    ["t", "ux0_reconstructed", "ux0_exact"],
                    [(t, rec, ref) for t, rec, ref, _ in report.flux_curve])

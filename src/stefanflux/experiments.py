@@ -28,10 +28,10 @@ from .errors import DomainError, NumericalError, SingularMatrixError
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
-from .solver import SolveConfig, condition_number, solve
+from .solver import condition_number, solve
 
 __all__ = ["SolveReport", "SweepGrid", "CellRecord", "AggregateRow", "SweepResult",
-           "run_case", "run_sweep", "horizon_study", "noise_study", "degradation_ratios"]
+           "run_case", "run_sweep", "noise_study"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ class _Group:
                 data = scale_draws(noise, self.problem.interface_flux(t_nodes),
                                    self.draws[noise.seed], self.problem.conductivity)
             system = with_stefan_data(system, self.scheme, t_weights, data)
-        coeffs = solve(system, SolveConfig(float(beta), "direct" if beta == 0.0 else "tikhonov"))
+        coeffs = solve(system, beta)
         res_norm = float(np.linalg.norm(residual(system, coeffs)))
         if self.delta_p is None:  # built at the first solve: a failed one costs no grid
             self.delta_p, self.delta_u = (_delta_p_on(self.problem, self.basis),
@@ -86,14 +86,13 @@ class _Group:
         return dp, du, self.conds[beta], res_norm, coeffs, system
 
 
-def run_case(problem, order, beta=0.0, scheme=None, quadrature_order=16,
-             noise=None, flux_samples=101):
+def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
     """Assemble, solve, and measure one reconstruction: a sweep group of one cell.
 
     noise is an optional NoiseSpec; beta = 0 selects the direct solve and
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
-    group = _Group(problem, order, scheme, quadrature_order)
+    group = _Group(problem, order, scheme)
     dp, du, cond, res_norm, coeffs, system = group.evaluate(beta, noise)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples)
     rhs_norm = float(np.linalg.norm(system.rhs))
@@ -117,7 +116,10 @@ class SweepGrid:
     quadrature_order: int = 16
 
     def __post_init__(self):
-        object.__setattr__(self, "orders", tuple(int(n) for n in self.orders))
+        orders = tuple(self.orders)
+        if not all(float(n).is_integer() for n in orders):  # nan and inf are not
+            raise DomainError(f"orders must be integers, got {orders}")
+        object.__setattr__(self, "orders", tuple(int(n) for n in orders))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         object.__setattr__(self, "noise_levels", tuple(float(e) for e in self.noise_levels))
         object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
@@ -207,8 +209,7 @@ def _evaluate_group(task):
         values, error = (float("nan"),) * 4, failure
         if group is not None:
             try:
-                noise = NoiseSpec(level, seed, grid.noise_mode) if level > 0.0 else None
-                values = group.evaluate(beta, noise)[:4]
+                values = group.evaluate(beta, NoiseSpec(level, seed, grid.noise_mode))[:4]
             except _CELL_ERRORS as exc:
                 error = _error_tag(exc)
         results.append((*values, time.perf_counter() - start + share, error))
@@ -261,8 +262,9 @@ class SweepResult:
 
 def run_sweep(grid, jobs=1):
     """Run every cell of the grid group by group, optionally spreading groups on a process pool."""
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
+    if not float(jobs).is_integer() or jobs < 1:
+        raise DomainError(f"jobs must be an integer >= 1, got {jobs}")
+    jobs = int(jobs)
     tasks = [(grid, list(cells))
              for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])]
     if jobs > 1 and len(tasks) > 1:
@@ -277,28 +279,6 @@ def run_sweep(grid, jobs=1):
         CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *values)
         for (_, cells), group in zip(tasks, results)
         for (horizon, order, beta, level, seed), values in zip(cells, group)])
-
-
-def horizon_study(benchmark, horizons, orders, jobs=1):
-    """Clean sweep over time horizons; pair with degradation_ratios."""
-    grid = SweepGrid(orders=tuple(orders), horizons=tuple(horizons),
-                     benchmark=benchmark)
-    return run_sweep(grid, jobs=jobs)
-
-
-def degradation_ratios(result, reference_horizon=1.0):
-    """Map (order, horizon) -> delta_p(horizon) / delta_p(reference_horizon)."""
-    rows = result.aggregate()
-    refs = {}
-    for row in rows:
-        if row.horizon == reference_horizon:
-            refs[(row.order, row.beta, row.noise_level)] = row.delta_p_median
-    ratios = {}
-    for row in rows:
-        ref = refs.get((row.order, row.beta, row.noise_level))
-        if ref:
-            ratios[(row.order, row.horizon)] = row.delta_p_median / ref
-    return ratios
 
 
 def noise_study(benchmark, orders, betas, levels, seeds, jobs=1):

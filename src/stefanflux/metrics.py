@@ -10,25 +10,12 @@ delta_u does the same for the temperature over the curvilinear domain
 oracle or a result that is not finite (say, on overflow) raises NumericalError.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import quadrature
 from .errors import DomainError, NumericalError
 
-__all__ = ["ErrorReport", "delta_p", "delta_u", "flux_curve", "coefficient_decay",
-           "error_report"]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Bundle of the error functionals plus the sampled flux curve."""
-
-    delta_p: float
-    delta_u: float
-    max_abs_flux_error: float
-    flux_curve: tuple
+__all__ = ["delta_p", "delta_u", "flux_curve"]
 
 
 def _require_oracle(problem, attr):
@@ -122,34 +109,3 @@ def flux_curve(coeffs, problem, basis, samples=101):
             ref = np.full_like(ts, np.nan)
             err = np.full_like(ts, np.nan)
     return list(zip(ts.tolist(), rec.tolist(), ref.tolist(), err.tolist()))
-
-
-def coefficient_decay(coeffs, t_ref, horizon=0.0):
-    """Coefficient magnitudes against the reference envelope C (e / (2 n t_ref))^(n/2).
-
-    Valid for t_ref beyond the time horizon the coefficients were fit on.
-    C is chosen so the envelope touches the largest ratio |c_n| / shape_n,
-    making the returned bounds tight from above.  Diagnostic only.
-    """
-    t_ref = float(t_ref)
-    if t_ref <= horizon:
-        raise DomainError(f"t_ref must exceed the horizon {horizon}, got {t_ref}")
-    coeffs = np.asarray(coeffs, dtype=float)
-    shapes = np.empty(coeffs.shape)
-    shapes[0] = 1.0
-    for n in range(1, coeffs.size):
-        shapes[n] = (np.e / (2.0 * n * t_ref)) ** (n / 2.0)
-    scale = float(np.max(np.abs(coeffs) / shapes))
-    return [(n, float(abs(coeffs[n])), float(scale * shapes[n]))
-            for n in range(coeffs.size)]
-
-
-def error_report(coeffs, problem, basis, samples=101, quad_points=256,
-                 quad_points_t=64, quad_points_x=64):
-    """Evaluate both error functionals and the flux curve in one pass."""
-    curve = flux_curve(coeffs, problem, basis, samples)
-    return ErrorReport(
-        delta_p=delta_p(coeffs, problem, basis, quad_points),
-        delta_u=delta_u(coeffs, problem, basis, quad_points_t, quad_points_x),
-        max_abs_flux_error=float(max(row[3] for row in curve)),
-        flux_curve=tuple(curve))

@@ -57,11 +57,6 @@ class NoiseSpec:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def standard_draw(seed, t):
-    """Standard normal draw keyed by (seed, quantized t)."""
-    return float(standard_draws(seed, [t])[0])
-
-
 def _hashmix(values, calls):
     """SeedSequence's hashmix on uint32 arrays; result row j is its hash call calls.start + j."""
     values = (values ^ _POOL_HASH[calls]) * _POOL_HASH[calls.start + 1:calls.stop + 1]

@@ -1,13 +1,10 @@
 """Direct and Tikhonov solvers plus condition numbers, each from one numpy SVD."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, NumericalError, SingularMatrixError
 
 __all__ = [
-    "SolveConfig",
     "condition_number",
     "penalty_weights",
     "solve",
@@ -20,26 +17,10 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    """Solver selection: direct solve at beta = 0, ridge damping otherwise."""
-
-    beta: float = 0.0
-    method: str = "direct"
-
-    def __post_init__(self):
-        if self.method not in ("direct", "tikhonov"):
-            raise DomainError(f"method must be 'direct' or 'tikhonov', got {self.method!r}")
-        _check_beta(self.beta)
-        if self.method == "direct" and self.beta != 0.0:
-            raise DomainError("direct solves require beta = 0")
-
-
-def solve(system, config):
-    """Dispatch on a SolveConfig."""
-    if config.method == "direct":
-        return solve_direct(system)
-    return solve_tikhonov(system, config.beta)
+def solve(system, beta=0.0):
+    """The direct solve at beta = 0, the Tikhonov-damped solve at beta > 0."""
+    beta = _check_beta(beta)
+    return solve_tikhonov(system, beta) if beta else solve_direct(system)
 
 
 def _check_finite(*arrays):

@@ -97,7 +97,7 @@ def test_time_derivative_against_finite_differences():
         x = float(rng.uniform(-2, 2))
         t = float(rng.uniform(0.1, 2))
         fd = (basis.eval(n, x, t + h) - basis.eval(n, x, t - h)) / (2 * h)
-        exact = basis.eval_dt(n, x, t)
+        exact = basis.design(x, t, "dt")[n]
         assert exact == pytest.approx(fd, rel=1e-4, abs=1e-4)
 
 
@@ -110,7 +110,7 @@ def test_caloric_identity_in_floating_point():
         xs = rng.uniform(-2, 2, 100)
         ts = rng.uniform(0, 2, 100)
         for n in range(21):
-            ut = basis.eval_dt(n, xs, ts)
+            ut = basis.design(xs, ts, "dt")[n]
             uxx = (n * (n - 1) * basis.eval(n - 2, xs, ts)) if n >= 2 else np.zeros(100)
             vn = basis.eval(n, xs, ts)
             assert np.all(np.abs(ut - a * a * uxx) <= 1e-9 * (1 + np.abs(vn)))
@@ -143,9 +143,9 @@ def test_pinned_point_values():
     assert basis.eval_dx(0, 1.0, 1.0) == 0.0
     assert basis.eval_dx(2, 1.5, 0.7) == 3.0
     assert basis.eval_dx(4, 1.0, 1.0) == 28.0
-    assert basis.eval_dt(1, 0.3, 0.4) == 0.0
-    assert basis.eval_dt(2, 0.3, 0.4) == 2.0
-    assert basis.eval_dt(4, 1.0, 1.0) == 36.0
+    assert basis.design(0.3, 0.4, "dt")[1] == 0.0
+    assert basis.design(0.3, 0.4, "dt")[2] == 2.0
+    assert basis.design(1.0, 1.0, "dt")[4] == 36.0
     # v_2 = x^2 + 2t vanishes at (1, -1/2); negative time is allowed.
     assert basis.eval(2, 1.0, -0.5) == 0.0
 

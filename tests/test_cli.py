@@ -217,7 +217,7 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     assert _run(capsys, "solve", "--config", str(unknown), "--out", out)[0] == 2
 
 
-def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
+def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     # Validation runs before the output directory is created.
     bad = (["solve", "--noise", "-1"], ["plotdata", "--noise", "0,-1"],
            ["solve", "--beta", "-1"], ["plotdata", "--beta", "-1"],
@@ -228,7 +228,9 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
            ["plotdata", "--noise", "0.01", "--seed", "-1"],
            ["sweep", "--orders", "8", "--noise", "0.01", "--seeds", "0,-1"],
            ["solve", "--samples", "1"], ["plotdata", "--samples", "1"],
-           ["solve", "--order", "12", "--scheme", "6,5,1"])
+           ["solve", "--order", "12", "--scheme", "6,5,1"],
+           ["solve", "--config", str(tmp_path / "missing.cfg")],
+           ["plotdata", "--noise", "0.01,0.010000001"], ["plotdata", "--noise", "0,0.01,0"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))
@@ -238,11 +240,25 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys):
     # A config file can name a noise mode the --noise-mode flag would refuse.
     cfg = tmp_path / "bogus_mode.cfg"
     cfg.write_text("noise_mode = bogus\nnoise = 0,0.01\norder = 6\n")
-    out = tmp_path / "out_mode"
-    code, _, err = _run(capsys, "sweep", "--config", str(cfg), "--out", str(out))
-    assert code == 2
-    assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
-    assert not out.exists()
+    for argv in (["sweep"], ["solve", "--noise", "0"], ["plotdata", "--noise", "0"]):
+        out = tmp_path / "out_mode"
+        code, _, err = _run(capsys, *argv, "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
+        assert not out.exists()
+    # A file at --out, or in its path, is refused before any case runs.
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran")
+    monkeypatch.setattr("stefanflux.cli.run_case", no_case)
+    monkeypatch.setattr("stefanflux.cli.run_sweep", no_case)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    for out in (blocker, blocker / "sub"):
+        for command in ("solve", "sweep", "plotdata"):
+            code, _, err = _run(capsys, command, "--order", "6", "--out", str(out))
+            assert code == 2
+            assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
+    assert blocker.read_text() == "kept\n"
 
 
 def test_custom_family_solve(tmp_path, capsys):
@@ -329,3 +345,17 @@ def test_package_source_imports_no_scipy():
             offenders += [f"{path.relative_to(package)}:{node.lineno} {name}" for name in names
                           if name.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1.72e-07 3.69e-08\n"
+
+
+def test_public_names_resolve_once():
+    names = stefanflux.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(stefanflux, name)] == []

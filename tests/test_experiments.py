@@ -20,11 +20,9 @@ from stefanflux import (
     assemble,
     benchmark_problem,
     condition_number,
-    degradation_ratios,
     delta_p,
     delta_u,
     example1,
-    horizon_study,
     linear_boundary_problem,
     noise_study,
     preset_scheme,
@@ -130,6 +128,22 @@ def test_jobs_must_be_positive():
     for jobs in (0, -1):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep(grid, jobs=jobs)
+
+
+def test_orders_and_jobs_must_be_integers():
+    # A fractional order used to truncate in SweepGrid and a fractional jobs
+    # to fail inside the pool set-up; both match run_case's DomainError now.
+    for bad in (8.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="orders"):
+            SweepGrid(orders=(8, bad))
+    with pytest.raises(DomainError, match="max_order"):
+        run_case(example1(), 8.5)
+    assert SweepGrid(orders=(8.0, np.int64(6))).orders == (8, 6)
+    grid = SweepGrid(orders=(4, 6))
+    for jobs in (1.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="jobs"):
+            run_sweep(grid, jobs=jobs)
+    assert run_sweep(grid, jobs=2.0).records == run_sweep(grid).records
 
 
 def _case_key(grid, cell):
@@ -290,10 +304,10 @@ def test_reference_error_windows():
 
 
 def test_horizon_growth_ratios():
-    result = horizon_study(BenchmarkId.EXAMPLE1, horizons=(1.0, 2.0), orders=(8,))
-    ratios = degradation_ratios(result)
-    assert ratios[(8, 1.0)] == 1.0
-    assert 3.0 <= ratios[(8, 2.0)] <= 100.0
+    result = run_sweep(SweepGrid(orders=(8,), horizons=(1.0, 2.0)))
+    reference = result.lookup(8, horizon=1.0).delta_p_median
+    assert 0.0 < reference < math.inf
+    assert 3.0 <= result.lookup(8, horizon=2.0).delta_p_median / reference <= 100.0
 
 
 def test_square_root_benchmark_long_horizon_blowup():

@@ -9,10 +9,8 @@ import pytest
 from stefanflux import (
     HeatPolynomialBasis,
     assemble,
-    coefficient_decay,
     delta_p,
     delta_u,
-    error_report,
     example1,
     example2,
     flux_curve,
@@ -154,31 +152,3 @@ def test_published_temperature_error_window():
     coeffs = solve_direct(assemble(prob, basis, preset_scheme(8)))
     du = delta_u(coeffs, prob, basis)
     assert 9.6e-3 / 3 <= du <= 9.6e-3 * 3
-
-
-def test_coefficient_decay_envelope():
-    rows = coefficient_decay(np.array([1.0, 0.0, 0.0, 0.0]), t_ref=2.0)
-    assert [r[0] for r in rows] == [0, 1, 2, 3]
-    assert rows[0][1] == 1.0 and rows[0][2] == 1.0
-    assert all(r[1] == 0.0 for r in rows[1:])
-    # Envelope decreasing once n >= e / (2 t_ref).
-    bounds = [r[2] for r in rows]
-    assert bounds[1] >= bounds[2] >= bounds[3]
-
-    rng = np.random.default_rng(6)
-    coeffs = rng.standard_normal(13)
-    rows = coefficient_decay(coeffs, t_ref=1.5, horizon=1.0)
-    ratios = [mag / bound for _, mag, bound in rows]
-    assert max(ratios) == pytest.approx(1.0, rel=1e-12)
-    assert all(mag <= bound * (1 + 1e-12) for _, mag, bound in rows)
-    with pytest.raises(ValueError):
-        coefficient_decay(coeffs, t_ref=0.5, horizon=1.0)
-
-
-def test_error_report_bundles_components():
-    prob, basis, coeffs = _order12_solution()
-    report = error_report(coeffs, prob, basis, samples=31)
-    assert report.delta_p == delta_p(coeffs, prob, basis)
-    assert report.delta_u == delta_u(coeffs, prob, basis)
-    assert len(report.flux_curve) == 31
-    assert report.max_abs_flux_error == max(r[3] for r in report.flux_curve)

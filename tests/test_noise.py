@@ -11,7 +11,7 @@ from stefanflux import (DomainError, NoiseSpec, benchmark_problem, example1, exa
                         perturb_stefan_data, preset_scheme)
 from stefanflux import noise
 from stefanflux.assembly import stefan_nodes
-from stefanflux.noise import standard_draw, standard_draws
+from stefanflux.noise import standard_draws
 
 # Seeds whose entropy takes one uint32 word and two, and the ends of the range.
 ORACLE_SEEDS = (0, 1, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
@@ -55,9 +55,9 @@ def test_draws_are_deterministic():
 
 
 def test_draws_depend_on_seed_and_time():
-    assert standard_draw(5, 0.3) == standard_draw(5, 0.3)
-    assert standard_draw(5, 0.3) != standard_draw(6, 0.3)
-    assert standard_draw(5, 0.3) != standard_draw(5, 0.30001)
+    assert standard_draws(5, [0.3])[0] == standard_draws(5, [0.3])[0]
+    assert standard_draws(5, [0.3])[0] != standard_draws(6, [0.3])[0]
+    assert standard_draws(5, [0.3])[0] != standard_draws(5, [0.30001])[0]
     prob = example1()
     a = perturb_stefan_data(prob, NoiseSpec(0.01, seed=0))
     b = perturb_stefan_data(prob, NoiseSpec(0.01, seed=1))
@@ -133,7 +133,7 @@ def test_draws_equal_a_generator_per_sample():
         expected = [_oracle(seed, t) for t in times]
         np.testing.assert_array_equal(_bits(standard_draws(seed, np.array(times))),
                                       _bits(expected))
-    assert standard_draw(2 ** 63, 0.3) == _oracle(2 ** 63, 0.3)
+    assert standard_draws(2 ** 63, [0.3])[0] == _oracle(2 ** 63, 0.3)
     empty = standard_draws(5, np.array([]))
     assert empty.dtype == np.float64 and empty.shape == (0,)
 

@@ -9,7 +9,6 @@ from stefanflux import (
     HeatPolynomialBasis,
     NumericalError,
     SingularMatrixError,
-    SolveConfig,
     assemble,
     condition_number,
     delta_p,
@@ -168,21 +167,15 @@ def test_penalty_weights_are_inverse_factorials():
         assert weights[n] == pytest.approx(1.0 / math.factorial(n), rel=1e-13)
 
 
-def test_solve_config_dispatch_and_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(method="qr")
-    with pytest.raises(ValueError):
-        SolveConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        SolveConfig(beta=float("nan"), method="tikhonov")
-    with pytest.raises(ValueError):
-        SolveConfig(beta=1e-3, method="direct")
-
+def test_solve_dispatch_and_validation():
     _, _, system = _example1_system(8)
-    np.testing.assert_array_equal(solve(system, SolveConfig()), solve_direct(system))
-    np.testing.assert_array_equal(
-        solve(system, SolveConfig(beta=1e-4, method="tikhonov")),
-        solve_tikhonov(system, 1e-4))
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            solve(system, bad)
+
+    np.testing.assert_array_equal(solve(system), solve_direct(system))
+    np.testing.assert_array_equal(solve(system, 0.0), solve_direct(system))
+    np.testing.assert_array_equal(solve(system, 1e-4), solve_tikhonov(system, 1e-4))
 
 
 def test_beta_validation():
