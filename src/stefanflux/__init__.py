@@ -11,9 +11,9 @@ from .assembly import CollocationScheme, LinearSystem, assemble, preset_scheme, 
 from .basis import HeatPolynomialBasis
 from .errors import DomainError, NumericalError, SingularMatrixError
 from .experiments import (AggregateRow, CellRecord, SolveReport, SweepGrid, SweepResult,
-                          noise_study, run_case, run_sweep)
+                          run_case, run_sweep)
 from .metrics import delta_p, delta_u, flux_curve
-from .noise import NoiseSpec, perturb_stefan_data
+from .noise import NoiseSpec
 from .problem import (BenchmarkId, StefanProblem, benchmark_problem, example1, example2,
                       linear_boundary_problem, neumann_consistency, sqrt_boundary_problem)
 from .solver import condition_number, penalty_weights, solve, solve_direct, solve_tikhonov
@@ -24,9 +24,8 @@ __all__ = [
     "AggregateRow", "BenchmarkId", "CellRecord", "CollocationScheme", "DomainError",
     "HeatPolynomialBasis", "LinearSystem", "NoiseSpec", "NumericalError",
     "SingularMatrixError", "SolveReport", "StefanProblem", "SweepGrid", "SweepResult",
-    "assemble", "benchmark_problem", "condition_number", "delta_p", "delta_u", "example1",
-    "example2", "flux_curve", "linear_boundary_problem", "neumann_consistency",
-    "noise_study", "penalty_weights", "perturb_stefan_data", "preset_scheme", "residual",
-    "run_case", "run_sweep", "solve", "solve_direct", "solve_tikhonov",
-    "sqrt_boundary_problem",
+    "assemble", "benchmark_problem", "condition_number", "delta_p", "delta_u",
+    "example1", "example2", "flux_curve", "linear_boundary_problem",
+    "neumann_consistency", "penalty_weights", "preset_scheme", "residual", "run_case",
+    "run_sweep", "solve", "solve_direct", "solve_tikhonov", "sqrt_boundary_problem",
 ]

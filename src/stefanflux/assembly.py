@@ -26,6 +26,13 @@ __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "re
            "stefan_nodes", "with_stefan_data"]
 
 
+def check_quadrature_order(order):
+    """order as an int; DomainError unless it is an integer >= 8."""
+    if not float(order).is_integer() or order < 8:  # nan and inf are not integers
+        raise DomainError(f"quadrature_order must be an integer >= 8, got {order}")
+    return int(order)
+
+
 @dataclass(frozen=True)
 class CollocationScheme:
     """Partition counts for the three condition families plus quadrature order.
@@ -48,9 +55,7 @@ class CollocationScheme:
         if self.n_dirichlet < self.n_stefan:
             raise DomainError(
                 f"n_dirichlet ({self.n_dirichlet}) must be >= n_stefan ({self.n_stefan})")
-        if int(self.quadrature_order) != self.quadrature_order or self.quadrature_order < 8:
-            raise DomainError(
-                f"quadrature_order must be an integer >= 8, got {self.quadrature_order}")
+        object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))
 
     @property
     def size(self):
@@ -107,15 +112,12 @@ def stefan_nodes(problem, scheme):
     return quadrature.subdivided_nodes(0.0, problem.horizon, scheme.n_stefan, scheme.quadrature_order)
 
 
-def assemble(problem, basis, scheme, stefan_data=None):
-    """Build the collocation system for the given problem and basis.
+def assemble(problem, basis, scheme):
+    """Build the collocation system for the given problem and basis from clean data.
 
-    stefan_data replaces the clean interface energy-balance data
-    latent_heat * density * s'(t) on the right-hand side; pass the output of
-    a noise model to assemble a perturbed system.  It is called on an array
-    of quadrature times and must return an array of the same shape.  With
-    clean data the energy-balance right side uses the closed form
-    latent_heat * density * (s(t_i) - s(t_{i-1})).
+    The energy-balance right side uses the closed form
+    latent_heat * density * (s(t_i) - s(t_{i-1})).  Measured or noisy data
+    replaces it through with_stefan_data, sampled at stefan_nodes.
     """
     size = basis.size
     if scheme.size != size:
@@ -147,7 +149,6 @@ def assemble(problem, basis, scheme, stefan_data=None):
         s_edges = problem.boundary(edges)
         stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
         _require_finite(stefan, stefan_rhs, "stefan")
-        data = None if stefan_data is None else stefan_data(t_nodes)
 
         # Initial rows; the matrix entries have the closed form
         # (x_j^(n+1) - x_{j-1}^(n+1)) / (n + 1).
@@ -167,8 +168,7 @@ def assemble(problem, basis, scheme, stefan_data=None):
     # differently, so the system keeps C order.
     matrix = np.ascontiguousarray(np.concatenate([dirichlet, stefan, initial]))
     rhs = np.concatenate([dirichlet_rhs, stefan_rhs, initial_rhs])
-    system = LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
-    return system if data is None else with_stefan_data(system, scheme, t_weights, data)
+    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
 
 
 def with_stefan_data(system, scheme, weights, data):

@@ -4,8 +4,8 @@ A sweep runs one group at a time: the cells sharing (horizon, order), which
 the grid emits contiguously.  A group builds its problem, basis, scheme and
 clean system once, its error-functional grids at its first solve, and keeps
 each seed's noise draws and each beta's condition number; a cell only rebuilds
-a noisy right-hand side, solves and sums.  Memory holds one group; run_case is
-a group of one cell.
+a noisy right-hand side (standard_draws, scale_draws, with_stefan_data), solves
+and sums.  Memory holds one group; run_case is a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell.  wall_time is a cell's own time (the
@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (CollocationScheme, assemble, preset_scheme, residual, stefan_nodes,
-                       with_stefan_data)
+from .assembly import (CollocationScheme, assemble, check_quadrature_order, preset_scheme,
+                       residual, stefan_nodes, with_stefan_data)
 from .basis import HeatPolynomialBasis
 from .errors import DomainError, NumericalError, SingularMatrixError
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
@@ -31,7 +31,7 @@ from .problem import BenchmarkId, benchmark_problem
 from .solver import condition_number, solve
 
 __all__ = ["SolveReport", "SweepGrid", "CellRecord", "AggregateRow", "SweepResult",
-           "run_case", "run_sweep", "noise_study"]
+           "run_case", "run_sweep"]
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ class SweepGrid:
         object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
         object.__setattr__(self, "horizons", tuple(float(t) for t in self.horizons))
         object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
+        object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):
             if not getattr(self, name):
                 raise DomainError(f"{name} must be non-empty")
@@ -279,11 +280,3 @@ def run_sweep(grid, jobs=1):
         CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *values)
         for (_, cells), group in zip(tasks, results)
         for (horizon, order, beta, level, seed), values in zip(cells, group)])
-
-
-def noise_study(benchmark, orders, betas, levels, seeds, jobs=1):
-    """Noisy sweep at horizon 1; aggregate() gives medians and IQR per cell."""
-    grid = SweepGrid(orders=tuple(orders), betas=tuple(betas),
-                     noise_levels=tuple(levels), seeds=tuple(seeds),
-                     benchmark=benchmark)
-    return run_sweep(grid, jobs=jobs)

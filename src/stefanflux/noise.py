@@ -1,10 +1,12 @@
 """Reproducible Gaussian perturbation of the interface energy-balance data.
 
-The draw at t is default_rng((seed, round(t / 1e-12))).standard_normal() bit
-for bit, whatever the evaluation order or batching, so noisy quadrature is
-byte-reproducible.  Instead of a generator per sample, standard_draws runs
-SeedSequence's hash rounds for all samples at once on uint32 arrays, PCG64's
-seeding step (O'Neill, PCG, HMC-CS-2014-0905, 2014) on Python ints, and one
+Noisy data enters a system one way: standard_draws at assembly.stefan_nodes,
+then scale_draws, then assembly.with_stefan_data.  The draw at t is
+default_rng((seed, round(t / 1e-12))).standard_normal() bit for bit, whatever
+the evaluation order or batching, so noisy quadrature is byte-reproducible.
+Instead of a generator per sample, standard_draws runs SeedSequence's hash
+rounds for all samples at once on uint32 arrays, PCG64's seeding step
+(O'Neill, PCG, HMC-CS-2014-0905, 2014) on Python ints, and one
 standard_normal() per sample from one PCG64 set to that state.  The tests
 check it against default_rng sample by sample.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["NoiseSpec", "perturb_stefan_data"]
+__all__ = ["NoiseSpec", "standard_draws", "scale_draws"]
 
 T_QUANTUM = 1e-12
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
@@ -102,21 +104,3 @@ def scale_draws(spec, clean, draws, conductivity):
     else:
         sigma = np.full_like(clean, spec.level)
     return clean + sigma * draws
-
-
-def perturb_stefan_data(problem, spec):
-    """Return a deterministic noisy surrogate for latent_heat * density * s'(t).
-
-    At level 0 the returned callable reproduces the clean data exactly.
-    Scalars give floats, arrays give arrays of the same shape.
-    """
-    def noisy(t):
-        scalar = np.ndim(t) == 0
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        clean = problem.interface_flux(ts)
-        if spec.level == 0.0:
-            return float(clean[0]) if scalar else clean
-        out = scale_draws(spec, clean, standard_draws(spec.seed, ts), problem.conductivity)
-        return float(out[0]) if scalar else out
-
-    return noisy

@@ -55,6 +55,12 @@ class BenchmarkId(str, Enum):
     EXAMPLE2 = "example2"
 
 
+def _check_material(*values):
+    for name, value in zip(("diffusivity", "conductivity", "latent_heat", "density"), values):
+        if not np.isfinite(value) or value <= 0.0:
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class StefanProblem:
     """Problem data plus optional exact oracles for error reporting.
@@ -80,10 +86,7 @@ class StefanProblem:
     label: str = field(default="custom", compare=False)
 
     def __post_init__(self):
-        for name in ("diffusivity", "conductivity", "latent_heat", "density"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be positive and finite, got {value}")
+        _check_material(self.diffusivity, self.conductivity, self.latent_heat, self.density)
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if not np.isfinite(self.melt_temperature):
@@ -127,8 +130,8 @@ def linear_boundary_problem(p0, p1, *, horizon=1.0, diffusivity=1.0, conductivit
     satisfies the heat equation, the interface temperature condition and
     the interface energy balance identically; f is its restriction to t = 0.
     """
-    p0 = float(p0)
-    p1 = float(p1)
+    _check_material(diffusivity, conductivity, latent_heat, density)  # before dividing
+    p0, p1 = float(p0), float(p1)
     if p0 <= 0.0:
         raise DomainError(f"p0 must be positive so the initial domain is non-empty, got {p0}")
     if p0 + p1 * horizon <= 0.0:
@@ -204,8 +207,8 @@ def sqrt_boundary_problem(alpha, t0, *, horizon=1.0, diffusivity=1.0, conductivi
     Fixing amp this way keeps all three interface/initial conditions exactly
     consistent even when alpha is a rounded similarity root.
     """
-    alpha = float(alpha)
-    t0 = float(t0)
+    _check_material(diffusivity, conductivity, latent_heat, density)  # before dividing
+    alpha, t0 = float(alpha), float(t0)
     if alpha <= 0.0:
         raise DomainError(f"alpha must be positive, got {alpha}")
     if t0 <= 0.0:

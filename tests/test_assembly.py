@@ -7,6 +7,7 @@ import pytest
 
 from stefanflux import (
     CollocationScheme,
+    DomainError,
     HeatPolynomialBasis,
     NumericalError,
     StefanProblem,
@@ -17,7 +18,7 @@ from stefanflux import (
     residual,
     solve_direct,
 )
-from stefanflux.assembly import LinearSystem
+from stefanflux.assembly import LinearSystem, stefan_nodes, with_stefan_data
 from stefanflux.quadrature import subdivided_nodes
 
 
@@ -44,8 +45,11 @@ def test_scheme_validation():
         CollocationScheme(3, -1, 1)
     with pytest.raises(ValueError):
         CollocationScheme(2, 3, 1)  # temperature rows must dominate
-    with pytest.raises(ValueError):
-        CollocationScheme(3, 1, 1, quadrature_order=4)
+    for quad in (4, 16.5, math.nan):
+        with pytest.raises(DomainError, match="quadrature_order"):
+            CollocationScheme(3, 1, 1, quadrature_order=quad)
+    # 16.0 passed the check but reached the Gauss rule as a float, which numpy refuses.
+    assert type(preset_scheme(8, quadrature_order=16.0).quadrature_order) is int
     assert CollocationScheme(6, 5, 2).size == 13
 
 
@@ -199,20 +203,24 @@ def test_nonfinite_values_name_the_offending_row():
     with pytest.raises(NumericalError, match="initial row 1"):
         assemble(bad_initial, basis, scheme)
     ok = _flat_interface_problem(lambda x: 0.0)
+    t_nodes, t_weights = stefan_nodes(ok, scheme)
     with pytest.raises(NumericalError, match="stefan row 1"):
-        assemble(ok, basis, scheme, stefan_data=lambda t: np.full_like(
-            np.asarray(t, dtype=float), np.inf))
+        with_stefan_data(assemble(ok, basis, scheme), scheme, t_weights,
+                         np.full_like(t_nodes, np.inf))
 
 
 def test_zero_level_noise_reproduces_clean_system():
-    from stefanflux import NoiseSpec, perturb_stefan_data
+    from stefanflux import NoiseSpec
+    from stefanflux.noise import scale_draws, standard_draws
 
     prob = example1()
     basis = HeatPolynomialBasis(1.0, 8)
     scheme = preset_scheme(8)
     clean = assemble(prob, basis, scheme)
-    noisy = assemble(prob, basis, scheme,
-                     stefan_data=perturb_stefan_data(prob, NoiseSpec(0.0)))
+    t_nodes, t_weights = stefan_nodes(prob, scheme)
+    data = scale_draws(NoiseSpec(0.0), prob.interface_flux(t_nodes),
+                       standard_draws(0, t_nodes), prob.conductivity)
+    noisy = with_stefan_data(clean, scheme, t_weights, data)
     np.testing.assert_array_equal(noisy.matrix, clean.matrix)
     # Clean data integrates through the closed form, the zero-level path
     # through quadrature; they agree to quadrature accuracy.

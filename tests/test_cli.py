@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import importlib
 import json
 import math
 import os
@@ -215,6 +216,15 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     unknown = tmp_path / "unknown_family.cfg"
     unknown.write_text("family = cubic\n")
     assert _run(capsys, "solve", "--config", str(unknown), "--out", out)[0] == 2
+    # A zero material parameter used to divide before it was checked.
+    for family in ("family = linear\np0 = 0.4\np1 = 0.7\n",
+                   "family = sqrt\nalpha = 0.6\nt0 = 0.16\n"):
+        for key in ("diffusivity", "conductivity"):
+            zero = tmp_path / "zero.cfg"
+            zero.write_text(f"{family}{key} = 0\n")
+            code, _, err = _run(capsys, "solve", "--config", str(zero), "--out", out)
+            assert code == 2
+            assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
 
 
 def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
@@ -230,7 +240,8 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
            ["solve", "--samples", "1"], ["plotdata", "--samples", "1"],
            ["solve", "--order", "12", "--scheme", "6,5,1"],
            ["solve", "--config", str(tmp_path / "missing.cfg")],
-           ["plotdata", "--noise", "0.01,0.010000001"], ["plotdata", "--noise", "0,0.01,0"])
+           ["plotdata", "--noise", "0.01,0.010000001"], ["plotdata", "--noise", "0,0.01,0"],
+           ["sweep", "--orders", "8", "--quad", "5"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))
@@ -356,6 +367,18 @@ def test_readme_library_example_runs(capsys):
 
 
 def test_public_names_resolve_once():
-    names = stefanflux.__all__
-    assert len(names) == len(set(names))
-    assert [name for name in names if not hasattr(stefanflux, name)] == []
+    package = Path(stefanflux.__file__).parent
+    modules = [stefanflux] + [importlib.import_module(f"stefanflux.{path.stem}")
+                              for path in sorted(package.glob("*.py"))
+                              if path.stem not in ("__init__", "__main__")]
+    checked = 0
+    for module in modules:
+        names = getattr(module, "__all__", None)
+        if names is None:
+            continue
+        checked += 1
+        assert len(names) == len(set(names)), module.__name__
+        assert [name for name in names if not hasattr(module, name)] == [], module.__name__
+    assert checked >= 9
+    # The README's noisy pipeline is public on its module.
+    assert {"NoiseSpec", "standard_draws", "scale_draws"} <= set(stefanflux.noise.__all__)

@@ -23,16 +23,19 @@ from stefanflux import (
     delta_p,
     delta_u,
     example1,
+    example2,
     linear_boundary_problem,
-    noise_study,
     preset_scheme,
     run_case,
     run_sweep,
+    solve,
     solve_direct,
     sqrt_boundary_problem,
 )
 from stefanflux import experiments
+from stefanflux.assembly import stefan_nodes, with_stefan_data
 from stefanflux.experiments import _error_tag
+from stefanflux.noise import scale_draws, standard_draws
 
 
 def test_run_case_matches_manual_pipeline():
@@ -52,6 +55,26 @@ def test_run_case_matches_manual_pipeline():
     assert report.relative_residual <= 1e-8
     assert report.scheme == preset_scheme(8)
     assert len(report.flux_curve) == 101
+
+
+@pytest.mark.parametrize("mode", ["relative", "constant"])
+def test_noisy_run_case_matches_manual_pipeline(mode):
+    prob = example2()
+    spec = NoiseSpec(0.01, seed=7, mode=mode)
+    report = run_case(prob, 8, beta=1e-5, noise=spec)
+    basis = HeatPolynomialBasis(prob.diffusivity, 8)
+    scheme = preset_scheme(8)
+    t_nodes, t_weights = stefan_nodes(prob, scheme)
+    data = scale_draws(spec, prob.interface_flux(t_nodes), standard_draws(spec.seed, t_nodes),
+                       prob.conductivity)
+    system = with_stefan_data(assemble(prob, basis, scheme), scheme, t_weights, data)
+    coeffs = solve(system, 1e-5)
+    assert report.coefficients == tuple(float(c) for c in coeffs)
+    assert report.delta_p == delta_p(coeffs, prob, basis)
+    assert report.delta_u == delta_u(coeffs, prob, basis)
+    assert report.condition_number == condition_number(system, 1e-5)
+    assert report.residual_norm == float(np.linalg.norm(system.matrix @ coeffs - system.rhs))
+    assert report.delta_p != run_case(prob, 8, beta=1e-5).delta_p
 
 
 def test_zero_noise_spec_equals_no_noise():
@@ -108,9 +131,14 @@ def test_grid_validation():
         with pytest.raises(DomainError, match="seed"):
             SweepGrid(orders=(8,), noise_levels=(0.01,), seeds=(0, seed))
     assert SweepGrid(orders=(8,), seeds=(2 ** 64 - 1,)).seeds == (2 ** 64 - 1,)
-    grid = SweepGrid(orders=[8], benchmark="example2")
+    # Checked as CollocationScheme checks it; a bad order used to fail every group.
+    for quad in (5, 16.5, math.nan):
+        with pytest.raises(DomainError, match="quadrature_order"):
+            SweepGrid(orders=(8,), quadrature_order=quad)
+    grid = SweepGrid(orders=[8], benchmark="example2", quadrature_order=32.0)
     assert grid.benchmark is BenchmarkId.EXAMPLE2
     assert grid.orders == (8,)
+    assert type(grid.quadrature_order) is int
 
 
 def test_sweep_determinism_and_worker_invariance():
@@ -322,8 +350,8 @@ def test_square_root_benchmark_long_horizon_blowup():
 def test_noise_damping_regime():
     # With beta = 1e-3 at order 6 the flux error is pinned near 0.10 across
     # noise levels up to 5 percent.
-    result = noise_study(BenchmarkId.EXAMPLE1, orders=(6,), betas=(1e-3,),
-                         levels=(0.0, 0.01, 0.05), seeds=tuple(range(8)))
+    result = run_sweep(SweepGrid(orders=(6,), betas=(1e-3,), noise_levels=(0.0, 0.01, 0.05),
+                                 seeds=tuple(range(8))))
     for level in (0.0, 0.01, 0.05):
         row = result.lookup(6, beta=1e-3, noise_level=level)
         assert 0.10 / 2 <= row.delta_p_median <= 0.10 * 2

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from stefanflux import (DomainError, NoiseSpec, benchmark_problem, example1, example2,
-                        perturb_stefan_data, preset_scheme)
+                        preset_scheme)
 from stefanflux import noise
 from stefanflux.assembly import stefan_nodes
-from stefanflux.noise import standard_draws
+from stefanflux.noise import scale_draws, standard_draws
 
 # Seeds whose entropy takes one uint32 word and two, and the ends of the range.
 ORACLE_SEEDS = (0, 1, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
@@ -27,31 +27,30 @@ def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+def _noisy(prob, spec, ts):
+    """Energy-balance data at ts on the package's one noisy path."""
+    return scale_draws(spec, prob.interface_flux(ts), standard_draws(spec.seed, ts),
+                       prob.conductivity)
+
+
 def test_zero_level_reproduces_clean_data():
     prob = example1()
-    noisy = perturb_stefan_data(prob, NoiseSpec(0.0, seed=3))
-    clean = lambda t: prob.latent_heat * prob.density * prob.boundary_rate(t)
-    for t in (0.0, 0.25, 1.0):
-        out = noisy(t)
-        assert isinstance(out, float)
-        assert out == clean(t)
     ts = np.linspace(0.0, 1.0, 7)
-    np.testing.assert_array_equal(noisy(ts), clean(ts[0]) * np.ones(7))
+    clean = prob.latent_heat * prob.density * prob.boundary_rate(ts[0])
+    np.testing.assert_array_equal(_noisy(prob, NoiseSpec(0.0, seed=3), ts), clean * np.ones(7))
 
 
 def test_draws_are_deterministic():
     prob = example1()
     spec = NoiseSpec(0.01, seed=12)
-    first = perturb_stefan_data(prob, spec)
-    second = perturb_stefan_data(prob, spec)
     rng = np.random.default_rng(99)
     ts = rng.uniform(0.0, 1.0, 1000)
-    np.testing.assert_array_equal(first(ts), second(ts))
+    np.testing.assert_array_equal(_noisy(prob, spec, ts), _noisy(prob, spec, ts))
     # Order and batching do not matter.
     shuffled = ts[::-1].copy()
-    np.testing.assert_array_equal(first(shuffled), second(ts)[::-1])
-    scalars = np.array([first(float(t)) for t in ts[:50]])
-    np.testing.assert_array_equal(scalars, second(ts[:50]))
+    np.testing.assert_array_equal(_noisy(prob, spec, shuffled), _noisy(prob, spec, ts)[::-1])
+    batches = np.concatenate([_noisy(prob, spec, ts[i:i + 7]) for i in range(0, 50, 7)])
+    np.testing.assert_array_equal(batches, _noisy(prob, spec, ts[:56]))
 
 
 def test_draws_depend_on_seed_and_time():
@@ -59,10 +58,9 @@ def test_draws_depend_on_seed_and_time():
     assert standard_draws(5, [0.3])[0] != standard_draws(6, [0.3])[0]
     assert standard_draws(5, [0.3])[0] != standard_draws(5, [0.30001])[0]
     prob = example1()
-    a = perturb_stefan_data(prob, NoiseSpec(0.01, seed=0))
-    b = perturb_stefan_data(prob, NoiseSpec(0.01, seed=1))
     ts = np.linspace(0.1, 0.9, 9)
-    assert not np.array_equal(a(ts), b(ts))
+    assert not np.array_equal(_noisy(prob, NoiseSpec(0.01, seed=0), ts),
+                              _noisy(prob, NoiseSpec(0.01, seed=1), ts))
 
 
 def test_relative_sigma_and_mean():
@@ -70,10 +68,10 @@ def test_relative_sigma_and_mean():
     # and conductivity is 1, so sigma = level / sqrt(2) at every t.
     prob = example1()
     level = 0.05
-    noisy = perturb_stefan_data(prob, NoiseSpec(level, seed=7))
     rng = np.random.default_rng(2024)
     ts = rng.uniform(0.0, 1.0, 100_000)
-    residuals = noisy(ts) - prob.latent_heat * prob.density * prob.boundary_rate(0.0)
+    clean = prob.latent_heat * prob.density * prob.boundary_rate(0.0)
+    residuals = _noisy(prob, NoiseSpec(level, seed=7), ts) - clean
     sigma = level / math.sqrt(2.0)
     assert np.std(residuals) == pytest.approx(sigma, rel=0.02)
     assert abs(np.mean(residuals)) <= 3.0 * sigma / math.sqrt(ts.size)
@@ -82,16 +80,15 @@ def test_relative_sigma_and_mean():
 def test_constant_sigma_mode():
     prob = example2()
     level = 0.02
-    noisy = perturb_stefan_data(prob, NoiseSpec(level, seed=4, mode="constant"))
     rng = np.random.default_rng(8)
     ts = rng.uniform(0.0, 1.0, 20_000)
     clean = prob.latent_heat * prob.density * np.array(
         [prob.boundary_rate(float(t)) for t in ts])
-    residuals = noisy(ts) - clean
+    residuals = _noisy(prob, NoiseSpec(level, seed=4, mode="constant"), ts) - clean
     assert np.std(residuals) == pytest.approx(level, rel=0.03)
 
-    relative = perturb_stefan_data(prob, NoiseSpec(level, seed=4))
-    scaled = (relative(ts) - clean) / np.abs(clean / prob.conductivity)
+    relative = _noisy(prob, NoiseSpec(level, seed=4), ts)
+    scaled = (relative - clean) / np.abs(clean / prob.conductivity)
     assert np.std(scaled) == pytest.approx(level, rel=0.03)
 
 
@@ -109,15 +106,6 @@ def test_spec_validation():
         with pytest.raises(DomainError, match="seed"):
             NoiseSpec(0.01, seed=seed)
     assert NoiseSpec(0.01, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
-
-
-def test_scalar_and_array_shapes():
-    prob = example1()
-    noisy = perturb_stefan_data(prob, NoiseSpec(0.01, seed=1))
-    assert isinstance(noisy(0.5), float)
-    out = noisy(np.linspace(0.1, 0.9, 5))
-    assert isinstance(out, np.ndarray)
-    assert out.shape == (5,)
 
 
 def test_draws_equal_a_generator_per_sample():

@@ -164,6 +164,13 @@ def test_factory_validation():
         sqrt_boundary_problem(0.5, 0.0)
     with pytest.raises(DomainError):
         example1(horizon=0.0)
+    # The factories divide by these; zero used to raise ZeroDivisionError or warn.
+    for name in ("diffusivity", "conductivity", "latent_heat", "density"):
+        for value in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match=name):
+                linear_boundary_problem(0.4, 0.7, **{name: value})
+            with pytest.raises(DomainError, match=name):
+                sqrt_boundary_problem(0.6, 0.16, **{name: value})
     with pytest.raises(DomainError):
         StefanProblem(
             diffusivity=1.0, conductivity=-1.0, latent_heat=1.0, density=1.0,
