@@ -50,7 +50,7 @@ class CollocationScheme:
     def __post_init__(self):
         for name in ("n_dirichlet", "n_stefan", "n_initial"):
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not float(value).is_integer() or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value}")
         if self.n_dirichlet < self.n_stefan:
             raise DomainError(
@@ -70,7 +70,7 @@ def preset_scheme(order, quadrature_order=16):
     count.  Reproduces the published pairings (6, 5, 2) at order 12 and
     (6, 4, 1) at order 10.
     """
-    if int(order) != order or order < 3:
+    if not float(order).is_integer() or order < 3:
         raise DomainError(f"preset schemes need order >= 3, got {order}")
     size = int(order) + 1
     n_initial = 1 if size <= 11 else 2

@@ -48,7 +48,7 @@ class HeatPolynomialBasis:
         diffusivity = float(diffusivity)
         if not np.isfinite(diffusivity) or diffusivity <= 0.0:
             raise DomainError(f"diffusivity must be a positive finite number, got {diffusivity}")
-        if int(max_order) != max_order or max_order < 0:
+        if not float(max_order).is_integer() or max_order < 0:
             raise DomainError(f"max_order must be a non-negative integer, got {max_order}")
         self.diffusivity = diffusivity
         self.max_order = int(max_order)
@@ -62,7 +62,7 @@ class HeatPolynomialBasis:
         return self.max_order + 1
 
     def _check_order(self, n):
-        if int(n) != n or n < 0 or n > self.max_order:
+        if not float(n).is_integer() or n < 0 or n > self.max_order:
             raise DomainError(f"order must be an integer in [0, {self.max_order}], got {n}")
         return int(n)
 

@@ -1,17 +1,19 @@
 """Parameter sweeps over order, damping, noise level, seed, and horizon.
 
 A sweep runs one group at a time: the cells sharing (horizon, order), which
-the grid emits contiguously.  A group builds its problem, basis, scheme and
-clean system once, its error-functional grids at its first solve, and keeps
-each seed's noise draws and each beta's condition number; a cell only rebuilds
-a noisy right-hand side (standard_draws, scale_draws, with_stefan_data), solves
-and sums.  Memory holds one group; run_case is a group of one cell.
+the grid emits contiguously.  A group builds its problem, basis, scheme, clean
+system and one Factorization of its matrix once, the standard normal noise of
+all its seeds in one block at its first noisy cell, and its error-functional
+grids at its first solve.  A cell only rebuilds a noisy right-hand side
+(scale_draws, with_stefan_data), solves on the shared factors and sums.
+Memory holds one group; run_case is a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
-group that fails to build, or one cell.  wall_time is a cell's own time (the
-first solved cell's includes the grids) plus an equal share of its group's
-build.  Cells come in a fixed order and pools spread whole groups, so reruns
-and pools of any size give identical results.
+group that fails to build, or one cell; a group whose draws fail tags its
+noisy cells only.  wall_time is a cell's own time (the first solved cell's
+includes the grids, the first noisy cell's the draws) plus an equal share of
+its group's build.  Cells come in a fixed order and pools spread whole groups,
+so reruns and pools of any size give identical results.
 """
 
 import itertools
@@ -28,7 +30,7 @@ from .errors import DomainError, NumericalError, SingularMatrixError
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
-from .solver import condition_number, solve
+from .solver import Factorization
 
 __all__ = ["SolveReport", "SweepGrid", "CellRecord", "AggregateRow", "SweepResult",
            "run_case", "run_sweep"]
@@ -51,39 +53,41 @@ class SolveReport:
 
 
 class _Group:
-    """What the cells of one (problem, order, scheme) share, built once."""
+    """What the cells of one (problem, order, scheme) share, built once.
 
-    def __init__(self, problem, order, scheme=None, quadrature_order=16):
+    seeds, the noise seeds of its cells, are drawn in one block at the first noisy cell.
+    """
+
+    def __init__(self, problem, order, scheme=None, quadrature_order=16, seeds=()):
         self.problem = problem
         self.basis = HeatPolynomialBasis(problem.diffusivity, order)
         self.scheme = scheme if scheme is not None else preset_scheme(order, quadrature_order)
         self.system = assemble(problem, self.basis, self.scheme)
-        self.nodes = self.delta_p = self.delta_u = None
-        self.draws, self.conds = {}, {}
+        self.factors = Factorization(self.system.matrix)
+        self.seeds = seeds
+        self.nodes = self.draws = self.delta_p = self.delta_u = None
 
     def evaluate(self, beta, noise=None):
         """One cell's delta_p, delta_u, condition number, residual norm, coefficients, system."""
         system = self.system
         if noise is not None and noise.level > 0.0:
-            if self.nodes is None:
+            if self.draws is None:  # draws depend on the seed and the times alone
                 self.nodes = stefan_nodes(self.problem, self.scheme)
+                seeds = self.seeds or [noise.seed]
+                self.draws = dict(zip(seeds, standard_draws(seeds, self.nodes[0])))
             t_nodes, t_weights = self.nodes
-            # Draws depend on the seed and the times alone; each level scales them.
-            if noise.seed not in self.draws:
-                self.draws[noise.seed] = standard_draws(noise.seed, t_nodes)
             with np.errstate(over="ignore", invalid="ignore"):
                 data = scale_draws(noise, self.problem.interface_flux(t_nodes),
                                    self.draws[noise.seed], self.problem.conductivity)
             system = with_stefan_data(system, self.scheme, t_weights, data)
-        coeffs = solve(system, beta)
+        coeffs = self.factors.solve(system.rhs, beta)
         res_norm = float(np.linalg.norm(residual(system, coeffs)))
         if self.delta_p is None:  # built at the first solve: a failed one costs no grid
             self.delta_p, self.delta_u = (_delta_p_on(self.problem, self.basis),
                                           _delta_u_on(self.problem, self.basis))
         dp, du = self.delta_p(coeffs), self.delta_u(coeffs)
-        if beta not in self.conds:  # a property of the matrix, whatever the data
-            self.conds[beta] = condition_number(system, beta)
-        return dp, du, self.conds[beta], res_norm, coeffs, system
+        # Noisy data changes only the right side, so the matrix's factors serve every cell.
+        return dp, du, self.factors.condition_number(beta), res_norm, coeffs, system
 
 
 def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
@@ -200,7 +204,7 @@ def _evaluate_group(task):
     start = time.perf_counter()
     try:
         group, failure = _Group(benchmark_problem(grid.benchmark, horizon), order,
-                                grid.scheme_override, grid.quadrature_order), None
+                                grid.scheme_override, grid.quadrature_order, grid.seeds), None
     except _CELL_ERRORS as exc:
         group, failure = None, _error_tag(exc)
     share = (time.perf_counter() - start) / len(cells)

@@ -5,7 +5,7 @@ then scale_draws, then assembly.with_stefan_data.  The draw at t is
 default_rng((seed, round(t / 1e-12))).standard_normal() bit for bit, whatever
 the evaluation order or batching, so noisy quadrature is byte-reproducible.
 Instead of a generator per sample, standard_draws runs SeedSequence's hash
-rounds for all samples at once on uint32 arrays, PCG64's seeding step
+rounds for all (seed, time) pairs of a call at once, PCG64's seeding step
 (O'Neill, PCG, HMC-CS-2014-0905, 2014) on Python ints, and one
 standard_normal() per sample from one PCG64 set to that state.  The tests
 check it against default_rng sample by sample.
@@ -65,21 +65,26 @@ def _hashmix(values, calls):
     return values ^ values >> 16
 
 
-def standard_draws(seed, ts):
-    """default_rng((seed, quantized t)).standard_normal() at each time in ts, as float64."""
-    seed = check_seed(seed)
+def standard_draws(seeds, ts):
+    """default_rng((seed, quantized t)).standard_normal() for each seed and time in ts.
+
+    One seed gives a float64 row over the times; a sequence of seeds, which may
+    mix seeds below and above 2**32, gives one row per seed from one call.
+    """
+    seeds = np.array([check_seed(s) for s in seeds] if np.ndim(seeds) else check_seed(seeds),
+                     dtype=np.uint64)
     try:
         tq = np.array([round(t / T_QUANTUM) & _MASK64 for t in np.ravel(ts).tolist()],
                       dtype=np.uint64)
     except (ValueError, OverflowError) as exc:  # nan, inf, or |t| beyond 1e-12 * max float
         raise DomainError(f"noise times must be finite: {exc}") from exc
-    # Entropy: the uint32 words of the seed, then of tq, zero-padded to 4.  A tq
-    # below 2**32 has one word, and its high word 0 is the padding.
-    k = 1 if seed <= _MASK32 else 2
-    pool = np.zeros((4, tq.size), dtype=np.uint32)
-    pool[:k] = np.array([seed & _MASK32, seed >> 32][:k], dtype=np.uint32)[:, None]
-    pool[k], pool[k + 1] = tq & _MASK32, tq >> 32
-    pool = _hashmix(pool, slice(0, 4))
+    # Entropy: the uint32 words of the seed, then of tq, zero-padded to 4.  A
+    # seed below 2**32 has one word, so its high word 0 moves to the padding; a
+    # tq below 2**32 has one word too, and its high word 0 is the padding.
+    row_shape = seeds.shape + tq.shape
+    seed, tq = np.repeat(seeds, tq.size), np.tile(tq, seeds.size)
+    words = np.array([seed & _MASK32, seed >> 32, tq & _MASK32, tq >> 32], dtype=np.uint32)
+    pool = _hashmix(np.where(seed <= _MASK32, words[[0, 2, 3, 1]], words), slice(0, 4))
     for src, dst in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
         mixed = (0xCA01F9DD * pool[dst]
                  - 0x4973F715 * _hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src)))
@@ -87,14 +92,13 @@ def standard_draws(seed, ts):
     words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUTPUT_HASH[:8]) * _OUTPUT_HASH[1:]
     words = (words ^ words >> 16).astype(np.uint64)
     generator = np.random.Generator(np.random.PCG64(0))  # per call: threads share no state
-    out = np.empty(tq.size)
-    for i, (v0, v1, v2, v3) in enumerate(zip(*(words[0::2] | words[1::2] << 32).tolist())):
+    bits, normal, out = generator.bit_generator, generator.standard_normal, []
+    for v0, v1, v2, v3 in zip(*(words[0::2] | words[1::2] << 32).tolist()):
         inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
         state = {"state": ((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) & _MASK128, "inc": inc}
-        generator.bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                                         "has_uint32": 0, "uinteger": 0}
-        out[i] = generator.standard_normal()
-    return out
+        bits.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+        out.append(normal())
+    return np.array(out, dtype=np.float64).reshape(row_shape)
 
 
 def scale_draws(spec, clean, draws, conductivity):

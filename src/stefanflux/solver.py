@@ -1,10 +1,21 @@
-"""Direct and Tikhonov solvers plus condition numbers, each from one numpy SVD."""
+"""Direct and Tikhonov solves and condition numbers from at most three SVDs per matrix.
+
+A Factorization checks its matrix once and computes each SVD at its first
+use: that of the column-equilibrated A for the beta = 0 rank test and solve,
+that of B = A diag(1/n!) for every beta > 0 solve and condition number, and
+the singular values of A for the beta = 0 condition number.  The functions
+below factor their system's matrix for one use; a sweep group keeps one
+Factorization for all its cells, since noisy data changes only the right side.
+"""
+
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, SingularMatrixError
 
 __all__ = [
+    "Factorization",
     "condition_number",
     "penalty_weights",
     "solve",
@@ -17,16 +28,9 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
-def solve(system, beta=0.0):
-    """The direct solve at beta = 0, the Tikhonov-damped solve at beta > 0."""
-    beta = _check_beta(beta)
-    return solve_tikhonov(system, beta) if beta else solve_direct(system)
-
-
-def _check_finite(*arrays):
-    for values in arrays:
-        if not np.all(np.isfinite(values)):
-            raise NumericalError("matrix contains non-finite entries")
+def _check_finite(values):
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("matrix contains non-finite entries")
 
 
 def _check_beta(beta):
@@ -34,30 +38,6 @@ def _check_beta(beta):
     if not np.isfinite(beta) or beta < 0.0:
         raise DomainError(f"beta must be finite and >= 0, got {beta}")
     return beta
-
-
-def solve_direct(system):
-    """Solve A c = b through the SVD of A with its columns scaled to unit 2-norm.
-
-    Column scaling (van der Sluis) removes the spread of column magnitudes, so
-    only a genuine loss of rank remains.  Raises SingularMatrixError carrying
-    the numerical rank, the count of scaled singular values above
-    PIVOT_RTOL times the largest, when it is below the size.
-    """
-    _check_finite(system.matrix, system.rhs)
-    return _svd_solve(system.matrix, system.rhs)
-
-
-def _svd_solve(matrix, rhs, subject="matrix is"):
-    """c = D V diag(1/sigma) U^T b for the SVD of A D, D the inverse column norms."""
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0.0] = 1.0  # a zero column stays zero and fails the rank test
-    u, sigma, vt = np.linalg.svd(matrix / norms)
-    rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
-    if rank < sigma.size:
-        raise SingularMatrixError(
-            rank, f"{subject} numerically singular at pivot {rank} (rank {rank} of {sigma.size})")
-    return vt.T @ ((u.T @ rhs) / sigma) / norms
 
 
 def penalty_weights(size):
@@ -76,39 +56,89 @@ def penalty_weights(size):
     return weights
 
 
-def solve_tikhonov(system, beta):
-    """Minimize ||A c - b||^2 + beta ||y||^2 over the normalized coefficients y = n! c.
+class Factorization:
+    """The SVDs of one finite square matrix A that solves and condition numbers need."""
 
-    With B = A diag(1/n!) and its SVD B = U diag(sigma) V^T, the minimizer is
-    y = V diag(sigma / (sigma^2 + beta)) U^T b, mapped back to c = y / n!.  This
-    is the solution of the shifted normal equations (B^T B + beta I) y = B^T b
-    without forming them, so the condition number is not squared.  At beta = 0
-    the problem is the plain solve of A c = b, which takes the direct path and
-    reports a rank loss as singular normal equations.
-    """
+    def __init__(self, matrix):
+        _check_finite(matrix)
+        self.matrix = matrix
+
+    @cached_property
+    def _equilibrated(self):
+        """U, sigma, V^T of A D and the column norms 1/D (van der Sluis scaling)."""
+        norms = np.linalg.norm(self.matrix, axis=0)
+        norms[norms == 0.0] = 1.0  # a zero column stays zero and fails the rank test
+        return (*np.linalg.svd(self.matrix / norms), norms)
+
+    @cached_property
+    def _normalized(self):
+        """U, sigma, V^T of B = A diag(1/n!) and the weights 1/n!."""
+        weights = penalty_weights(self.matrix.shape[1])
+        return (*np.linalg.svd(self.matrix * weights), weights)
+
+    @cached_property
+    def _sigma(self):
+        return np.linalg.svd(self.matrix, compute_uv=False)
+
+    def solve(self, rhs, beta=0.0):
+        """The direct solve of A c = rhs at beta = 0, the Tikhonov-damped solve at beta > 0.
+
+        At beta > 0, y = V diag(sigma / (sigma^2 + beta)) U^T b for the SVD of B
+        minimizes ||A c - b||^2 + beta ||y||^2 over y = n! c.  That solves
+        (B^T B + beta I) y = B^T b without forming it, so the condition number
+        is not squared.
+        """
+        beta = _check_beta(beta)
+        if not beta:
+            return self._direct(rhs, "matrix is")
+        _check_finite(rhs)
+        u, sigma, vt, weights = self._normalized
+        return vt.T @ ((u.T @ rhs) * (sigma / (sigma * sigma + beta))) * weights
+
+    def _direct(self, rhs, subject):
+        """c = D V diag(1/sigma) U^T b for the SVD of A D, D the inverse column norms.
+
+        Column scaling removes the spread of column magnitudes, so only a real
+        loss of rank remains.  Raises SingularMatrixError with the numerical rank,
+        the count of scaled singular values above PIVOT_RTOL times the largest.
+        """
+        _check_finite(rhs)
+        u, sigma, vt, norms = self._equilibrated
+        rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
+        if rank < sigma.size:
+            raise SingularMatrixError(
+                rank, f"{subject} numerically singular at pivot {rank} (rank {rank} of {sigma.size})")
+        return vt.T @ ((u.T @ rhs) / sigma) / norms
+
+    def condition_number(self, beta=0.0):
+        """sigma_max / sigma_min of A at beta = 0; at beta > 0 the condition
+        number (sigma_max^2 + beta) / (sigma_min^2 + beta) of B^T B + beta I."""
+        beta = _check_beta(beta)
+        if beta:
+            sigma = self._normalized[1]
+            return float((sigma[0] ** 2 + beta) / (sigma[-1] ** 2 + beta))
+        sigma = self._sigma
+        return float(sigma[0] / sigma[-1]) if sigma[-1] else float("inf")
+
+
+def solve(system, beta=0.0):
+    """The direct solve at beta = 0, the Tikhonov-damped solve at beta > 0."""
+    return Factorization(system.matrix).solve(system.rhs, beta)
+
+
+def solve_direct(system):
+    """Solve A c = b through the SVD of A with its columns scaled to unit 2-norm."""
+    return Factorization(system.matrix).solve(system.rhs)
+
+
+def solve_tikhonov(system, beta):
+    """The damped solve; at beta = 0 a rank loss is reported as singular normal equations."""
     beta = _check_beta(beta)
-    _check_finite(system.matrix, system.rhs)
-    if not beta:
-        return _svd_solve(system.matrix, system.rhs, "normal equations are")
-    weights = penalty_weights(system.size)
-    u, sigma, vt = np.linalg.svd(system.matrix * weights)
-    return vt.T @ ((u.T @ system.rhs) * (sigma / (sigma * sigma + beta))) * weights
+    factors = Factorization(system.matrix)
+    return factors.solve(system.rhs, beta) if beta else factors._direct(
+        system.rhs, "normal equations are")
 
 
 def condition_number(system, beta=0.0):
-    """Spectral condition number of the problem the chosen path solves.
-
-    At beta = 0 that is sigma_max(A) / sigma_min(A).  At beta > 0 it is the
-    condition number (sigma_max^2 + beta) / (sigma_min^2 + beta) of the shifted
-    normal matrix B^T B + beta I of the column-normalized B = A diag(1/n!),
-    from the singular values of B.
-    """
-    beta = _check_beta(beta)
-    _check_finite(system.matrix)
-    if beta:
-        sigma = np.linalg.svd(system.matrix * penalty_weights(system.size), compute_uv=False)
-        return float((sigma[0] ** 2 + beta) / (sigma[-1] ** 2 + beta))
-    sigma = np.linalg.svd(system.matrix, compute_uv=False)
-    if sigma[-1] == 0.0:
-        return float("inf")
-    return float(sigma[0] / sigma[-1])
+    """Spectral condition number of the problem solve(system, beta) solves."""
+    return Factorization(system.matrix).condition_number(beta)

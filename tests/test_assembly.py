@@ -53,6 +53,19 @@ def test_scheme_validation():
     assert CollocationScheme(6, 5, 2).size == 13
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda bad: CollocationScheme(bad, 1, 1),
+    lambda bad: preset_scheme(bad),
+    lambda bad: HeatPolynomialBasis(1.0, bad),
+    lambda bad: HeatPolynomialBasis(1.0, 4).coefficients(bad),
+], ids=["scheme", "preset_scheme", "basis", "basis_order"])
+def test_non_finite_counts_raise_domain_error(build, bad):
+    # int(nan) raised a bare ValueError and int(inf) an OverflowError.
+    with pytest.raises(DomainError, match="integer|order"):
+        build(bad)
+
+
 def test_linear_system_validation():
     with pytest.raises(ValueError):
         LinearSystem(np.ones((2, 3)), np.ones(2), (("dirichlet", 1),) * 2)

@@ -231,16 +231,16 @@ def test_only_domain_errors_become_domain_error_records(monkeypatch):
     # A bare ValueError inside a cell (a numpy broadcast mismatch, say) is a
     # defect and propagates; the library's own DomainError is a tagged outcome.
     def solve_raising(exc_type):
-        def solve(system, config):
+        def solve(factors, rhs, beta):
             raise exc_type("stage failed")
         return solve
 
     grid = SweepGrid(orders=(6,), betas=(0.0, 1e-7))
-    monkeypatch.setattr(experiments, "solve", solve_raising(ValueError))
+    monkeypatch.setattr(experiments.Factorization, "solve", solve_raising(ValueError))
     with pytest.raises(ValueError, match="stage failed") as info:
         run_sweep(grid)
     assert type(info.value) is ValueError
-    monkeypatch.setattr(experiments, "solve", solve_raising(DomainError))
+    monkeypatch.setattr(experiments.Factorization, "solve", solve_raising(DomainError))
     records = run_sweep(grid).records
     assert [rec.error for rec in records] == ["domain_error"] * 2
     assert all(math.isnan(rec.delta_p) for rec in records)
@@ -260,18 +260,52 @@ def test_group_build_failure_tags_every_cell(monkeypatch):
 
 
 def test_noise_draws_are_shared_across_levels_and_betas(monkeypatch):
-    # Draws depend on (seed, time) alone: a group draws each seed once and
-    # scales the draws per level, instead of drawing again for every cell.
-    # The count is the number of times passed to standard_draws.
+    # Draws depend on (seed, time) alone: a group draws its seeds in one block
+    # and scales the draws per level, instead of drawing again for every cell.
+    # The count is the number of (seed, time) pairs passed to standard_draws.
     sizes = []
     draws = experiments.standard_draws
     monkeypatch.setattr(experiments, "standard_draws",
-                        lambda seed, ts: sizes.append(np.size(ts)) or draws(seed, ts))
+                        lambda seeds, ts: sizes.append(np.size(seeds) * np.size(ts))
+                        or draws(seeds, ts))
     grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.01, 0.05), seeds=(0, 1))
     result = run_sweep(grid)
     assert all(rec.error is None for rec in result.records)
     scheme = preset_scheme(8)
     assert sum(sizes) == len(grid.seeds) * scheme.n_stefan * scheme.quadrature_order
+    assert len(sizes) == 1
+
+
+def test_draw_failure_tags_only_noisy_cells(monkeypatch):
+    # The group's block of draws fails once; its clean cells still solve.
+    def draws_raising(seeds, ts):
+        raise DomainError("noise times must be finite")
+
+    monkeypatch.setattr(experiments, "standard_draws", draws_raising)
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01))
+    records = run_sweep(grid).records
+    assert [rec.error for rec in records] == [None, "domain_error"] * 2
+    clean = run_sweep(SweepGrid(orders=(8,), betas=(0.0, 1e-7))).records
+    assert [rec.delta_p for rec in records[::2]] == [rec.delta_p for rec in clean]
+
+
+def test_one_factorisation_per_group(monkeypatch):
+    # A group's cells share at most three SVDs whatever their betas: the
+    # equilibrated one for beta = 0, that of A diag(1/n!) for every beta > 0,
+    # and the singular values of A for the beta = 0 condition number.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs))
+    grid = SweepGrid(orders=range(4, 21, 2),
+                     betas=(0.0,) + tuple(float(f"1e-{k}") for k in range(13, 2, -1)),
+                     benchmark="example1")
+    assert all(rec.error is None for rec in run_sweep(grid).records)
+    assert len(calls) <= 3 * len(grid.orders)
+    for beta, count in ((0.0, 2), (1e-7, 1)):
+        calls.clear()
+        run_case(example1(), 12, beta=beta)
+        assert len(calls) == count
 
 
 def test_overflowing_oracles_raise_numerical_error(monkeypatch):

@@ -117,19 +117,32 @@ def test_draws_equal_a_generator_per_sample():
     for order in (8, 12, 16):
         times += stefan_nodes(prob, preset_scheme(order))[0].tolist()
     assert len(ORACLE_SEEDS) * len(times) >= 2000
-    for seed in ORACLE_SEEDS:
+    # One block holds every seed, one-word and two-word seeds mixed.
+    block = standard_draws(ORACLE_SEEDS, np.array(times))
+    assert block.dtype == np.float64 and block.shape == (len(ORACLE_SEEDS), len(times))
+    for seed, row in zip(ORACLE_SEEDS, block):
         expected = [_oracle(seed, t) for t in times]
+        np.testing.assert_array_equal(_bits(row), _bits(expected))
         np.testing.assert_array_equal(_bits(standard_draws(seed, np.array(times))),
                                       _bits(expected))
+    # Permuting the seeds permutes the rows and changes nothing else.
+    order = np.random.default_rng(5).permutation(len(ORACLE_SEEDS))
+    np.testing.assert_array_equal(
+        _bits(standard_draws([ORACLE_SEEDS[i] for i in order], np.array(times))),
+        _bits(block[order]))
     assert standard_draws(2 ** 63, [0.3])[0] == _oracle(2 ** 63, 0.3)
     empty = standard_draws(5, np.array([]))
     assert empty.dtype == np.float64 and empty.shape == (0,)
+    assert standard_draws([], times).shape == (0, len(times))
+    assert standard_draws(ORACLE_SEEDS, []).shape == (len(ORACLE_SEEDS), 0)
 
 
 def test_draws_reject_seeds_outside_uint64_and_non_finite_times():
     for seed in (-1, 2 ** 64):
         with pytest.raises(DomainError, match="seed"):
             standard_draws(seed, [0.1])
+        with pytest.raises(DomainError, match="seed"):
+            standard_draws([0, seed], [0.1])
     # nan and inf used to raise a bare ValueError and OverflowError.
     for bad in (math.nan, math.inf, -math.inf, 1e300):
         with pytest.raises(DomainError, match="finite"):
