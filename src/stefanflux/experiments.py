@@ -12,13 +12,14 @@ Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell; a group whose draws fail tags its
 noisy cells only.  wall_time is a cell's own time (the first solved cell's
 includes the grids, the first noisy cell's the draws) plus an equal share of
-its group's build.  Cells come in a fixed order and pools spread whole groups,
-so reruns and pools of any size give identical results.
+its group's build.  Groups run one after another in the calling process, and
+cells come in a fixed order, so reruns give identical results.
 """
 
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,7 @@ class _Group:
     """What the cells of one (problem, order, scheme) share, built once.
 
     seeds, the noise seeds of its cells, are drawn in one block at the first noisy cell.
+    A cached property that raises caches nothing, so its next cell tries again.
     """
 
     def __init__(self, problem, order, scheme=None, quadrature_order=16, seeds=()):
@@ -65,29 +67,34 @@ class _Group:
         self.system = assemble(problem, self.basis, self.scheme)
         self.factors = Factorization(self.system.matrix)
         self.seeds = seeds
-        self.nodes = self.draws = self.delta_p = self.delta_u = None
+
+    @cached_property
+    def _noise(self):
+        """The energy-balance nodes and weights, and each seed's draws at the nodes."""
+        nodes = stefan_nodes(self.problem, self.scheme)
+        # Draws depend on the seed and the time alone, so every level and beta shares them.
+        return nodes, dict(zip(self.seeds, standard_draws(self.seeds, nodes[0])))
+
+    @cached_property
+    def _errors(self):
+        """The delta_p and delta_u closures, built at the first solve: a failed solve costs none."""
+        return _delta_p_on(self.problem, self.basis), _delta_u_on(self.problem, self.basis)
 
     def evaluate(self, beta, noise=None):
         """One cell's delta_p, delta_u, condition number, residual norm, coefficients, system."""
         system = self.system
         if noise is not None and noise.level > 0.0:
-            if self.draws is None:  # draws depend on the seed and the times alone
-                self.nodes = stefan_nodes(self.problem, self.scheme)
-                seeds = self.seeds or [noise.seed]
-                self.draws = dict(zip(seeds, standard_draws(seeds, self.nodes[0])))
-            t_nodes, t_weights = self.nodes
+            (t_nodes, t_weights), draws = self._noise
             with np.errstate(over="ignore", invalid="ignore"):
                 data = scale_draws(noise, self.problem.interface_flux(t_nodes),
-                                   self.draws[noise.seed], self.problem.conductivity)
+                                   draws[noise.seed], self.problem.conductivity)
             system = with_stefan_data(system, self.scheme, t_weights, data)
         coeffs = self.factors.solve(system.rhs, beta)
         res_norm = float(np.linalg.norm(residual(system, coeffs)))
-        if self.delta_p is None:  # built at the first solve: a failed one costs no grid
-            self.delta_p, self.delta_u = (_delta_p_on(self.problem, self.basis),
-                                          _delta_u_on(self.problem, self.basis))
-        dp, du = self.delta_p(coeffs), self.delta_u(coeffs)
+        delta_p, delta_u = self._errors
         # Noisy data changes only the right side, so the matrix's factors serve every cell.
-        return dp, du, self.factors.condition_number(beta), res_norm, coeffs, system
+        return (delta_p(coeffs), delta_u(coeffs), self.factors.condition_number(beta), res_norm,
+                coeffs, system)
 
 
 def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
@@ -96,7 +103,7 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     noise is an optional NoiseSpec; beta = 0 selects the direct solve and
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
-    group = _Group(problem, order, scheme)
+    group = _Group(problem, order, scheme, seeds=() if noise is None else (noise.seed,))
     dp, du, cond, res_norm, coeffs, system = group.evaluate(beta, noise)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples)
     rhs_norm = float(np.linalg.norm(system.rhs))
@@ -197,9 +204,8 @@ def _error_tag(exc):
 _CELL_ERRORS = (DomainError, NumericalError, FloatingPointError, OverflowError)
 
 
-def _evaluate_group(task):
-    """(delta_p, delta_u, condition number, residual norm, wall time, error) per cell."""
-    grid, cells = task
+def _evaluate_group(grid, cells):
+    """Yield the CellRecord of each cell of one (horizon, order) group."""
     horizon, order = cells[0][:2]
     start = time.perf_counter()
     try:
@@ -208,7 +214,6 @@ def _evaluate_group(task):
     except _CELL_ERRORS as exc:
         group, failure = None, _error_tag(exc)
     share = (time.perf_counter() - start) / len(cells)
-    results = []
     for _, _, beta, level, seed in cells:
         start = time.perf_counter()
         values, error = (float("nan"),) * 4, failure
@@ -217,8 +222,8 @@ def _evaluate_group(task):
                 values = group.evaluate(beta, NoiseSpec(level, seed, grid.noise_mode))[:4]
             except _CELL_ERRORS as exc:
                 error = _error_tag(exc)
-        results.append((*values, time.perf_counter() - start + share, error))
-    return results
+        yield CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *values,
+                         time.perf_counter() - start + share, error)
 
 
 @dataclass
@@ -266,21 +271,12 @@ class SweepResult:
 
 
 def run_sweep(grid, jobs=1):
-    """Run every cell of the grid group by group, optionally spreading groups on a process pool."""
+    """Run every cell of the grid group by group in this process.
+
+    jobs must be an integer >= 1 and has no effect; it stays for callers that pass it.
+    """
     if not float(jobs).is_integer() or jobs < 1:
         raise DomainError(f"jobs must be an integer >= 1, got {jobs}")
-    jobs = int(jobs)
-    tasks = [(grid, list(cells))
-             for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])]
-    if jobs > 1 and len(tasks) > 1:
-        # Imported here: concurrent.futures.process adds start-up cost to every serial run.
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_evaluate_group, tasks))
-    else:
-        results = [_evaluate_group(task) for task in tasks]
-    # Records are built here, so they share the grid's floats whichever process ran them.
     return SweepResult(grid=grid, records=[
-        CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *values)
-        for (_, cells), group in zip(tasks, results)
-        for (horizon, order, beta, level, seed), values in zip(cells, group)])
+        record for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])
+        for record in _evaluate_group(grid, list(cells))])

@@ -32,8 +32,11 @@ MODES = ("relative", "constant")
 
 def check_seed(seed):
     """seed as an int; DomainError unless it is an integer in [0, 2**64)."""
-    value = int(seed)
-    if value != seed or not 0 <= value <= _MASK64:
+    try:
+        value = int(seed)  # not float(seed): that overflows above 1e308
+    except (ValueError, OverflowError):  # nan, inf
+        value = None
+    if value is None or value != seed or not 0 <= value <= _MASK64:
         raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
     return value
 

@@ -28,9 +28,9 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
-def _check_finite(values):
+def _check_finite(values, name="matrix"):
     if not np.all(np.isfinite(values)):
-        raise NumericalError("matrix contains non-finite entries")
+        raise NumericalError(f"{name} contains non-finite entries")
 
 
 def _check_beta(beta):
@@ -91,7 +91,7 @@ class Factorization:
         beta = _check_beta(beta)
         if not beta:
             return self._direct(rhs, "matrix is")
-        _check_finite(rhs)
+        _check_finite(rhs, "right-hand side")
         u, sigma, vt, weights = self._normalized
         return vt.T @ ((u.T @ rhs) * (sigma / (sigma * sigma + beta))) * weights
 
@@ -102,7 +102,7 @@ class Factorization:
         loss of rank remains.  Raises SingularMatrixError with the numerical rank,
         the count of scaled singular values above PIVOT_RTOL times the largest.
         """
-        _check_finite(rhs)
+        _check_finite(rhs, "right-hand side")
         u, sigma, vt, norms = self._equilibrated
         rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
         if rank < sigma.size:

@@ -329,16 +329,24 @@ def test_start_up_imports_no_scipy_linalg():
     assert loaded == {"before": [], "linalg": False, "after": []}
 
 
-def test_serial_sweep_does_not_import_the_process_pool():
-    loaded = _fresh_process_json("""
+def test_serial_sweep_does_not_import_the_process_pool(tmp_path):
+    # Every sweep runs in process, so no jobs value loads the process pool:
+    # not a serial run, nor jobs=2 on four groups, nor the CLI at --jobs 2.
+    loaded = _fresh_process_json(f"""
         import json, sys
-        import stefanflux.cli
+        from stefanflux.cli import main
         from stefanflux import SweepGrid, run_sweep
-        records = run_sweep(SweepGrid(orders=(4,))).records
-        print(json.dumps({"cells": len(records),
-                          "pool": "concurrent.futures.process" in sys.modules}))
+        runs = []
+        def record(cells):
+            runs.append([cells, "concurrent.futures.process" in sys.modules])
+        record(len(run_sweep(SweepGrid(orders=(4,))).records))
+        grid = SweepGrid(orders=(4, 6), horizons=(1.0, 2.0))
+        record(len(run_sweep(grid, jobs=2).records))
+        record(main(["sweep", "--orders", "4,6", "--horizons", "1,2", "--jobs", "2",
+                     "--out", {str(tmp_path / "sweep")!r}]))
+        print(json.dumps(runs))
     """)
-    assert loaded == {"cells": 1, "pool": False}
+    assert loaded == [[1, False], [4, False], [0, False]]
 
 
 def test_package_source_imports_no_scipy():

@@ -7,11 +7,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from stefanflux import (DomainError, NoiseSpec, benchmark_problem, example1, example2,
-                        preset_scheme)
+from stefanflux import (DomainError, NoiseSpec, SweepGrid, benchmark_problem, example1,
+                        example2, preset_scheme)
 from stefanflux import noise
 from stefanflux.assembly import stefan_nodes
-from stefanflux.noise import scale_draws, standard_draws
+from stefanflux.noise import check_seed, scale_draws, standard_draws
 
 # Seeds whose entropy takes one uint32 word and two, and the ends of the range.
 ORACLE_SEEDS = (0, 1, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
@@ -147,6 +147,26 @@ def test_draws_reject_seeds_outside_uint64_and_non_finite_times():
     for bad in (math.nan, math.inf, -math.inf, 1e300):
         with pytest.raises(DomainError, match="finite"):
             standard_draws(3, [0.1, bad])
+
+
+@pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1.5, -1, 2 ** 64, 2 ** 1100])
+def test_bad_seeds_raise_domain_error(seed):
+    # Every path that takes a seed checks it the same way.  nan used to raise a
+    # bare ValueError and +-inf an OverflowError; 2**1100 overflows float().
+    for take in (check_seed, lambda seed: NoiseSpec(0.01, seed=seed),
+                 lambda seed: SweepGrid(orders=(8,), seeds=(0, seed)),
+                 lambda seed: standard_draws([0, seed], [0.1])):
+        with pytest.raises(DomainError, match="seed"):
+            take(seed)
+
+
+@pytest.mark.parametrize("seed", [7.0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1)])
+def test_integral_seeds_are_accepted(seed):
+    assert check_seed(seed) == seed and type(check_seed(seed)) is int
+    assert NoiseSpec(0.01, seed=seed).seed == seed
+    assert SweepGrid(orders=(8,), seeds=(seed,)).seeds == (int(seed),)
+    np.testing.assert_array_equal(_bits(standard_draws([0, seed], [0.1])[1]),
+                                  _bits([_oracle(int(seed), 0.1)]))
 
 
 def test_draws_are_thread_safe():

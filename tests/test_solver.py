@@ -20,6 +20,7 @@ from stefanflux import (
     solve_tikhonov,
 )
 from stefanflux.assembly import LinearSystem
+from stefanflux.solver import Factorization
 
 
 def _system(matrix, rhs):
@@ -206,3 +207,17 @@ def test_damped_flux_error_published_window():
     coeffs = solve_tikhonov(system, 1e-3)
     err = delta_p(coeffs, prob, basis)
     assert 0.146 / 3 <= err <= 0.146 * 3
+
+
+def test_non_finite_inputs_are_named():
+    # A non-finite right-hand side used to be reported as the matrix.
+    factors = Factorization(np.eye(2))
+    for beta in (0.0, 1e-7):
+        with pytest.raises(NumericalError, match="^right-hand side contains non-finite entries$"):
+            factors.solve(np.array([1.0, np.nan]), beta)
+        with pytest.raises(NumericalError, match="^right-hand side contains non-finite entries$"):
+            solve(_system(np.eye(2), [np.inf, 0.0]), beta)
+    with pytest.raises(NumericalError, match="^matrix contains non-finite entries$"):
+        Factorization(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(NumericalError, match="^matrix contains non-finite entries$"):
+        solve(_system([[1.0, np.inf], [0.0, 1.0]], [1.0, 0.0]), 1e-7)
