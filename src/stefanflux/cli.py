@@ -167,7 +167,7 @@ def build_parser():
     sweep.add_argument("--betas", help="comma list of betas (default --beta)")
     sweep.add_argument("--horizons", help="comma list of horizons (default --horizon)")
     sweep.add_argument("--seeds", help="comma list of seeds (default --seed)")
-    sweep.add_argument("--jobs", type=int, help="no effect, sweeps run in process; must be >= 1")
+    sweep.add_argument("--jobs", type=int, help="no effect, sweeps run in process; 1 <= N < 2**63")
 
     plotdata = subs.add_parser("plotdata", help="flux curves per noise level")
     _common_flags(plotdata)

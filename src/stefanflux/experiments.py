@@ -273,10 +273,10 @@ class SweepResult:
 def run_sweep(grid, jobs=1):
     """Run every cell of the grid group by group in this process.
 
-    jobs must be an integer >= 1 and has no effect; it stays for callers that pass it.
+    jobs must be an integer in [1, 2**63) and has no effect; it stays for callers that pass it.
     """
-    if not float(jobs).is_integer() or jobs < 1:
-        raise DomainError(f"jobs must be an integer >= 1, got {jobs}")
+    if not (1 <= jobs < 2 ** 63 and float(jobs).is_integer()):  # float() overflows above 1e308
+        raise DomainError(f"jobs must be an integer in [1, 2**63), got {jobs}")
     return SweepResult(grid=grid, records=[
         record for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])
         for record in _evaluate_group(grid, list(cells))])

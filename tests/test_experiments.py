@@ -168,7 +168,8 @@ def test_orders_and_jobs_must_be_integers():
         run_case(example1(), 8.5)
     assert SweepGrid(orders=(8.0, np.int64(6))).orders == (8, 6)
     grid = SweepGrid(orders=(4, 6))
-    for jobs in (1.5, math.nan, math.inf):
+    # 10**400 used to raise a bare OverflowError from float(jobs).
+    for jobs in (1.5, math.nan, math.inf, 2 ** 63, 10 ** 400):
         with pytest.raises(DomainError, match="jobs"):
             run_sweep(grid, jobs=jobs)
     assert run_sweep(grid, jobs=2.0).records == run_sweep(grid).records

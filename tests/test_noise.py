@@ -2,6 +2,7 @@
 
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,6 +26,29 @@ def _oracle(seed, t):
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# An odd PCG64 increment with both words set, and the inverse of PCG64's multiplier.
+_INC = 0x5851F42D4C957F2D_14057B7EF767814F
+_MULT_INV = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2 ** 128)
+
+
+def _assert_outputs_draw_as_numpy(outputs):
+    """The package's draw from each first PCG64 output r < 2**64 is numpy's, bit for bit.
+
+    One step takes the state (r - inc) / multiplier to r, whose high word 0 makes
+    the output r itself; numpy's standard_normal() from that state is the oracle.
+    """
+    got = noise._normals(np.array(outputs, dtype=object),
+                         np.full(len(outputs), _INC, dtype=object))
+    generator = np.random.Generator(np.random.PCG64(0))
+    expected = []
+    for r in outputs:
+        state = {"state": (r - _INC) * _MULT_INV % 2 ** 128, "inc": _INC}
+        generator.bit_generator.state = {"bit_generator": "PCG64", "state": state,
+                                         "has_uint32": 0, "uinteger": 0}
+        expected.append(generator.standard_normal())
+    np.testing.assert_array_equal(_bits(got), _bits(expected))
 
 
 def _noisy(prob, spec, ts):
@@ -137,6 +161,41 @@ def test_draws_equal_a_generator_per_sample():
     assert standard_draws(ORACLE_SEEDS, []).shape == (len(ORACLE_SEEDS), 0)
 
 
+def test_large_block_equals_a_generator_per_sample_mostly_on_the_fast_path(monkeypatch):
+    # 2**15 (seed, time) pairs: enough for every ziggurat box and hundreds of
+    # samples past a box's fast-path bound, which numpy draws itself.
+    times = np.random.default_rng(21).uniform(0.0, 2.0, 2 ** 12)
+    noise._ziggurat()
+    fallback = []
+    draw = noise._draw
+    monkeypatch.setattr(noise, "_draw", lambda *args: fallback.append(args) or draw(*args))
+    block = standard_draws(ORACLE_SEEDS, times)
+    assert block.size == 2 ** 15
+    for seed, row in zip(ORACLE_SEEDS, block):
+        np.testing.assert_array_equal(_bits(row), _bits([_oracle(seed, t) for t in times]))
+    # Boxes 0 to 2 alone are 3/256 of the samples.  Rejecting every bound would
+    # leave the draws right but send all of them to numpy one by one.
+    assert 3 / 256 * block.size < len(fallback) < 0.05 * block.size
+
+
+def test_ziggurat_tables_are_verified_at_every_box_bound():
+    wi, ki = noise._ziggurat()
+    assert isinstance(wi, np.ndarray) and isinstance(ki, np.ndarray)
+    assert not wi.flags.writeable and not ki.flags.writeable
+    assert wi.shape == ki.shape == (256,) and np.all(wi > 0)
+    # Boxes 0 (base strip and tail) to 2 always go to numpy; every other bound
+    # passed its probe.
+    assert np.all(ki[:3] == 0) and np.all(ki[3:] > 2 ** 51)
+    outputs = []
+    for idx in range(256):
+        rabs_cases = (int(ki[idx]) - 1, int(ki[idx])) if ki[idx] else (0, 1, 2 ** 51, 2 ** 52 - 1)
+        for rabs in rabs_cases:
+            # Positive and negative (sign bit 8), and junk above rabs's 52 bits.
+            outputs += [rabs << 9 | sign << 8 | idx | junk << 61
+                        for sign in (0, 1) for junk in (0, 5)]
+    _assert_outputs_draw_as_numpy(outputs)
+
+
 def test_draws_reject_seeds_outside_uint64_and_non_finite_times():
     for seed in (-1, 2 ** 64):
         with pytest.raises(DomainError, match="seed"):
@@ -173,13 +232,19 @@ def test_draws_are_thread_safe():
     # Each call sets its states on its own PCG64, so concurrent calls cannot
     # draw from one another's states.  A thread switch seldom falls between
     # setting a state and drawing from it, so the module must also hold no
-    # generator that calls could share.
+    # generator that calls could share; its ziggurat tables are plain arrays.
     assert not any(isinstance(value, (np.random.Generator, np.random.BitGenerator))
                    for value in vars(noise).values())
     ts = np.linspace(0.0, 1.0, 16)
     serial = {seed: _bits(standard_draws(seed, ts)) for seed in (3, 4)}
+    tables = noise._ziggurat()
+    # Both threads make the first draw of a process that has not learned the
+    # ziggurat tables yet, at once.
+    noise._ziggurat.cache_clear()
+    start = threading.Barrier(2, timeout=60)
 
     def repeat(seed):
+        start.wait()
         return [standard_draws(seed, ts) for _ in range(200)]
 
     interval = sys.getswitchinterval()
@@ -194,3 +259,5 @@ def test_draws_are_thread_safe():
         assert len(runs) == 200
         for run in runs:
             np.testing.assert_array_equal(_bits(run), serial[seed])
+    for learned, table in zip(noise._ziggurat(), tables):
+        np.testing.assert_array_equal(learned, table)
