@@ -20,17 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, check_integer
 
 __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
-           "stefan_nodes", "with_stefan_data"]
+           "stefan_nodes", "panel_sums", "with_stefan_data"]
 
 
 def check_quadrature_order(order):
-    """order as an int; DomainError unless it is an integer >= 8."""
-    if not float(order).is_integer() or order < 8:  # nan and inf are not integers
-        raise DomainError(f"quadrature_order must be an integer >= 8, got {order}")
-    return int(order)
+    """order as an int; DomainError unless it is an integer in [8, 2**63)."""
+    return check_integer(order, "quadrature_order", 8)
 
 
 @dataclass(frozen=True)
@@ -49,9 +47,7 @@ class CollocationScheme:
 
     def __post_init__(self):
         for name in ("n_dirichlet", "n_stefan", "n_initial"):
-            value = getattr(self, name)
-            if not float(value).is_integer() or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value}")
+            object.__setattr__(self, name, check_integer(getattr(self, name), name, 1))
         if self.n_dirichlet < self.n_stefan:
             raise DomainError(
                 f"n_dirichlet ({self.n_dirichlet}) must be >= n_stefan ({self.n_stefan})")
@@ -70,9 +66,7 @@ def preset_scheme(order, quadrature_order=16):
     count.  Reproduces the published pairings (6, 5, 2) at order 12 and
     (6, 4, 1) at order 10.
     """
-    if not float(order).is_integer() or order < 3:
-        raise DomainError(f"preset schemes need order >= 3, got {order}")
-    size = int(order) + 1
+    size = check_integer(order, "order", 3) + 1  # a preset needs order >= 3
     n_initial = 1 if size <= 11 else 2
     rem = size - n_initial
     n_stefan = (rem - 1) // 2
@@ -102,9 +96,15 @@ class LinearSystem:
 
 
 def _require_finite(matrix, rhs, family):
-    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
+    finite = np.isfinite(rhs)
+    bad = np.flatnonzero(~(finite if matrix is None else np.isfinite(matrix).all(axis=1) & finite))
     if bad.size:
         raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
+
+
+def panel_sums(weighted, q):
+    """Sums of each panel's q nodes on the last axis; every row rounds as it does alone."""
+    return weighted.reshape(weighted.shape[:-1] + (-1, q)).sum(axis=-1)
 
 
 def stefan_nodes(problem, scheme):
@@ -127,15 +127,11 @@ def assemble(problem, basis, scheme):
     horizon = problem.horizon
     q = scheme.quadrature_order
 
-    def panel_sums(weighted):
-        # Sums each panel's q nodes; panels stay on a contiguous last axis.
-        return weighted.reshape(weighted.shape[:-1] + (-1, q)).sum(axis=-1)
-
     with np.errstate(over="ignore", invalid="ignore"):
         # Interface temperature rows.
         t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_dirichlet, q)
         s_nodes = problem.boundary(t_nodes)
-        dirichlet = panel_sums(t_weights * basis.design(s_nodes, t_nodes)).T
+        dirichlet = panel_sums(t_weights * basis.design(s_nodes, t_nodes), q).T
         dirichlet_rhs = np.full(scheme.n_dirichlet,
                                 problem.melt_temperature * (horizon / scheme.n_dirichlet))
         _require_finite(dirichlet, dirichlet_rhs, "dirichlet")
@@ -144,7 +140,7 @@ def assemble(problem, basis, scheme):
         t_nodes, t_weights = stefan_nodes(problem, scheme)
         s_nodes = problem.boundary(t_nodes)
         stefan = panel_sums(t_weights * (-problem.conductivity)
-                            * basis.design(s_nodes, t_nodes, "dx")).T
+                            * basis.design(s_nodes, t_nodes, "dx"), q).T
         edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
         s_edges = problem.boundary(edges)
         stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
@@ -158,7 +154,7 @@ def assemble(problem, basis, scheme):
         initial = (np.diff(x_edges ** exponents) / exponents).T
         x_nodes, x_weights = quadrature.subdivided_nodes(0.0, s0, scheme.n_initial, q)
         f_vals = problem.initial_profile(x_nodes)
-        initial_rhs = panel_sums(x_weights * f_vals)
+        initial_rhs = panel_sums(x_weights * f_vals, q)
         _require_finite(initial, initial_rhs, "initial")
 
     counts = {"dirichlet": scheme.n_dirichlet, "stefan": scheme.n_stefan,
@@ -175,7 +171,7 @@ def with_stefan_data(system, scheme, weights, data):
     """system with the energy-balance right side integrated from data at stefan_nodes."""
     rows = slice(scheme.n_dirichlet, scheme.n_dirichlet + scheme.n_stefan)
     with np.errstate(over="ignore", invalid="ignore"):
-        stefan_rhs = (weights * data).reshape(-1, scheme.quadrature_order).sum(axis=-1)
+        stefan_rhs = panel_sums(weights * data, scheme.quadrature_order)
     _require_finite(system.matrix[rows], stefan_rhs, "stefan")
     rhs = system.rhs.copy()
     rhs[rows] = stefan_rhs

@@ -17,7 +17,7 @@ boundary-data fitting.
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer
 
 __all__ = ["HeatPolynomialBasis"]
 
@@ -48,10 +48,8 @@ class HeatPolynomialBasis:
         diffusivity = float(diffusivity)
         if not np.isfinite(diffusivity) or diffusivity <= 0.0:
             raise DomainError(f"diffusivity must be a positive finite number, got {diffusivity}")
-        if not float(max_order).is_integer() or max_order < 0:
-            raise DomainError(f"max_order must be a non-negative integer, got {max_order}")
         self.diffusivity = diffusivity
-        self.max_order = int(max_order)
+        self.max_order = check_integer(max_order, "max_order", 0)
 
     def __repr__(self):
         return f"HeatPolynomialBasis(diffusivity={self.diffusivity!r}, max_order={self.max_order})"
@@ -62,9 +60,7 @@ class HeatPolynomialBasis:
         return self.max_order + 1
 
     def _check_order(self, n):
-        if not float(n).is_integer() or n < 0 or n > self.max_order:
-            raise DomainError(f"order must be an integer in [0, {self.max_order}], got {n}")
-        return int(n)
+        return check_integer(n, "order", 0, self.max_order + 1)
 
     def coefficients(self, n):
         """Coefficients K_m of the monomials x^(n-2m) t^m for m = 0 .. floor(n/2).

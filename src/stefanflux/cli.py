@@ -19,11 +19,10 @@ import sys
 from pathlib import Path
 
 from .assembly import CollocationScheme, preset_scheme
-from .errors import NumericalError, SingularMatrixError
+from .errors import NumericalError, SingularMatrixError, check_real
 from .experiments import SweepGrid, run_case, run_sweep
 from .noise import MODES, NoiseSpec, check_seed
 from .problem import benchmark_problem, linear_boundary_problem, sqrt_boundary_problem
-from .solver import _check_beta
 
 __all__ = ["main"]
 
@@ -193,9 +192,9 @@ def _case_setup(pick):
     scheme = (_parse_scheme(scheme_text, quad) if scheme_text is not None
               else preset_scheme(order, quad))
     # beta and seed are checked here, before any command creates its output directory.
-    return (problem, order, scheme, _check_beta(pick("beta", 0.0)), int(pick("samples", 101)),
-            check_seed(pick("seed", 0)), pick("noise_mode", "relative"),
-            _parse_list(pick("noise", "0"), float))
+    return (problem, order, scheme, check_real(pick("beta", 0.0), "beta"),
+            int(pick("samples", 101)), check_seed(pick("seed", 0)),
+            pick("noise_mode", "relative"), _parse_list(pick("noise", "0"), float))
 
 
 def cmd_solve(pick):

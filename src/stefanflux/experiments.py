@@ -2,17 +2,18 @@
 
 A sweep runs one group at a time: the cells sharing (horizon, order), which
 the grid emits contiguously.  A group builds its problem, basis, scheme, clean
-system and one Factorization of its matrix once, the standard normal noise of
-all its seeds in one block at its first noisy cell, and its error-functional
-grids at its first solve.  A cell only rebuilds a noisy right-hand side
-(scale_draws, with_stefan_data), solves on the shared factors and sums.
-Memory holds one group; run_case is a group of one cell.
+system and one Factorization of its matrix once; the noise of all its seeds in
+one block at its first noisy cell, and at each level's first cell the block of
+all seeds' energy-balance right sides; its error grids at its first solve.  A
+cell copies its seed's row into the right side, solves on the shared factors
+and sums.  Memory holds one group; run_case is a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
-group that fails to build, or one cell; a group whose draws fail tags its
-noisy cells only.  wall_time is a cell's own time (the first solved cell's
-includes the grids, the first noisy cell's the draws) plus an equal share of
-its group's build.  Groups run one after another in the calling process, and
+group that fails to build, or one cell, as when its seed's row is not finite;
+a group whose draws fail tags its noisy cells only.  wall_time is a cell's own
+time (the first solved cell's includes the grids, the first noisy cell's the
+draws, the first cell at each level its block) plus an equal share of its
+group's build.  Groups run one after another in the calling process, and
 cells come in a fixed order, so reruns give identical results.
 """
 
@@ -24,10 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (CollocationScheme, assemble, check_quadrature_order, preset_scheme,
-                       residual, stefan_nodes, with_stefan_data)
+from .assembly import (CollocationScheme, _require_finite, assemble, check_quadrature_order,
+                       panel_sums, preset_scheme, stefan_nodes)
 from .basis import HeatPolynomialBasis
-from .errors import DomainError, NumericalError, SingularMatrixError
+from .errors import (DomainError, NumericalError, SingularMatrixError, check_integer,
+                     check_real)
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
@@ -67,13 +69,29 @@ class _Group:
         self.system = assemble(problem, self.basis, self.scheme)
         self.factors = Factorization(self.system.matrix)
         self.seeds = seeds
+        self._blocks = {}  # (level, mode) -> the energy-balance right sides, one row per seed
 
     @cached_property
     def _noise(self):
-        """The energy-balance nodes and weights, and each seed's draws at the nodes."""
-        nodes = stefan_nodes(self.problem, self.scheme)
+        """The energy-balance weights, clean data at the nodes, and the seeds' draws there."""
+        ts, weights = stefan_nodes(self.problem, self.scheme)
         # Draws depend on the seed and the time alone, so every level and beta shares them.
-        return nodes, dict(zip(self.seeds, standard_draws(self.seeds, nodes[0])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return weights, self.problem.interface_flux(ts), standard_draws(self.seeds, ts)
+
+    def _noisy_rhs(self, noise):
+        """noise's right side, its row of the block that its level and mode's first cell builds."""
+        key = (noise.level, noise.mode)
+        if key not in self._blocks:
+            weights, clean, draws = self._noise
+            with np.errstate(over="ignore", invalid="ignore"):
+                data = scale_draws(noise, clean, draws, self.problem.conductivity)
+                self._blocks[key] = panel_sums(weights * data, self.scheme.quadrature_order)
+        stefan = self._blocks[key][self.seeds.index(noise.seed)]
+        _require_finite(None, stefan, "stefan")  # the matrix rows passed at assembly
+        rhs = self.system.rhs.copy()
+        rhs[self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = stefan
+        return rhs
 
     @cached_property
     def _errors(self):
@@ -81,20 +99,14 @@ class _Group:
         return _delta_p_on(self.problem, self.basis), _delta_u_on(self.problem, self.basis)
 
     def evaluate(self, beta, noise=None):
-        """One cell's delta_p, delta_u, condition number, residual norm, coefficients, system."""
-        system = self.system
-        if noise is not None and noise.level > 0.0:
-            (t_nodes, t_weights), draws = self._noise
-            with np.errstate(over="ignore", invalid="ignore"):
-                data = scale_draws(noise, self.problem.interface_flux(t_nodes),
-                                   draws[noise.seed], self.problem.conductivity)
-            system = with_stefan_data(system, self.scheme, t_weights, data)
-        coeffs = self.factors.solve(system.rhs, beta)
-        res_norm = float(np.linalg.norm(residual(system, coeffs)))
-        delta_p, delta_u = self._errors
+        """A cell's delta_p, delta_u, condition number, residual norm, coefficients, right side."""
+        rhs = self._noisy_rhs(noise) if noise is not None and noise.level > 0.0 else self.system.rhs
         # Noisy data changes only the right side, so the matrix's factors serve every cell.
+        coeffs = self.factors.solve(rhs, beta)
+        res_norm = float(np.linalg.norm(self.system.matrix @ coeffs - rhs))
+        delta_p, delta_u = self._errors
         return (delta_p(coeffs), delta_u(coeffs), self.factors.condition_number(beta), res_norm,
-                coeffs, system)
+                coeffs, rhs)
 
 
 def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
@@ -104,9 +116,9 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
     group = _Group(problem, order, scheme, seeds=() if noise is None else (noise.seed,))
-    dp, du, cond, res_norm, coeffs, system = group.evaluate(beta, noise)
+    dp, du, cond, res_norm, coeffs, rhs = group.evaluate(beta, noise)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples)
-    rhs_norm = float(np.linalg.norm(system.rhs))
+    rhs_norm = float(np.linalg.norm(rhs))
     return SolveReport(tuple(float(c) for c in coeffs), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
                        float(max(row[3] for row in curve)), tuple(curve))
@@ -127,27 +139,18 @@ class SweepGrid:
     quadrature_order: int = 16
 
     def __post_init__(self):
-        orders = tuple(self.orders)
-        if not all(float(n).is_integer() for n in orders):  # nan and inf are not
-            raise DomainError(f"orders must be integers, got {orders}")
-        object.__setattr__(self, "orders", tuple(int(n) for n in orders))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(self, "noise_levels", tuple(float(e) for e in self.noise_levels))
+        # Orders below 2 cannot carry all three condition families.
+        orders = tuple(check_integer(n, "orders", 2) for n in self.orders)
+        object.__setattr__(self, "orders", orders)
+        for name, positive in (("betas", False), ("noise_levels", False), ("horizons", True)):
+            object.__setattr__(self, name, tuple(check_real(v, name, positive)
+                                                 for v in getattr(self, name)))
         object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
-        object.__setattr__(self, "horizons", tuple(float(t) for t in self.horizons))
         object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):
             if not getattr(self, name):
                 raise DomainError(f"{name} must be non-empty")
-        if any(n < 2 for n in self.orders):
-            raise DomainError("orders below 2 cannot carry all three condition families")
-        if not all(np.isfinite(b) and b >= 0 for b in self.betas):
-            raise DomainError("betas must be finite and >= 0")
-        if not all(np.isfinite(e) and e >= 0 for e in self.noise_levels):
-            raise DomainError("noise levels must be finite and >= 0")
-        if not all(np.isfinite(t) and t > 0 for t in self.horizons):
-            raise DomainError("horizons must be positive and finite")
         if self.noise_mode not in MODES:
             raise DomainError(f"noise_mode must be one of {MODES}, got {self.noise_mode!r}")
 
@@ -275,8 +278,7 @@ def run_sweep(grid, jobs=1):
 
     jobs must be an integer in [1, 2**63) and has no effect; it stays for callers that pass it.
     """
-    if not (1 <= jobs < 2 ** 63 and float(jobs).is_integer()):  # float() overflows above 1e308
-        raise DomainError(f"jobs must be an integer in [1, 2**63), got {jobs}")
+    check_integer(jobs, "jobs", 1)
     return SweepResult(grid=grid, records=[
         record for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])
         for record in _evaluate_group(grid, list(cells))])

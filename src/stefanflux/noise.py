@@ -4,10 +4,11 @@ Noisy data enters a system one way: standard_draws at assembly.stefan_nodes,
 then scale_draws, then assembly.with_stefan_data.  The draw at t is
 default_rng((seed, round(t / 1e-12))).standard_normal() bit for bit, whatever
 the evaluation order or batching, so noisy quadrature is byte-reproducible.
-standard_draws replays SeedSequence and PCG64's first output r (O'Neill, PCG,
-2014) on arrays, then the fast path of numpy's ziggurat (Marsaglia & Tsang, J.
-Stat. Softw. 5(8), 2000), +-(r >> 9 mod 2**52) * wi[r & 0xff] below ki[r & 0xff],
-on tables probed from numpy once per process; numpy draws the other ~2%.
+standard_draws replays SeedSequence on uint32 arrays, and PCG64's seeding and
+first output r (O'Neill, PCG, 2014) on (hi, lo) pairs of uint64 arrays, then the
+fast path of numpy's ziggurat (Marsaglia & Tsang, J. Stat. Softw. 5(8), 2000),
++-(r >> 9 mod 2**52) * wi[r & 0xff] below ki[r & 0xff], on tables probed from
+numpy once per process; numpy draws the other ~2%, from Python-int states.
 """
 
 import functools
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_integer, check_real
 
 __all__ = ["NoiseSpec", "standard_draws", "scale_draws"]
 
@@ -23,6 +24,7 @@ T_QUANTUM = 1e-12
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_INV = pow(_PCG_MULT, -1, 1 << 128)
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
 # The running constants of SeedSequence's 16 pool hashes and 8 output words.
 _POOL_HASH, _OUTPUT_HASH = (
     np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(count)], np.uint32)[:, None]
@@ -33,13 +35,7 @@ MODES = ("relative", "constant")
 
 def check_seed(seed):
     """seed as an int; DomainError unless it is an integer in [0, 2**64)."""
-    try:
-        value = int(seed)  # not float(seed): that overflows above 1e308
-    except (ValueError, OverflowError):  # nan, inf
-        value = None
-    if value is None or value != seed or not 0 <= value <= _MASK64:
-        raise DomainError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return value
+    return check_integer(seed, "seed", 0, 1 << 64)
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,7 @@ class NoiseSpec:
     mode: str = "relative"
 
     def __post_init__(self):
-        if not np.isfinite(self.level) or self.level < 0.0:
-            raise DomainError(f"noise level must be finite and >= 0, got {self.level}")
+        check_real(self.level, "noise level")
         check_seed(self.seed)
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -67,6 +62,22 @@ def _hashmix(values, calls):
     """SeedSequence's hashmix on uint32 arrays; result row j is its hash call calls.start + j."""
     values = (values ^ _POOL_HASH[calls]) * _POOL_HASH[calls.start + 1:calls.stop + 1]
     return values ^ values >> 16
+
+
+def _add(a, b):
+    """a + b mod 2**128 on (hi, lo) pairs of uint64 words; the low sum carries when it wraps."""
+    lo = a[1] + b[1]
+    return a[0] + b[0] + (lo < a[1]), lo
+
+
+def _step(x, inc):
+    """One PCG64 step x * _PCG_MULT + inc mod 2**128 on (hi, lo) pairs of uint64 arrays."""
+    hi, lo = x
+    # The high word of lo * _MULT_LO from 32-bit halves, whose products fit in 64 bits.
+    l0, l1, m0, m1 = lo & _MASK32, lo >> 32, _MULT_LO & _MASK32, _MULT_LO >> 32
+    mid = l0 * m1 + (l0 * m0 >> 32)
+    high = l1 * m1 + (mid >> 32) + ((mid & _MASK32) + l1 * m0 >> 32)
+    return _add((hi * _MULT_LO + lo * _MULT_HI + high, lo * _MULT_LO), inc)
 
 
 def _draw(gen, stepped, inc):
@@ -93,16 +104,17 @@ def _ziggurat():
 
 
 def _normals(stepped, inc):
-    """standard_normal() of PCG64s stepped to their first output; object arrays of ints."""
-    hi = (stepped >> 64).astype(np.uint64)
-    r, rot = hi ^ (stepped & _MASK64).astype(np.uint64), hi >> 58
+    """standard_normal() of PCG64s stepped to their first output, as (hi, lo) uint64 arrays."""
+    r, rot = stepped[0] ^ stepped[1], stepped[0] >> 58
     r = r >> rot | r << (64 - rot & 63)
     wi, ki = _ziggurat()
     idx, rabs = r & 0xFF, r >> 9 & (1 << 52) - 1
     x = np.where(r & 0x100, -1.0, 1.0) * (rabs * wi[idx])
     slow = np.flatnonzero(rabs >= ki[idx])
     gen = np.random.Generator(np.random.PCG64(0))  # per call: threads share no state
-    x[slow] = [_draw(gen, s, i) for s, i in zip(stepped[slow], inc[slow])]
+    states, incs = (hi[slow].astype(object) << 64 | lo[slow].astype(object)
+                    for hi, lo in (stepped, inc))  # Python ints for these samples alone
+    x[slow] = [_draw(gen, s, i) for s, i in zip(states, incs)]
     return x
 
 
@@ -132,9 +144,10 @@ def standard_draws(seeds, ts):
         pool[dst] = mixed ^ mixed >> 16
     words = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ _OUTPUT_HASH[:8]) * _OUTPUT_HASH[1:]
     words = (words ^ words >> 16).astype(np.uint64)
-    v0, v1, v2, v3 = (words[0::2] | words[1::2] << 32).astype(object)
-    inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
-    stepped = (((inc + (v0 << 64 | v1)) * _PCG_MULT + inc) * _PCG_MULT + inc) & _MASK128
+    v0, v1, v2, v3 = words[0::2] | words[1::2] << 32
+    # PCG64 seeding: inc = (v2:v3) << 1 | 1, and state 0 steps, adds (v0:v1) and steps.
+    inc = (v2 << 1 | v3 >> 63, v3 << 1 | 1)
+    stepped = _step(_step(_add(inc, (v0, v1)), inc), inc)
     return _normals(stepped, inc).reshape(row_shape)
 
 

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularMatrixError
+from .errors import NumericalError, SingularMatrixError, check_real
 
 __all__ = [
     "Factorization",
@@ -31,13 +31,6 @@ PIVOT_RTOL = 1e-14
 def _check_finite(values, name="matrix"):
     if not np.all(np.isfinite(values)):
         raise NumericalError(f"{name} contains non-finite entries")
-
-
-def _check_beta(beta):
-    beta = float(beta)
-    if not np.isfinite(beta) or beta < 0.0:
-        raise DomainError(f"beta must be finite and >= 0, got {beta}")
-    return beta
 
 
 def penalty_weights(size):
@@ -62,6 +55,7 @@ class Factorization:
     def __init__(self, matrix):
         _check_finite(matrix)
         self.matrix = matrix
+        self._conds = {}  # beta -> condition number: a sweep group's records share one float
 
     @cached_property
     def _equilibrated(self):
@@ -88,7 +82,7 @@ class Factorization:
         (B^T B + beta I) y = B^T b without forming it, so the condition number
         is not squared.
         """
-        beta = _check_beta(beta)
+        beta = check_real(beta, "beta")
         if not beta:
             return self._direct(rhs, "matrix is")
         _check_finite(rhs, "right-hand side")
@@ -113,12 +107,12 @@ class Factorization:
     def condition_number(self, beta=0.0):
         """sigma_max / sigma_min of A at beta = 0; at beta > 0 the condition
         number (sigma_max^2 + beta) / (sigma_min^2 + beta) of B^T B + beta I."""
-        beta = _check_beta(beta)
-        if beta:
-            sigma = self._normalized[1]
-            return float((sigma[0] ** 2 + beta) / (sigma[-1] ** 2 + beta))
-        sigma = self._sigma
-        return float(sigma[0] / sigma[-1]) if sigma[-1] else float("inf")
+        beta = check_real(beta, "beta")
+        if beta not in self._conds:
+            sigma = self._normalized[1] if beta else self._sigma
+            self._conds[beta] = float((sigma[0] ** 2 + beta) / (sigma[-1] ** 2 + beta) if beta
+                                      else sigma[0] / sigma[-1] if sigma[-1] else np.inf)
+        return self._conds[beta]
 
 
 def solve(system, beta=0.0):
@@ -133,7 +127,7 @@ def solve_direct(system):
 
 def solve_tikhonov(system, beta):
     """The damped solve; at beta = 0 a rank loss is reported as singular normal equations."""
-    beta = _check_beta(beta)
+    beta = check_real(beta, "beta")
     factors = Factorization(system.matrix)
     return factors.solve(system.rhs, beta) if beta else factors._direct(
         system.rhs, "normal equations are")

@@ -45,7 +45,7 @@ def test_scheme_validation():
         CollocationScheme(3, -1, 1)
     with pytest.raises(ValueError):
         CollocationScheme(2, 3, 1)  # temperature rows must dominate
-    for quad in (4, 16.5, math.nan):
+    for quad in (4, 16.5, math.nan, 10 ** 400):
         with pytest.raises(DomainError, match="quadrature_order"):
             CollocationScheme(3, 1, 1, quadrature_order=quad)
     # 16.0 passed the check but reached the Gauss rule as a float, which numpy refuses.
@@ -53,7 +53,7 @@ def test_scheme_validation():
     assert CollocationScheme(6, 5, 2).size == 13
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, pytest.param(10 ** 400, id="huge")])
 @pytest.mark.parametrize("build", [
     lambda bad: CollocationScheme(bad, 1, 1),
     lambda bad: preset_scheme(bad),
@@ -61,7 +61,7 @@ def test_scheme_validation():
     lambda bad: HeatPolynomialBasis(1.0, 4).coefficients(bad),
 ], ids=["scheme", "preset_scheme", "basis", "basis_order"])
 def test_non_finite_counts_raise_domain_error(build, bad):
-    # int(nan) raised a bare ValueError and int(inf) an OverflowError.
+    # int(nan) raised a bare ValueError, and int(inf) and float(10**400) an OverflowError.
     with pytest.raises(DomainError, match="integer|order"):
         build(bad)
 

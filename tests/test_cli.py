@@ -235,6 +235,7 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
            ["sweep", "--orders", "8", "--noise", "nan"], ["sweep", "--betas", "nan"],
            ["sweep", "--orders", "8", "--jobs", "0"], ["sweep", "--orders", "8", "--jobs", "-1"],
            ["sweep", "--orders", "8", "--jobs", "1" + "0" * 400],
+           ["solve", "--order", "1" + "0" * 400], ["sweep", "--orders", "1" + "0" * 400],
            ["solve", "--seed", "-1"], ["solve", "--noise", "0.01", "--seed", str(2 ** 64)],
            ["plotdata", "--noise", "0.01", "--seed", "-1"],
            ["sweep", "--orders", "8", "--noise", "0.01", "--seeds", "0,-1"],

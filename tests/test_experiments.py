@@ -33,9 +33,13 @@ from stefanflux import (
     sqrt_boundary_problem,
 )
 from stefanflux import experiments
-from stefanflux.assembly import stefan_nodes, with_stefan_data
+from stefanflux.assembly import check_quadrature_order, stefan_nodes, with_stefan_data
+from stefanflux.errors import check_integer
 from stefanflux.experiments import _error_tag
 from stefanflux.noise import scale_draws, standard_draws
+
+# An integer that float() cannot convert; the checks raised a bare OverflowError on it.
+HUGE = 10 ** 400
 
 
 def test_run_case_matches_manual_pipeline():
@@ -119,7 +123,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), horizons=(0.0,))
     for bad in ({"betas": (math.nan,)}, {"noise_levels": (0.01, math.nan)},
-                {"horizons": (math.nan,)}, {"horizons": (math.inf,)}):
+                {"horizons": (math.nan,)}, {"horizons": (math.inf,)}, {"betas": (0.0, HUGE)},
+                {"noise_levels": (0.01, HUGE)}, {"horizons": (1.0, HUGE)}):
         with pytest.raises(ValueError):
             SweepGrid(orders=(8,), **bad)
     with pytest.raises(ValueError):
@@ -132,9 +137,11 @@ def test_grid_validation():
             SweepGrid(orders=(8,), noise_levels=(0.01,), seeds=(0, seed))
     assert SweepGrid(orders=(8,), seeds=(2 ** 64 - 1,)).seeds == (2 ** 64 - 1,)
     # Checked as CollocationScheme checks it; a bad order used to fail every group.
-    for quad in (5, 16.5, math.nan):
+    for quad in (5, 16.5, math.nan, HUGE):
         with pytest.raises(DomainError, match="quadrature_order"):
             SweepGrid(orders=(8,), quadrature_order=quad)
+        with pytest.raises(DomainError, match="quadrature_order"):
+            check_quadrature_order(quad)
     grid = SweepGrid(orders=[8], benchmark="example2", quadrature_order=32.0)
     assert grid.benchmark is BenchmarkId.EXAMPLE2
     assert grid.orders == (8,)
@@ -161,7 +168,7 @@ def test_jobs_must_be_positive():
 def test_orders_and_jobs_must_be_integers():
     # A fractional order used to truncate in SweepGrid and a fractional jobs
     # to fail inside the pool set-up; both match run_case's DomainError now.
-    for bad in (8.5, math.nan, math.inf):
+    for bad in (8.5, math.nan, math.inf, HUGE):
         with pytest.raises(DomainError, match="orders"):
             SweepGrid(orders=(8, bad))
     with pytest.raises(DomainError, match="max_order"):
@@ -173,6 +180,16 @@ def test_orders_and_jobs_must_be_integers():
         with pytest.raises(DomainError, match="jobs"):
             run_sweep(grid, jobs=jobs)
     assert run_sweep(grid, jobs=2.0).records == run_sweep(grid).records
+
+
+def test_integer_check_bounds():
+    assert check_integer(2 ** 63 - 1, "n", 0) == 2 ** 63 - 1
+    assert type(check_integer(np.float64(8.0), "n", 8)) is int
+    for bad in (2 ** 63, -1, -HUGE, HUGE, 8.5, math.nan, math.inf, "8", None):
+        with pytest.raises(DomainError, match=r"^n must be an integer in \[0, 2\*\*63\), got "):
+            check_integer(bad, "n", 0)
+    with pytest.raises(DomainError, match=r"in \[1, 5\), got 5$"):
+        check_integer(5, "n", 1, 5)
 
 
 def _case_key(grid, cell):
@@ -275,6 +292,70 @@ def test_noise_draws_are_shared_across_levels_and_betas(monkeypatch):
     scheme = preset_scheme(8)
     assert sum(sizes) == len(grid.seeds) * scheme.n_stefan * scheme.quadrature_order
     assert len(sizes) == 1
+
+
+def test_panel_sums_run_once_per_group_and_level(monkeypatch):
+    # A group sums the energy-balance panels of all its seeds at a noise level
+    # in one call, and every beta of that level reuses the block.
+    shapes = []
+    sums = experiments.panel_sums
+    monkeypatch.setattr(experiments, "panel_sums",
+                        lambda weighted, q: shapes.append(weighted.shape) or sums(weighted, q))
+    grid = SweepGrid(orders=(6, 8), betas=(0.0, 1e-7, 1e-3), noise_levels=(0.0, 0.01, 0.05),
+                     seeds=(0, 1, 2))
+    records = run_sweep(grid).records
+    assert all(rec.error is None for rec in records)
+    nodes = [preset_scheme(order).n_stefan * preset_scheme(order).quadrature_order
+             for order in grid.orders]
+    assert shapes == [(3, n) for n in nodes for _ in (0.01, 0.05)]
+    shapes.clear()
+    run_case(example1(), 8, beta=1e-7, noise=NoiseSpec(0.01, seed=4))
+    assert shapes == [(1, nodes[1])]
+
+
+def test_overflowing_seeds_fail_only_their_own_cells():
+    # At a constant level of 7e307, the data of seeds 3 to 6 overflow at some
+    # node and the others stay finite.  Each overflowing seed's cells fail with
+    # its first non-finite energy-balance row named, as a system built for the
+    # cell alone fails; the finite huge data fail later, after the solve.  Every
+    # record equals an independent run_case, and the other levels all solve.
+    prob = example1()
+    nodes = stefan_nodes(prob, preset_scheme(8))[0]
+    spec = NoiseSpec(7e307, mode="constant")
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 7e307),
+                     seeds=range(8), noise_mode="constant")
+    with np.errstate(all="ignore"):
+        data = scale_draws(spec, prob.interface_flux(nodes), standard_draws(grid.seeds, nodes),
+                           prob.conductivity)
+        overflows = [not np.isfinite(row).all() for row in data]
+        assert overflows == [False] * 3 + [True] * 4 + [False]
+        expected = [_case_key(grid, cell) for cell in grid.cells()]
+        records = run_sweep(grid).records
+        messages = []
+        for seed in grid.seeds:
+            with pytest.raises((NumericalError, DomainError)) as info:
+                run_case(prob, 8, noise=dataclasses.replace(spec, seed=seed))
+            messages.append(str(info.value))
+    rows = [f"non-finite value while assembling stefan row {row}" for row in (2, 2, 3, 1)]
+    assert messages[3:7] == rows
+    assert not any("stefan" in message for message in messages[:3] + messages[7:])
+    assert [_record_key(rec) for rec in records] == expected
+    for rec in records:
+        if rec.noise_level < 1.0:
+            assert rec.error is None
+        elif overflows[rec.seed]:
+            assert rec.error == "numerical_error"
+        else:
+            assert rec.error is not None
+
+
+def test_group_records_share_one_condition_number():
+    # Factorization.condition_number keeps one float per beta for all the cells.
+    records = run_sweep(SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
+                                  seeds=(0, 1))).records
+    for beta in (0.0, 1e-7):
+        conds = [rec.condition_number for rec in records if rec.beta == beta]
+        assert len(conds) == 4 and all(cond is conds[0] for cond in conds)
 
 
 def test_draw_failure_tags_only_noisy_cells(monkeypatch):

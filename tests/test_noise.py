@@ -1,6 +1,7 @@
 """Deterministic Gaussian perturbation of the energy-balance data."""
 
 import math
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -38,9 +39,11 @@ def _assert_outputs_draw_as_numpy(outputs):
 
     One step takes the state (r - inc) / multiplier to r, whose high word 0 makes
     the output r itself; numpy's standard_normal() from that state is the oracle.
+    The package takes each 128-bit state and increment as (hi, lo) uint64 words.
     """
-    got = noise._normals(np.array(outputs, dtype=object),
-                         np.full(len(outputs), _INC, dtype=object))
+    words = np.zeros(len(outputs), dtype=np.uint64)
+    got = noise._normals((words, words + np.array(outputs, dtype=np.uint64)),
+                         (words + (_INC >> 64), words + (_INC & 2 ** 64 - 1)))
     generator = np.random.Generator(np.random.PCG64(0))
     expected = []
     for r in outputs:
@@ -49,6 +52,38 @@ def _assert_outputs_draw_as_numpy(outputs):
                                          "has_uint32": 0, "uinteger": 0}
         expected.append(generator.standard_normal())
     np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+
+def _words(values):
+    """128-bit Python ints as the (hi, lo) pair of uint64 arrays the package computes on."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & 2 ** 64 - 1 for v in values], dtype=np.uint64))
+
+
+def _ints(words):
+    return [hi << 64 | lo for hi, lo in zip(words[0].tolist(), words[1].tolist())]
+
+
+def test_uint64_words_add_and_step_as_python_ints_mod_2_128():
+    # Words whose 32-bit halves are 0, 1, 2**31 and 2**32 - 1 stress the carries
+    # of the 32-bit products in the multiply; random words fill the rest.
+    halves = (0, 1, 2 ** 31, 2 ** 32 - 1)
+    words = [hi << 32 | lo for hi in halves for lo in halves]
+    rng = random.Random(15)
+    words += [rng.getrandbits(64) for _ in range(16)]
+    a = [hi << 64 | lo for hi in words for lo in words]
+    b = a[::-1]
+    mod = 2 ** 128
+    assert _ints(noise._add(_words(a), _words(b))) == [(x + y) % mod for x, y in zip(a, b)]
+    # Hundreds of the low-word sums wrap and carry into the high word.
+    assert 100 < sum((x % 2 ** 64) + (y % 2 ** 64) >= 2 ** 64 for x, y in zip(a, b)) < len(a)
+    mult = 0x2360ED051FC65DA44385DF649FCCF645
+    assert _ints(noise._step(_words(a), _words(b))) == [(x * mult + y) % mod
+                                                         for x, y in zip(a, b)]
+    # States and increments at the ends of the 128-bit range.
+    top = [mod - 1, mod - 2, 2 ** 64 - 1, 2 ** 64]
+    assert _ints(noise._step(_words(top), _words([1, 3, mod - 1, 2 ** 64 + 1]))) == [
+        (x * mult + y) % mod for x, y in zip(top, [1, 3, mod - 1, 2 ** 64 + 1])]
 
 
 def _noisy(prob, spec, ts):
@@ -121,6 +156,8 @@ def test_spec_validation():
         NoiseSpec(-0.01)
     with pytest.raises(ValueError):
         NoiseSpec(float("nan"))
+    with pytest.raises(DomainError, match="noise level"):
+        NoiseSpec(10 ** 400)  # np.isfinite raised a TypeError on it
     with pytest.raises(ValueError):
         NoiseSpec(0.01, seed=0.5)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Benchmark problem definitions: pinned values and PDE residual invariants."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -192,6 +193,28 @@ def test_scalar_only_callables_are_sampled_pointwise():
     np.testing.assert_array_equal(prob.boundary_rate(np.array([0.0, 0.5, 1.0])), np.ones(3))
     out = prob.exact_solution(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
     np.testing.assert_allclose(out, [1.0, math.sin(0.5) + 2.0], rtol=1e-15)
+
+
+def test_family_callables_are_not_probed_but_a_users_are(monkeypatch):
+    # The two families' closures take arrays, so a build evaluates only their
+    # boundary, for its sign: example2's erf-based oracles are not called.
+    import stefanflux.problem as problem_module
+
+    calls = []
+    erf = problem_module._erf
+    monkeypatch.setattr(problem_module, "_erf", lambda x: calls.append(1) or erf(x))
+    prob = example2()
+    assert calls == []
+    assert not isinstance(prob.exact_solution, np.vectorize)
+    prob.initial_profile(np.array([0.1, 0.2]))
+    assert calls == [1]
+    # A user's callable beside them is still probed, and wrapped if scalar-only,
+    # and a user's boundary still has its sign checked.
+    custom = dataclasses.replace(prob, initial_profile=lambda x: math.cos(x))
+    assert isinstance(custom.initial_profile, np.vectorize)
+    assert custom.exact_solution is prob.exact_solution
+    with pytest.raises(DomainError, match="boundary"):
+        dataclasses.replace(prob, boundary=lambda t: 0.5 - t)
 
 
 def test_material_parameters_propagate():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stefanflux import (
+    DomainError,
     HeatPolynomialBasis,
     NumericalError,
     SingularMatrixError,
@@ -15,6 +16,7 @@ from stefanflux import (
     example1,
     penalty_weights,
     preset_scheme,
+    run_case,
     solve,
     solve_direct,
     solve_tikhonov,
@@ -181,11 +183,14 @@ def test_solve_dispatch_and_validation():
 
 def test_beta_validation():
     _, _, system = _example1_system(4)
-    for bad in (-1e-3, float("nan"), float("inf")):
+    # float(10**400) overflows: it raised a bare OverflowError.
+    for bad in (-1e-3, float("nan"), float("inf"), 10 ** 400):
         with pytest.raises(ValueError):
             solve_tikhonov(system, bad)
         with pytest.raises(ValueError):
             condition_number(system, beta=bad)
+        with pytest.raises(DomainError, match="beta"):
+            run_case(example1(), 4, beta=bad)
 
 
 def test_nonfinite_matrix_rejected():
