@@ -143,12 +143,16 @@ class HeatPolynomialBasis:
     def combine(self, coeffs, rows):
         """Sum c_n * rows[n] over a design() block as one BLAS vector-matrix
         product, which rounds within a few eps * sum |c_n rows[n]|."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.size,):
-            raise DomainError(
-                f"expected {self.size} coefficients for max_order {self.max_order}, "
-                f"got shape {coeffs.shape}")
-        if not np.all(np.isfinite(coeffs)):
-            raise DomainError("coefficients must be finite")
-        acc = (coeffs @ rows.reshape(self.size, -1)).reshape(rows.shape[1:])
+        acc = self.combine_rows([coeffs], rows)[0].reshape(rows.shape[1:])
         return float(acc) if acc.ndim == 0 else acc
+
+    def combine_rows(self, block, rows):
+        """combine for each row of an (h, N + 1) block, flat: one gemv per row, so
+        each row rounds as it does alone (a gemm over the block would not)."""
+        block = np.asarray(block, dtype=float)
+        if block.ndim != 2 or block.shape[1] != self.size:
+            raise DomainError(f"expected {self.size} coefficients for max_order "
+                              f"{self.max_order}, got shape {block.shape[1:]}")
+        if not np.isfinite(block).all():
+            raise DomainError("coefficients must be finite")
+        return (block[:, None, :] @ rows.reshape(self.size, -1))[:, 0, :]

@@ -4,17 +4,18 @@ A sweep runs one group at a time: the cells sharing (horizon, order), which
 the grid emits contiguously.  A group builds its problem, basis, scheme, clean
 system and one Factorization of its matrix once; the noise of all its seeds in
 one block at its first noisy cell, and at each level's first cell the block of
-all seeds' energy-balance right sides; its error grids at its first solve.  A
-cell copies its seed's row into the right side, solves on the shared factors
-and sums.  Memory holds one group; run_case is a group of one cell.
+all seeds' energy-balance right sides.  Then, 8 cells at a time, each cell
+copies its seed's row into the right side and solves on the shared factors,
+and the cells that solved are measured as one block (the first builds the
+error grids).  Memory holds one group; run_case is a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
-group that fails to build, or one cell, as when its seed's row is not finite;
-a group whose draws fail tags its noisy cells only.  wall_time is a cell's own
-time (the first solved cell's includes the grids, the first noisy cell's the
-draws, the first cell at each level its block) plus an equal share of its
-group's build.  Groups run one after another in the calling process, and
-cells come in a fixed order, so reruns give identical results.
+group that fails to build, or one cell, as when its seed's row, solution or
+error is not finite; a group whose draws fail tags its noisy cells only.
+wall_time is a cell's own solve time (the first noisy cell's includes the
+draws, the first cell at each level its block) plus equal shares of its
+block's measure and group's build.  Groups run one after another, and cells
+come in a fixed order, so reruns give identical results.
 """
 
 import itertools
@@ -95,18 +96,25 @@ class _Group:
 
     @cached_property
     def _errors(self):
-        """The delta_p and delta_u closures, built at the first solve: a failed solve costs none."""
+        """The delta_p and delta_u closures, built at the first block: a failed solve costs none."""
         return _delta_p_on(self.problem, self.basis), _delta_u_on(self.problem, self.basis)
 
-    def evaluate(self, beta, noise=None):
-        """A cell's delta_p, delta_u, condition number, residual norm, coefficients, right side."""
+    def solve(self, beta, noise=None):
+        """A cell's coefficients, condition number, residual norm and right side."""
         rhs = self._noisy_rhs(noise) if noise is not None and noise.level > 0.0 else self.system.rhs
         # Noisy data changes only the right side, so the matrix's factors serve every cell.
         coeffs = self.factors.solve(rhs, beta)
         res_norm = float(np.linalg.norm(self.system.matrix @ coeffs - rhs))
-        delta_p, delta_u = self._errors
-        return (delta_p(coeffs), delta_u(coeffs), self.factors.condition_number(beta), res_norm,
-                coeffs, rhs)
+        return coeffs, self.factors.condition_number(beta), res_norm, rhs
+
+    def measure(self, block):
+        """Each row's (delta_p, delta_u, error tag); a block that fails is measured row by row."""
+        try:
+            return list(zip(*(error(block) for error in self._errors), [None] * len(block)))
+        except _CELL_ERRORS as exc:
+            if len(block) == 1:
+                return [(None, None, _error_tag(exc))]
+            return [outcome for row in block for outcome in self.measure(row[None])]
 
 
 def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
@@ -116,7 +124,8 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
     group = _Group(problem, order, scheme, seeds=() if noise is None else (noise.seed,))
-    dp, du, cond, res_norm, coeffs, rhs = group.evaluate(beta, noise)
+    coeffs, cond, res_norm, rhs = group.solve(beta, noise)
+    (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples)
     rhs_norm = float(np.linalg.norm(rhs))
     return SolveReport(tuple(float(c) for c in coeffs), group.scheme, float(beta), cond, res_norm,
@@ -207,6 +216,10 @@ def _error_tag(exc):
 _CELL_ERRORS = (DomainError, NumericalError, FloatingPointError, OverflowError)
 
 
+# Cells solved, then measured as one block: delta_u's block holds 8 x 4,096 floats.
+_BLOCK = 8
+
+
 def _evaluate_group(grid, cells):
     """Yield the CellRecord of each cell of one (horizon, order) group."""
     horizon, order = cells[0][:2]
@@ -217,16 +230,28 @@ def _evaluate_group(grid, cells):
     except _CELL_ERRORS as exc:
         group, failure = None, _error_tag(exc)
     share = (time.perf_counter() - start) / len(cells)
-    for _, _, beta, level, seed in cells:
-        start = time.perf_counter()
-        values, error = (float("nan"),) * 4, failure
-        if group is not None:
-            try:
-                values = group.evaluate(beta, NoiseSpec(level, seed, grid.noise_mode))[:4]
-            except _CELL_ERRORS as exc:
-                error = _error_tag(exc)
-        yield CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *values,
-                         time.perf_counter() - start + share, error)
+    for first in range(0, len(cells), _BLOCK):
+        block, solved = cells[first:first + _BLOCK], []
+        rows = [[np.nan] * 4 + [share, failure] for _ in block]  # a record's last 6 fields
+        for (_, _, beta, level, seed), row in zip(block, rows):
+            start = time.perf_counter()
+            if group is not None:
+                try:
+                    noise = NoiseSpec(level, seed, grid.noise_mode)
+                    solved.append((row, *group.solve(beta, noise)))
+                except _CELL_ERRORS as exc:
+                    row[5] = _error_tag(exc)
+            row[4] += time.perf_counter() - start
+        if solved:
+            start = time.perf_counter()
+            measured = group.measure(np.array([cell[1] for cell in solved]))
+            seconds = (time.perf_counter() - start) / len(solved)
+            for (row, _, cond, res_norm, _), (dp, du, error) in zip(solved, measured):
+                row[4:] = row[4] + seconds, error
+                if error is None:
+                    row[:4] = dp, du, cond, res_norm
+        for (_, _, beta, level, seed), row in zip(block, rows):
+            yield CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *row)
 
 
 @dataclass

@@ -8,6 +8,10 @@ delta_p compares boundary fluxes in a relative L2 sense over [0, T]:
 delta_u does the same for the temperature over the curvilinear domain
 0 <= x <= s(t), 0 <= t <= T.  Both need the problem's exact oracles, and an
 oracle or a result that is not finite (say, on overflow) raises NumericalError.
+
+_delta_p_on and _delta_u_on build their grids once and map an (h, K) block of
+coefficients to h values, each rounded as its row alone (one gemv per row, then
+in-place steps in the one-row order); delta_p and delta_u are a block of one.
 """
 
 import numpy as np
@@ -32,7 +36,7 @@ def _require_finite(value, what):
 
 
 def _delta_p_on(problem, basis, quad_points=256):
-    """delta_p as a function of the coefficients, its grid built once for many solves."""
+    """delta_p of each row of an (h, K) block of coefficients, its grid built once."""
     exact_ux0 = _require_oracle(problem, "exact_flux_gradient")
     if quad_points < 1:
         raise DomainError(f"quad_points must be >= 1, got {quad_points}")
@@ -46,16 +50,20 @@ def _delta_p_on(problem, basis, quad_points=256):
     if denom == 0.0:
         raise DomainError("exact flux is identically zero on the quadrature grid")
 
-    def error(coeffs):
+    def error(block):
+        d = basis.combine_rows(block, rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            num = float(weights @ ((-lam * basis.combine(coeffs, rows) - ref) ** 2))
-            return _require_finite(float(np.sqrt(num / denom)), "delta_p")
+            d *= -lam
+            d -= ref
+            d *= d
+            num = (d[:, None, :] @ weights)[:, 0]
+            return _require_finite(np.sqrt(num / denom), "delta_p").tolist()
 
     return error
 
 
 def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
-    """delta_u as a function of the coefficients, its grid built once for many solves."""
+    """delta_u of each row of an (h, K) block of coefficients, its grid built once."""
     exact = _require_oracle(problem, "exact_solution")
     if quad_points_t < 1 or quad_points_x < 1:
         raise DomainError("quadrature point counts must be >= 1")
@@ -65,30 +73,33 @@ def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
     x_grid = np.outer(s_vals, unit)
     t_grid = np.broadcast_to(t_nodes[:, None], x_grid.shape)
     # Jacobian of x = s(t) * xi maps the inner weights onto [0, s(t)].
-    w_grid = np.outer(t_weights * s_vals, unit_w)
+    w_grid = np.outer(t_weights * s_vals, unit_w).reshape(-1)
     rows = basis.design(x_grid, t_grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = exact(x_grid, t_grid)
+        ref = exact(x_grid, t_grid).reshape(-1)
         denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
     if denom == 0.0:
         raise DomainError("exact solution is identically zero on the quadrature grid")
 
-    def error(coeffs):
+    def error(block):
+        d = basis.combine_rows(block, rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            num = float(np.sum(w_grid * (basis.combine(coeffs, rows) - ref) ** 2))
-            return _require_finite(float(np.sqrt(num / denom)), "delta_u")
+            d -= ref
+            d *= d
+            d *= w_grid
+            return _require_finite(np.sqrt(d.sum(axis=1) / denom), "delta_u").tolist()
 
     return error
 
 
 def delta_p(coeffs, problem, basis, quad_points=256):
     """Relative L2 flux error against the exact boundary gradient oracle."""
-    return _delta_p_on(problem, basis, quad_points)(coeffs)
+    return _delta_p_on(problem, basis, quad_points)([coeffs])[0]
 
 
 def delta_u(coeffs, problem, basis, quad_points_t=64, quad_points_x=64):
     """Relative L2 temperature error over the curvilinear domain."""
-    return _delta_u_on(problem, basis, quad_points_t, quad_points_x)(coeffs)
+    return _delta_u_on(problem, basis, quad_points_t, quad_points_x)([coeffs])[0]
 
 
 def flux_curve(coeffs, problem, basis, samples=101):

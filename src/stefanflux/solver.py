@@ -29,8 +29,9 @@ PIVOT_RTOL = 1e-14
 
 
 def _check_finite(values, name="matrix"):
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise NumericalError(f"{name} contains non-finite entries")
+    return values
 
 
 def penalty_weights(size):
@@ -80,14 +81,17 @@ class Factorization:
         At beta > 0, y = V diag(sigma / (sigma^2 + beta)) U^T b for the SVD of B
         minimizes ||A c - b||^2 + beta ||y||^2 over y = n! c.  That solves
         (B^T B + beta I) y = B^T b without forming it, so the condition number
-        is not squared.
+        is not squared.  Finite data so large that the solution overflows raise
+        NumericalError.
         """
         beta = check_real(beta, "beta")
         if not beta:
             return self._direct(rhs, "matrix is")
         _check_finite(rhs, "right-hand side")
         u, sigma, vt, weights = self._normalized
-        return vt.T @ ((u.T @ rhs) * (sigma / (sigma * sigma + beta))) * weights
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = vt.T @ ((u.T @ rhs) * (sigma / (sigma * sigma + beta))) * weights
+        return _check_finite(coeffs, "solution")
 
     def _direct(self, rhs, subject):
         """c = D V diag(1/sigma) U^T b for the SVD of A D, D the inverse column norms.
@@ -102,7 +106,8 @@ class Factorization:
         if rank < sigma.size:
             raise SingularMatrixError(
                 rank, f"{subject} numerically singular at pivot {rank} (rank {rank} of {sigma.size})")
-        return vt.T @ ((u.T @ rhs) / sigma) / norms
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _check_finite(vt.T @ ((u.T @ rhs) / sigma) / norms, "solution")
 
     def condition_number(self, beta=0.0):
         """sigma_max / sigma_min of A at beta = 0; at beta > 0 the condition

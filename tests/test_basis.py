@@ -255,6 +255,13 @@ def test_combine_validation_and_scalar_return():
     value = basis.combine(np.ones(5), basis.design(1.0, 1.0))
     assert type(value) is float
     assert value == 1.0 + 1.0 + 3.0 + 7.0 + 25.0
+    # combine_rows takes an (h, N + 1) block and gives each row's flat sums.
+    block = np.arange(15.0).reshape(3, 5) / 7.0
+    assert np.array_equal(basis.combine_rows(block, rows),
+                          [basis.combine(row, rows) for row in block])
+    for bad in (np.ones(5), np.ones((2, 4)), np.ones((1, 1, 5)), np.array([[1.0, 0, 0, 0, np.nan]])):
+        with pytest.raises(DomainError):
+            basis.combine_rows(bad, rows)
 
 
 @pytest.mark.parametrize("order", [0, 1])

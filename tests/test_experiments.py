@@ -317,7 +317,7 @@ def test_overflowing_seeds_fail_only_their_own_cells():
     # At a constant level of 7e307, the data of seeds 3 to 6 overflow at some
     # node and the others stay finite.  Each overflowing seed's cells fail with
     # its first non-finite energy-balance row named, as a system built for the
-    # cell alone fails; the finite huge data fail later, after the solve.  Every
+    # cell alone fails; the finite huge data fail later, in the solve.  Every
     # record equals an independent run_case, and the other levels all solve.
     prob = example1()
     nodes = stefan_nodes(prob, preset_scheme(8))[0]
@@ -347,6 +347,77 @@ def test_overflowing_seeds_fail_only_their_own_cells():
             assert rec.error == "numerical_error"
         else:
             assert rec.error is not None
+
+
+def test_overflowing_solves_are_numerical_errors_without_errstate():
+    # The same grid outside np.errstate, where warnings are errors: the finite
+    # but huge data of seeds 0 to 2 and 7 overflow the solve, which raises a
+    # typed error instead of a RuntimeWarning or a domain_error from the metrics.
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 7e307),
+                     seeds=range(8), noise_mode="constant")
+    records = run_sweep(grid).records
+    assert len(records) == 48
+    for rec in records:
+        assert rec.error == (None if rec.noise_level < 1.0 else "numerical_error")
+    for seed in (0, 1, 2, 7):
+        with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
+            run_case(example1(), 8, noise=NoiseSpec(7e307, seed, "constant"))
+
+
+def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
+    # A group measures up to eight solved cells at once; a cell whose solve
+    # fails is left out of its block, and the records equal run_case's.  Each
+    # group's 18 cells make blocks of 8, 8 and 2 cells, the last two unsolved.
+    shapes = []
+    measure = experiments._Group.measure
+    monkeypatch.setattr(experiments._Group, "measure",
+                        lambda group, block: shapes.append(block.shape) or measure(group, block))
+    grid = SweepGrid(orders=(6, 8), betas=(0.0, 1e-7), noise_levels=(0.01, 0.05, 7e307),
+                     seeds=range(3), noise_mode="constant")
+    records = run_sweep(grid).records
+    solved = [rec.error is None for rec in records]
+    assert solved == ([True] * 6 + [False] * 3) * 4
+    assert shapes == [(6, 7), (6, 7), (6, 9), (6, 9)]
+    assert [_record_key(rec) for rec in records] == [_case_key(grid, cell)
+                                                     for cell in grid.cells()]
+
+
+def test_one_bad_row_fails_only_its_own_cell(monkeypatch):
+    # Finite coefficients whose delta_p (a huge c_1) or delta_u alone (a huge
+    # c_2, whose flux at x = 0 vanishes) overflows: the block that holds them
+    # raises, and each row is measured alone, so only those cells fail.
+    grid = SweepGrid(orders=(8,), betas=(0.0,), noise_levels=(0.01,), seeds=range(10))
+    clean = run_sweep(grid).records
+    group_solve = experiments._Group.solve
+
+    def solve(group, beta, noise=None):
+        coeffs, *rest = group_solve(group, beta, noise)
+        if noise.seed in (2, 5, 9):
+            coeffs = coeffs.copy()
+            coeffs[1 if noise.seed == 2 else 2] = 1e300
+        return (coeffs, *rest)
+
+    monkeypatch.setattr(experiments._Group, "solve", solve)
+    records = run_sweep(grid).records
+    for rec, expected in zip(records, clean):
+        if rec.seed in (2, 5, 9):
+            assert rec.error == "numerical_error"
+            assert all(math.isnan(v) for v in (rec.delta_p, rec.delta_u,
+                                               rec.condition_number, rec.residual_norm))
+        else:
+            assert _record_key(rec) == _record_key(expected)
+    group = experiments._Group(example1(), 8, seeds=tuple(grid.seeds))
+    block = np.array([solve(group, 0.0, NoiseSpec(0.01, seed))[0] for seed in grid.seeds])
+    delta_p_on, delta_u_on = group._errors
+    with pytest.raises(NumericalError, match="^delta_p is not finite$"):
+        delta_p_on(block)
+    with pytest.raises(NumericalError, match="^delta_u is not finite$"):
+        delta_u_on(block[5:6])
+    outcomes = group.measure(block)
+    assert [error for _, _, error in outcomes] == [
+        "numerical_error" if seed in (2, 5, 9) else None for seed in grid.seeds]
+    assert [(dp, du) for dp, du, error in outcomes if error is None] == [
+        (rec.delta_p, rec.delta_u) for rec in clean if rec.seed not in (2, 5, 9)]
 
 
 def test_group_records_share_one_condition_number():

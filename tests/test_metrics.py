@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from stefanflux import (
+    DomainError,
     HeatPolynomialBasis,
     assemble,
+    benchmark_problem,
     delta_p,
     delta_u,
     example1,
@@ -16,8 +18,10 @@ from stefanflux import (
     flux_curve,
     preset_scheme,
     solve_direct,
+    solve_tikhonov,
 )
-from stefanflux.quadrature import composite_nodes
+from stefanflux.metrics import _delta_p_on, _delta_u_on
+from stefanflux.quadrature import composite_nodes, panel_nodes
 
 
 def _fit_exact_solution(prob, order, nt=40, nx=12):
@@ -152,3 +156,47 @@ def test_published_temperature_error_window():
     coeffs = solve_direct(assemble(prob, basis, preset_scheme(8)))
     du = delta_u(coeffs, prob, basis)
     assert 9.6e-3 / 3 <= du <= 9.6e-3 * 3
+
+
+@pytest.mark.parametrize("order", [4, 12, 20])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_blocks_equal_rows_alone_and_the_one_row_formulas(name, order):
+    # The closures measure an (h, K) block with one gemv per row, so every
+    # row equals the row measured alone and the 1-D formulas on the same grids.
+    prob = benchmark_problem(name)
+    basis = HeatPolynomialBasis(prob.diffusivity, order)
+    coeffs = solve_tikhonov(assemble(prob, basis, preset_scheme(order)), 1e-7)
+    noise = np.random.default_rng(order).standard_normal((17, order + 1))
+    block = coeffs * (1.0 + 1e-3 * noise)
+    nodes, weights = composite_nodes(0.0, prob.horizon, 256)
+    lam = prob.conductivity
+    rows_p = basis.design(0.0, nodes, "dx")
+    ref_p = -lam * prob.exact_flux_gradient(nodes)
+    t_nodes, t_weights = panel_nodes(0.0, prob.horizon, 64)
+    s_vals = prob.boundary(t_nodes)
+    unit, unit_w = panel_nodes(0.0, 1.0, 64)
+    x_grid = np.outer(s_vals, unit)
+    t_grid = np.broadcast_to(t_nodes[:, None], x_grid.shape)
+    w = np.outer(t_weights * s_vals, unit_w).reshape(-1)
+    rows_u = basis.design(x_grid, t_grid).reshape(order + 1, -1)
+    ref_u = prob.exact_solution(x_grid, t_grid).reshape(-1)
+    denom_p, denom_u = float(weights @ (ref_p * ref_p)), float(np.sum(w * ref_u * ref_u))
+    dp_on, du_on = _delta_p_on(prob, basis), _delta_u_on(prob, basis)
+    alone_p = [dp_on(c[None])[0] for c in block]
+    alone_u = [du_on(c[None])[0] for c in block]
+    for c, dp, du in zip(block, alone_p, alone_u):
+        assert dp == float(np.sqrt(float(weights @ (-lam * (c @ rows_p) - ref_p) ** 2) / denom_p))
+        assert du == float(np.sqrt(float(np.sum(w * (c @ rows_u - ref_u) ** 2)) / denom_u))
+        assert (dp, du) == (delta_p(c, prob, basis), delta_u(c, prob, basis))
+    for h in (1, 2, 7, 8, 9, 17):
+        assert dp_on(block[:h]) == alone_p[:h]
+        assert du_on(block[:h]) == alone_u[:h]
+    for error in (dp_on, du_on):
+        for bad in (block[0], block[:, :-1], block[None], np.ones((2, order + 2))):
+            with pytest.raises(DomainError, match="coefficients"):
+                error(bad)
+    for bad in (block[0, :-1], block[:2]):
+        with pytest.raises(DomainError, match="coefficients"):
+            delta_p(bad, prob, basis)
+        with pytest.raises(DomainError, match="coefficients"):
+            delta_u(bad, prob, basis)

@@ -226,3 +226,15 @@ def test_non_finite_inputs_are_named():
         Factorization(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(NumericalError, match="^matrix contains non-finite entries$"):
         solve(_system([[1.0, np.inf], [0.0, 1.0]], [1.0, 0.0]), 1e-7)
+
+
+def test_overflowing_solution_raises_numerical_error():
+    # Finite data so large that the solution overflows raise a typed error, at
+    # either beta, and no RuntimeWarning escapes (warnings are errors here).
+    factors = Factorization(np.diag([1.0, 1e-5]))
+    for beta in (0.0, 1e-12):
+        with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
+            factors.solve(np.full(2, 1e308), beta)
+        assert np.isfinite(factors.solve(np.full(2, 1e300), beta)).all()
+    with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
+        solve_tikhonov(_system(np.diag([1.0, 1e-5]), [1e308, 1e308]), 0.0)
