@@ -10,15 +10,16 @@ and the cells that solved are measured as one block (the first builds the
 error grids).  Memory holds one group; run_case is a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
-group that fails to build, or one cell, as when its seed's row, solution or
-error is not finite; a group whose draws fail tags its noisy cells only.
-wall_time is a cell's own solve time (the first noisy cell's includes the
-draws, the first cell at each level its block) plus equal shares of its
-block's measure and group's build.  Groups run one after another, and cells
-come in a fixed order, so reruns give identical results.
+group that fails to build, or one cell, as when its seed's row, solution,
+residual norm or error is not finite; a group whose draws fail tags its
+noisy cells only.  wall_time is a cell's own solve time (the first noisy
+cell's includes the draws, the first cell at each level its block) plus
+equal shares of its block's measure and group's build.  Groups run one after
+another, and cells come in a fixed order, so reruns give identical results.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,8 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (CollocationScheme, _require_finite, assemble, check_quadrature_order,
-                       panel_sums, preset_scheme, stefan_nodes)
+from .assembly import (CollocationScheme, assemble, check_quadrature_order, panel_sums,
+                       preset_scheme, stefan_nodes)
 from .basis import HeatPolynomialBasis
 from .errors import (DomainError, NumericalError, SingularMatrixError, check_integer,
                      check_real)
@@ -70,6 +71,7 @@ class _Group:
         self.system = assemble(problem, self.basis, self.scheme)
         self.factors = Factorization(self.system.matrix)
         self.seeds = seeds
+        self._rows = {seed: row for row, seed in enumerate(seeds)}
         self._blocks = {}  # (level, mode) -> the energy-balance right sides, one row per seed
 
     @cached_property
@@ -87,11 +89,16 @@ class _Group:
             weights, clean, draws = self._noise
             with np.errstate(over="ignore", invalid="ignore"):
                 data = scale_draws(noise, clean, draws, self.problem.conductivity)
-                self._blocks[key] = panel_sums(weights * data, self.scheme.quadrature_order)
-        stefan = self._blocks[key][self.seeds.index(noise.seed)]
-        _require_finite(None, stefan, "stefan")  # the matrix rows passed at assembly
+                block = panel_sums(weights * data, self.scheme.quadrature_order)
+            # Each row's first non-finite entry, counted from 1 (0: none); the matrix passed.
+            finite = np.isfinite(block)
+            self._blocks[key] = block, np.where(finite.all(axis=1), 0, finite.argmin(axis=1) + 1)
+        block, bad = self._blocks[key]
+        row = self._rows[noise.seed]
+        if bad[row]:
+            raise NumericalError(f"non-finite value while assembling stefan row {bad[row]}")
         rhs = self.system.rhs.copy()
-        rhs[self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = stefan
+        rhs[self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = block[row]
         return rhs
 
     @cached_property
@@ -104,7 +111,10 @@ class _Group:
         rhs = self._noisy_rhs(noise) if noise is not None and noise.level > 0.0 else self.system.rhs
         # Noisy data changes only the right side, so the matrix's factors serve every cell.
         coeffs = self.factors.solve(rhs, beta)
-        res_norm = float(np.linalg.norm(self.system.matrix @ coeffs - rhs))
+        with np.errstate(over="ignore", invalid="ignore"):  # the norm squares: 1e155 overflows
+            res_norm = float(np.linalg.norm(self.system.matrix @ coeffs - rhs))
+        if not math.isfinite(res_norm):
+            raise NumericalError("residual norm is not finite")
         return coeffs, self.factors.condition_number(beta), res_norm, rhs
 
     def measure(self, block):

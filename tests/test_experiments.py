@@ -1,6 +1,7 @@
 """Sweep orchestration: determinism, aggregation, failure handling, windows."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -314,11 +315,12 @@ def test_panel_sums_run_once_per_group_and_level(monkeypatch):
 
 
 def test_overflowing_seeds_fail_only_their_own_cells():
-    # At a constant level of 7e307, the data of seeds 3 to 6 overflow at some
-    # node and the others stay finite.  Each overflowing seed's cells fail with
-    # its first non-finite energy-balance row named, as a system built for the
-    # cell alone fails; the finite huge data fail later, in the solve.  Every
-    # record equals an independent run_case, and the other levels all solve.
+    # At a constant level of 7e307, the data of seeds 0, 3 and 5 overflow at
+    # some node and the others stay finite.  Each overflowing seed's cells fail
+    # with its first non-finite energy-balance row named, as a system built for
+    # the cell alone fails; the finite huge data fail later, in the solve.
+    # Every record equals an independent run_case, and the other levels all
+    # solve.
     prob = example1()
     nodes = stefan_nodes(prob, preset_scheme(8))[0]
     spec = NoiseSpec(7e307, mode="constant")
@@ -328,7 +330,7 @@ def test_overflowing_seeds_fail_only_their_own_cells():
         data = scale_draws(spec, prob.interface_flux(nodes), standard_draws(grid.seeds, nodes),
                            prob.conductivity)
         overflows = [not np.isfinite(row).all() for row in data]
-        assert overflows == [False] * 3 + [True] * 4 + [False]
+        assert overflows == [True, False, False, True, False, True, False, False]
         expected = [_case_key(grid, cell) for cell in grid.cells()]
         records = run_sweep(grid).records
         messages = []
@@ -336,9 +338,9 @@ def test_overflowing_seeds_fail_only_their_own_cells():
             with pytest.raises((NumericalError, DomainError)) as info:
                 run_case(prob, 8, noise=dataclasses.replace(spec, seed=seed))
             messages.append(str(info.value))
-    rows = [f"non-finite value while assembling stefan row {row}" for row in (2, 2, 3, 1)]
-    assert messages[3:7] == rows
-    assert not any("stefan" in message for message in messages[:3] + messages[7:])
+    rows = [f"non-finite value while assembling stefan row {row}" for row in (2, 1, 1)]
+    assert [message for message, bad in zip(messages, overflows) if bad] == rows
+    assert not any("stefan" in message for message, bad in zip(messages, overflows) if not bad)
     assert [_record_key(rec) for rec in records] == expected
     for rec in records:
         if rec.noise_level < 1.0:
@@ -351,17 +353,21 @@ def test_overflowing_seeds_fail_only_their_own_cells():
 
 def test_overflowing_solves_are_numerical_errors_without_errstate():
     # The same grid outside np.errstate, where warnings are errors: the finite
-    # but huge data of seeds 0 to 2 and 7 overflow the solve, which raises a
-    # typed error instead of a RuntimeWarning or a domain_error from the metrics.
-    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 7e307),
+    # but huge data of seeds 1, 2, 4, 6 and 7 overflow the solve at 7e307, and
+    # at 1e300 every seed solves but its residual's norm overflows.  Each raises
+    # a typed error, not a RuntimeWarning or a misnamed failure of the metrics.
+    grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 1e300, 7e307),
                      seeds=range(8), noise_mode="constant")
     records = run_sweep(grid).records
-    assert len(records) == 48
+    assert len(records) == 64
     for rec in records:
         assert rec.error == (None if rec.noise_level < 1.0 else "numerical_error")
-    for seed in (0, 1, 2, 7):
+    for seed in (1, 2, 4, 6, 7):
         with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
             run_case(example1(), 8, noise=NoiseSpec(7e307, seed, "constant"))
+    for seed, beta in itertools.product(range(8), (0.0, 1e-7)):
+        with pytest.raises(NumericalError, match="^residual norm is not finite$"):
+            run_case(example1(), 8, beta, noise=NoiseSpec(1e300, seed, "constant"))
 
 
 def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):

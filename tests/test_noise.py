@@ -1,7 +1,6 @@
 """Deterministic Gaussian perturbation of the energy-balance data."""
 
 import math
-import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -15,75 +14,37 @@ from stefanflux import noise
 from stefanflux.assembly import stefan_nodes
 from stefanflux.noise import check_seed, scale_draws, standard_draws
 
-# Seeds whose entropy takes one uint32 word and two, and the ends of the range.
+# Seeds at 0, small, at the 32-bit boundary and at the ends of the uint64 range.
 ORACLE_SEEDS = (0, 1, 7, 2 ** 31 - 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1)
+_G, _MASK = 0x9E3779B97F4A7C15, 2 ** 64 - 1
 
 
-def _oracle(seed, t):
-    """The draw as a fresh generator per sample gives it."""
-    tq = int(round(t / 1e-12)) & (2 ** 64 - 1)
-    return np.random.default_rng((seed, tq)).standard_normal()
+def _mix(z):
+    """The SplitMix64 finaliser on a Python int, mod 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+def _reference(seed, t):
+    """The draw at (seed, t) as the documented stream defines it, on Python ints and math."""
+    key = _mix(_mix(seed + _G & _MASK) ^ int(round(t / 1e-12)) & _MASK)
+    a, b = _mix(key + _G & _MASK), _mix(key + 2 * _G & _MASK)
+    return (math.sqrt(-2 * math.log(((a >> 11) + 1) * 2 ** -53))
+            * math.cos(2 ** -52 * math.pi * (b >> 11)))
 
 
 def _bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
-# An odd PCG64 increment with both words set, and the inverse of PCG64's multiplier.
-_INC = 0x5851F42D4C957F2D_14057B7EF767814F
-_MULT_INV = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 2 ** 128)
-
-
-def _assert_outputs_draw_as_numpy(outputs):
-    """The package's draw from each first PCG64 output r < 2**64 is numpy's, bit for bit.
-
-    One step takes the state (r - inc) / multiplier to r, whose high word 0 makes
-    the output r itself; numpy's standard_normal() from that state is the oracle.
-    The package takes each 128-bit state and increment as (hi, lo) uint64 words.
-    """
-    words = np.zeros(len(outputs), dtype=np.uint64)
-    got = noise._normals((words, words + np.array(outputs, dtype=np.uint64)),
-                         (words + (_INC >> 64), words + (_INC & 2 ** 64 - 1)))
-    generator = np.random.Generator(np.random.PCG64(0))
-    expected = []
-    for r in outputs:
-        state = {"state": (r - _INC) * _MULT_INV % 2 ** 128, "inc": _INC}
-        generator.bit_generator.state = {"bit_generator": "PCG64", "state": state,
-                                         "has_uint32": 0, "uinteger": 0}
-        expected.append(generator.standard_normal())
-    np.testing.assert_array_equal(_bits(got), _bits(expected))
-
-
-def _words(values):
-    """128-bit Python ints as the (hi, lo) pair of uint64 arrays the package computes on."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & 2 ** 64 - 1 for v in values], dtype=np.uint64))
-
-
-def _ints(words):
-    return [hi << 64 | lo for hi, lo in zip(words[0].tolist(), words[1].tolist())]
-
-
-def test_uint64_words_add_and_step_as_python_ints_mod_2_128():
-    # Words whose 32-bit halves are 0, 1, 2**31 and 2**32 - 1 stress the carries
-    # of the 32-bit products in the multiply; random words fill the rest.
-    halves = (0, 1, 2 ** 31, 2 ** 32 - 1)
-    words = [hi << 32 | lo for hi in halves for lo in halves]
-    rng = random.Random(15)
-    words += [rng.getrandbits(64) for _ in range(16)]
-    a = [hi << 64 | lo for hi in words for lo in words]
-    b = a[::-1]
-    mod = 2 ** 128
-    assert _ints(noise._add(_words(a), _words(b))) == [(x + y) % mod for x, y in zip(a, b)]
-    # Hundreds of the low-word sums wrap and carry into the high word.
-    assert 100 < sum((x % 2 ** 64) + (y % 2 ** 64) >= 2 ** 64 for x, y in zip(a, b)) < len(a)
-    mult = 0x2360ED051FC65DA44385DF649FCCF645
-    assert _ints(noise._step(_words(a), _words(b))) == [(x * mult + y) % mod
-                                                         for x, y in zip(a, b)]
-    # States and increments at the ends of the 128-bit range.
-    top = [mod - 1, mod - 2, 2 ** 64 - 1, 2 ** 64]
-    assert _ints(noise._step(_words(top), _words([1, 3, mod - 1, 2 ** 64 + 1]))) == [
-        (x * mult + y) % mod for x, y in zip(top, [1, 3, mod - 1, 2 ** 64 + 1])]
+def test_mix_reproduces_the_published_splitmix64_vectors():
+    # SplitMix64 seeded with 1234567 outputs mix(1234567 + k G) for k = 1, 2, ...
+    states = np.array([1234567 + k * _G & _MASK for k in range(1, 6)], dtype=np.uint64)
+    expected = [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                4593380528125082431, 16408922859458223821]
+    assert noise._mix(states).tolist() == expected
+    assert [_mix(int(state)) for state in states] == expected
 
 
 def _noisy(prob, spec, ts):
@@ -169,68 +130,63 @@ def test_spec_validation():
     assert NoiseSpec(0.01, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
-def test_draws_equal_a_generator_per_sample():
-    # tq = 2**32 - 1 and 2**32 sit on both sides of the one-word entropy limit.
+def test_draws_match_a_pure_python_reference():
+    # tq = 2**32 - 1 and 2**32 sit on both sides of a 32-bit word.
     times = [0.0, 1e-13, 4.294967295e-3, 4.294967296e-3, 1e4]
     times += np.random.default_rng(11).uniform(0.0, 1.5, 40).tolist()
     # Every energy-balance node of the sweep_noisy benchmark grid.
     prob = benchmark_problem("example2")
     for order in (8, 12, 16):
         times += stefan_nodes(prob, preset_scheme(order))[0].tolist()
-    assert len(ORACLE_SEEDS) * len(times) >= 2000
-    # One block holds every seed, one-word and two-word seeds mixed.
+    assert len(ORACLE_SEEDS) * len(times) == 2280
     block = standard_draws(ORACLE_SEEDS, np.array(times))
     assert block.dtype == np.float64 and block.shape == (len(ORACLE_SEEDS), len(times))
     for seed, row in zip(ORACLE_SEEDS, block):
-        expected = [_oracle(seed, t) for t in times]
-        np.testing.assert_array_equal(_bits(row), _bits(expected))
-        np.testing.assert_array_equal(_bits(standard_draws(seed, np.array(times))),
-                                      _bits(expected))
+        # np.log and math.log differ by 1 ulp on a few inputs; the stream is the formula.
+        np.testing.assert_array_max_ulp(row, [_reference(seed, t) for t in times], maxulp=4)
+        np.testing.assert_array_equal(_bits(standard_draws(seed, np.array(times))), _bits(row))
     # Permuting the seeds permutes the rows and changes nothing else.
     order = np.random.default_rng(5).permutation(len(ORACLE_SEEDS))
     np.testing.assert_array_equal(
         _bits(standard_draws([ORACLE_SEEDS[i] for i in order], np.array(times))),
         _bits(block[order]))
-    assert standard_draws(2 ** 63, [0.3])[0] == _oracle(2 ** 63, 0.3)
+    np.testing.assert_array_max_ulp(standard_draws(2 ** 63, [0.3]), [_reference(2 ** 63, 0.3)],
+                                    maxulp=4)
     empty = standard_draws(5, np.array([]))
     assert empty.dtype == np.float64 and empty.shape == (0,)
     assert standard_draws([], times).shape == (0, len(times))
     assert standard_draws(ORACLE_SEEDS, []).shape == (len(ORACLE_SEEDS), 0)
 
 
-def test_large_block_equals_a_generator_per_sample_mostly_on_the_fast_path(monkeypatch):
-    # 2**15 (seed, time) pairs: enough for every ziggurat box and hundreds of
-    # samples past a box's fast-path bound, which numpy draws itself.
-    times = np.random.default_rng(21).uniform(0.0, 2.0, 2 ** 12)
-    noise._ziggurat()
-    fallback = []
-    draw = noise._draw
-    monkeypatch.setattr(noise, "_draw", lambda *args: fallback.append(args) or draw(*args))
-    block = standard_draws(ORACLE_SEEDS, times)
-    assert block.size == 2 ** 15
-    for seed, row in zip(ORACLE_SEEDS, block):
-        np.testing.assert_array_equal(_bits(row), _bits([_oracle(seed, t) for t in times]))
-    # Boxes 0 to 2 alone are 3/256 of the samples.  Rejecting every bound would
-    # leave the draws right but send all of them to numpy one by one.
-    assert 3 / 256 * block.size < len(fallback) < 0.05 * block.size
+def test_draws_have_normal_moments_tails_and_no_lag_correlation():
+    # 2**20 draws on consecutive seeds and consecutive time quanta, the keys
+    # closest together.  Each bound is 5 standard errors of a standard normal
+    # sample of this size; the stream is fixed, so the values are too.
+    draws = standard_draws(range(1024), np.arange(1024) * 1e-12)
+    n = draws.size
+    x = draws.ravel()
+    assert abs(x.mean()) < 5 / math.sqrt(n)
+    assert abs(x.std() - 1.0) < 5 / math.sqrt(2 * n)
+    assert abs(np.mean(x ** 3)) < 5 * math.sqrt(15 / n)
+    assert abs(np.mean(x ** 4) - 3.0) < 5 * math.sqrt(96 / n)
+    for bound in (1.0, 2.0, 3.0, 4.0):
+        p = math.erfc(bound / math.sqrt(2.0))
+        assert abs(np.mean(np.abs(x) > bound) - p) < 5 * math.sqrt(p * (1 - p) / n)
+    # Neighbours in time, in seed, and both at once.
+    for a, b in ((draws[:, 1:], draws[:, :-1]), (draws[1:], draws[:-1]),
+                 (draws[1:, 1:], draws[:-1, :-1])):
+        assert abs(np.mean(a * b)) < 5 / math.sqrt(a.size)
 
 
-def test_ziggurat_tables_are_verified_at_every_box_bound():
-    wi, ki = noise._ziggurat()
-    assert isinstance(wi, np.ndarray) and isinstance(ki, np.ndarray)
-    assert not wi.flags.writeable and not ki.flags.writeable
-    assert wi.shape == ki.shape == (256,) and np.all(wi > 0)
-    # Boxes 0 (base strip and tail) to 2 always go to numpy; every other bound
-    # passed its probe.
-    assert np.all(ki[:3] == 0) and np.all(ki[3:] > 2 ** 51)
-    outputs = []
-    for idx in range(256):
-        rabs_cases = (int(ki[idx]) - 1, int(ki[idx])) if ki[idx] else (0, 1, 2 ** 51, 2 ** 52 - 1)
-        for rabs in rabs_cases:
-            # Positive and negative (sign bit 8), and junk above rabs's 52 bits.
-            outputs += [rabs << 9 | sign << 8 | idx | junk << 61
-                        for sign in (0, 1) for junk in (0, 5)]
-    _assert_outputs_draw_as_numpy(outputs)
+def test_draws_build_no_numpy_generator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard_draws built a numpy generator")
+
+    for name in ("Generator", "BitGenerator", "default_rng", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, refuse)
+    row = standard_draws(ORACLE_SEEDS, [0.1, 0.2])[3]
+    np.testing.assert_array_max_ulp(row, [_reference(ORACLE_SEEDS[3], t) for t in (0.1, 0.2)],
+                                    maxulp=4)
 
 
 def test_draws_reject_seeds_outside_uint64_and_non_finite_times():
@@ -262,22 +218,13 @@ def test_integral_seeds_are_accepted(seed):
     assert NoiseSpec(0.01, seed=seed).seed == seed
     assert SweepGrid(orders=(8,), seeds=(seed,)).seeds == (int(seed),)
     np.testing.assert_array_equal(_bits(standard_draws([0, seed], [0.1])[1]),
-                                  _bits([_oracle(int(seed), 0.1)]))
+                                  _bits(standard_draws(int(seed), [0.1])))
 
 
 def test_draws_are_thread_safe():
-    # Each call sets its states on its own PCG64, so concurrent calls cannot
-    # draw from one another's states.  A thread switch seldom falls between
-    # setting a state and drawing from it, so the module must also hold no
-    # generator that calls could share; its ziggurat tables are plain arrays.
-    assert not any(isinstance(value, (np.random.Generator, np.random.BitGenerator))
-                   for value in vars(noise).values())
+    # The stream holds no state, so concurrent calls draw what serial calls do.
     ts = np.linspace(0.0, 1.0, 16)
     serial = {seed: _bits(standard_draws(seed, ts)) for seed in (3, 4)}
-    tables = noise._ziggurat()
-    # Both threads make the first draw of a process that has not learned the
-    # ziggurat tables yet, at once.
-    noise._ziggurat.cache_clear()
     start = threading.Barrier(2, timeout=60)
 
     def repeat(seed):
@@ -296,5 +243,3 @@ def test_draws_are_thread_safe():
         assert len(runs) == 200
         for run in runs:
             np.testing.assert_array_equal(_bits(run), serial[seed])
-    for learned, table in zip(noise._ziggurat(), tables):
-        np.testing.assert_array_equal(learned, table)
