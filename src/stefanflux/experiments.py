@@ -3,19 +3,19 @@
 A sweep runs one group at a time: the cells sharing (horizon, order), which
 the grid emits contiguously.  A group builds its problem, basis, scheme, clean
 system and one Factorization of its matrix once; the noise of all its seeds in
-one block at its first noisy cell, and at each level's first cell the block of
-all seeds' energy-balance right sides.  Then, 8 cells at a time, each cell
-copies its seed's row into the right side and solves on the shared factors,
-and the cells that solved are measured as one block (the first builds the
-error grids).  Memory holds one group; run_case is a group of one cell.
+one block at its first noisy cell, and at each level's first cell the right
+sides of all its seeds.  Then, 8 cells at a time, it solves the cells' right
+sides in one Factorization.solve_rows call (a gemv per row, so each cell's bits
+are its own), takes their residual norms as stacked dots, and measures those
+that solved as one block.  Memory holds one group; run_case is a group of one.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell, as when its seed's row, solution,
-residual norm or error is not finite; a group whose draws fail tags its
-noisy cells only.  wall_time is a cell's own solve time (the first noisy
-cell's includes the draws, the first cell at each level its block) plus
-equal shares of its block's measure and group's build.  Groups run one after
-another, and cells come in a fixed order, so reruns give identical results.
+residual norm or error is not finite (a block that fails goes again cell by
+cell); a group whose draws fail tags its noisy cells only.  wall_time is a
+cell's share of its group's build plus an equal share of its block's solve and
+measure time.  Groups run one after another, and cells come in a fixed order,
+so reruns give identical results.
 """
 
 import itertools
@@ -35,7 +35,7 @@ from .errors import (DomainError, NumericalError, SingularMatrixError, check_int
 from .metrics import _delta_p_on, _delta_u_on, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
-from .solver import Factorization
+from .solver import Factorization, _gemvs
 
 __all__ = ["SolveReport", "SweepGrid", "CellRecord", "AggregateRow", "SweepResult",
            "run_case", "run_sweep"]
@@ -61,18 +61,19 @@ class _Group:
     """What the cells of one (problem, order, scheme) share, built once.
 
     seeds, the noise seeds of its cells, are drawn in one block at the first noisy cell.
-    A cached property that raises caches nothing, so its next cell tries again.
+    A cached property that raises caches nothing, so its next block tries again.
     """
 
-    def __init__(self, problem, order, scheme=None, quadrature_order=16, seeds=()):
+    def __init__(self, problem, order, scheme=None, quadrature_order=16, seeds=(), mode="relative"):
         self.problem = problem
         self.basis = HeatPolynomialBasis(problem.diffusivity, order)
         self.scheme = scheme if scheme is not None else preset_scheme(order, quadrature_order)
         self.system = assemble(problem, self.basis, self.scheme)
         self.factors = Factorization(self.system.matrix)
-        self.seeds = seeds
+        self.seeds, self.mode = seeds, mode
         self._rows = {seed: row for row, seed in enumerate(seeds)}
-        self._blocks = {}  # (level, mode) -> the energy-balance right sides, one row per seed
+        # level -> (right sides, one per seed; each one's first non-finite stefan row or 0)
+        self._blocks = {0.0: (self.system.rhs[None], (0,))}
 
     @cached_property
     def _noise(self):
@@ -82,40 +83,54 @@ class _Group:
         with np.errstate(over="ignore", invalid="ignore"):
             return weights, self.problem.interface_flux(ts), standard_draws(self.seeds, ts)
 
-    def _noisy_rhs(self, noise):
-        """noise's right side, its row of the block that its level and mode's first cell builds."""
-        key = (noise.level, noise.mode)
-        if key not in self._blocks:
+    def _rhs_block(self, level):
+        """The level's right sides, built at its first cell from all the seeds' panel sums."""
+        if level not in self._blocks:
             weights, clean, draws = self._noise
             with np.errstate(over="ignore", invalid="ignore"):
-                data = scale_draws(noise, clean, draws, self.problem.conductivity)
-                block = panel_sums(weights * data, self.scheme.quadrature_order)
-            # Each row's first non-finite entry, counted from 1 (0: none); the matrix passed.
-            finite = np.isfinite(block)
-            self._blocks[key] = block, np.where(finite.all(axis=1), 0, finite.argmin(axis=1) + 1)
-        block, bad = self._blocks[key]
-        row = self._rows[noise.seed]
-        if bad[row]:
-            raise NumericalError(f"non-finite value while assembling stefan row {bad[row]}")
-        rhs = self.system.rhs.copy()
-        rhs[self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = block[row]
-        return rhs
+                data = scale_draws(NoiseSpec(level, mode=self.mode), clean, draws,
+                                   self.problem.conductivity)
+                sums = panel_sums(weights * data, self.scheme.quadrature_order)
+            block = np.repeat(self.system.rhs[None], len(sums), axis=0)
+            block[:, self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = sums
+            finite = np.isfinite(sums)
+            self._blocks[level] = block, np.where(finite.all(axis=1), 0, finite.argmin(axis=1) + 1)
+        return self._blocks[level]
+
+    def solve(self, cells):
+        """Each (beta, level, seed) cell's coefficients, condition number, residual norm and
+        right side, or its typed error: one stacked solve on the shared factors, and cell by
+        cell if that fails, so that a rank-deficient matrix fails its beta = 0 cells only."""
+        outcomes, solvable = list(cells), []
+        for i, (beta, level, seed) in enumerate(cells):
+            try:
+                block, bad = self._rhs_block(level)
+                row = self._rows[seed] if level else 0
+                if bad[row]:
+                    raise NumericalError(f"non-finite value while assembling stefan row {bad[row]}")
+                solvable.append((i, beta, block[row]))
+            except _CELL_ERRORS as exc:
+                outcomes[i] = exc
+        if not solvable:
+            return outcomes
+        index, betas, rows = zip(*solvable)
+        rhs = np.array(rows)
+        try:
+            coeffs = self.factors.solve_rows(rhs, betas)
+        except _CELL_ERRORS as exc:  # then cell by cell, so that only failing cells fail
+            return [self.solve([cell])[0] for cell in cells] if len(cells) > 1 else [exc]
+        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow
+            d = _gemvs(self.system.matrix, coeffs) - rhs
+            norms = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0].tolist()
+        for i, beta, c, norm, b in zip(index, betas, coeffs, norms, rhs):
+            outcomes[i] = ((c, self.factors.condition_number(beta), norm, b) if math.isfinite(norm)
+                           else NumericalError("residual norm is not finite"))
+        return outcomes
 
     @cached_property
     def _errors(self):
         """The delta_p and delta_u closures, built at the first block: a failed solve costs none."""
         return _delta_p_on(self.problem, self.basis), _delta_u_on(self.problem, self.basis)
-
-    def solve(self, beta, noise=None):
-        """A cell's coefficients, condition number, residual norm and right side."""
-        rhs = self._noisy_rhs(noise) if noise is not None and noise.level > 0.0 else self.system.rhs
-        # Noisy data changes only the right side, so the matrix's factors serve every cell.
-        coeffs = self.factors.solve(rhs, beta)
-        with np.errstate(over="ignore", invalid="ignore"):  # the norm squares: 1e155 overflows
-            res_norm = float(np.linalg.norm(self.system.matrix @ coeffs - rhs))
-        if not math.isfinite(res_norm):
-            raise NumericalError("residual norm is not finite")
-        return coeffs, self.factors.condition_number(beta), res_norm, rhs
 
     def measure(self, block):
         """Each row's (delta_p, delta_u, error tag); a block that fails is measured row by row."""
@@ -133,12 +148,19 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     noise is an optional NoiseSpec; beta = 0 selects the direct solve and
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
-    group = _Group(problem, order, scheme, seeds=() if noise is None else (noise.seed,))
-    coeffs, cond, res_norm, rhs = group.solve(beta, noise)
+    level, seed, mode = (noise.level, noise.seed, noise.mode) if noise else (0.0, 0, "relative")
+    group = _Group(problem, order, scheme, seeds=(seed,), mode=mode)
+    (outcome,) = group.solve([(check_real(beta, "beta"), level, seed)])
+    if not isinstance(outcome, tuple):
+        raise outcome
+    coeffs, cond, res_norm, rhs = outcome
     (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples)
-    rhs_norm = float(np.linalg.norm(rhs))
-    return SolveReport(tuple(float(c) for c in coeffs), group.scheme, float(beta), cond, res_norm,
+    with np.errstate(over="ignore"):  # squares past 1e154 overflow: then scale by the largest
+        rhs_norm = float(np.linalg.norm(rhs))
+    if math.isinf(rhs_norm):
+        rhs_norm = float(np.linalg.norm(rhs / np.abs(rhs).max()) * np.abs(rhs).max())
+    return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
                        float(max(row[3] for row in curve)), tuple(curve))
 
@@ -235,33 +257,22 @@ def _evaluate_group(grid, cells):
     horizon, order = cells[0][:2]
     start = time.perf_counter()
     try:
-        group, failure = _Group(benchmark_problem(grid.benchmark, horizon), order,
-                                grid.scheme_override, grid.quadrature_order, grid.seeds), None
+        group = _Group(benchmark_problem(grid.benchmark, horizon), order, grid.scheme_override,
+                       grid.quadrature_order, grid.seeds, grid.noise_mode)
     except _CELL_ERRORS as exc:
-        group, failure = None, _error_tag(exc)
+        group, failure = None, exc
     share = (time.perf_counter() - start) / len(cells)
     for first in range(0, len(cells), _BLOCK):
-        block, solved = cells[first:first + _BLOCK], []
-        rows = [[np.nan] * 4 + [share, failure] for _ in block]  # a record's last 6 fields
-        for (_, _, beta, level, seed), row in zip(block, rows):
-            start = time.perf_counter()
-            if group is not None:
-                try:
-                    noise = NoiseSpec(level, seed, grid.noise_mode)
-                    solved.append((row, *group.solve(beta, noise)))
-                except _CELL_ERRORS as exc:
-                    row[5] = _error_tag(exc)
-            row[4] += time.perf_counter() - start
-        if solved:
-            start = time.perf_counter()
-            measured = group.measure(np.array([cell[1] for cell in solved]))
-            seconds = (time.perf_counter() - start) / len(solved)
-            for (row, _, cond, res_norm, _), (dp, du, error) in zip(solved, measured):
-                row[4:] = row[4] + seconds, error
-                if error is None:
-                    row[:4] = dp, du, cond, res_norm
-        for (_, _, beta, level, seed), row in zip(block, rows):
-            yield CellRecord(grid.benchmark.value, order, beta, level, seed, horizon, *row)
+        block, start = cells[first:first + _BLOCK], time.perf_counter()
+        outcomes = group.solve([cell[2:] for cell in block]) if group else [failure] * len(block)
+        solved = [out for out in outcomes if type(out) is tuple]
+        measured = iter(group.measure(np.array([out[0] for out in solved])) if solved else ())
+        seconds = share + (time.perf_counter() - start) / len(block)
+        for cell, out in zip(block, outcomes):
+            dp, du, error = next(measured) if type(out) is tuple else (None, None, _error_tag(out))
+            values = (dp, du, *out[1:3]) if error is None else [math.nan] * 4
+            yield CellRecord(grid.benchmark.value, order, *cell[2:], horizon, *values, seconds,
+                             error)
 
 
 @dataclass
@@ -273,17 +284,11 @@ class SweepResult:
 
     def aggregate(self):
         """Medians and IQR across seeds per (order, beta, level, horizon) cell group."""
-        groups = {}
-        order_seen = []
+        groups = {}  # in first-seen order
         for rec in self.records:
-            key = (rec.order, rec.beta, rec.noise_level, rec.horizon)
-            if key not in groups:
-                groups[key] = []
-                order_seen.append(key)
-            groups[key].append(rec)
+            groups.setdefault((rec.order, rec.beta, rec.noise_level, rec.horizon), []).append(rec)
         rows = []
-        for key in order_seen:
-            recs = groups[key]
+        for key, recs in groups.items():
             ok = [r for r in recs if r.error is None]
             nan = float("nan")
             rows.append(AggregateRow(

@@ -6,8 +6,9 @@ delta_p compares boundary fluxes in a relative L2 sense over [0, T]:
                     / int (lam u_x(0,t))^2 dt )
 
 delta_u does the same for the temperature over the curvilinear domain
-0 <= x <= s(t), 0 <= t <= T.  Both need the problem's exact oracles, and an
-oracle or a result that is not finite (say, on overflow) raises NumericalError.
+0 <= x <= s(t), 0 <= t <= T.  Both need the problem's exact oracles; an oracle,
+difference or result that is not finite raises NumericalError, while a row whose
+squares alone overflow is summed again scaled by its largest difference.
 
 _delta_p_on and _delta_u_on build their grids once and map an (h, K) block of
 coefficients to h values, each rounded as its row alone (one gemv per row, then
@@ -35,6 +36,30 @@ def _require_finite(value, what):
     return value
 
 
+def _error(basis, rows, factor, ref, squares, denom, what):
+    """Blocks to sqrt(squares(d) / denom) per row, d = factor * combine_rows(block, rows) - ref
+    (no factor if None) and squares summing w d^2 in place.  A row whose squares alone
+    overflow is measured as scale * sqrt(squares(d / scale) / denom), scale = max |d|."""
+    def diffs(block):
+        d = basis.combine_rows(block, rows)
+        if factor is not None:
+            d *= factor
+        d -= ref
+        return d
+
+    def error(block):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.sqrt(squares(diffs(block)) / denom)
+            huge = np.isinf(values)
+            if huge.any():  # non-finite differences make nan here, which raises
+                d = diffs(np.asarray(block)[huge])
+                scale = np.abs(d).max(axis=1)
+                values[huge] = scale * np.sqrt(squares(d / scale[:, None]) / denom)
+        return _require_finite(values, what).tolist()
+
+    return error
+
+
 def _delta_p_on(problem, basis, quad_points=256):
     """delta_p of each row of an (h, K) block of coefficients, its grid built once."""
     exact_ux0 = _require_oracle(problem, "exact_flux_gradient")
@@ -49,17 +74,8 @@ def _delta_p_on(problem, basis, quad_points=256):
         denom = _require_finite(float(weights @ (ref * ref)), "exact flux norm")
     if denom == 0.0:
         raise DomainError("exact flux is identically zero on the quadrature grid")
-
-    def error(block):
-        d = basis.combine_rows(block, rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d *= -lam
-            d -= ref
-            d *= d
-            num = (d[:, None, :] @ weights)[:, 0]
-            return _require_finite(np.sqrt(num / denom), "delta_p").tolist()
-
-    return error
+    return _error(basis, rows, -lam, ref,
+                  lambda d: (np.square(d, out=d)[:, None, :] @ weights)[:, 0], denom, "delta_p")
 
 
 def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
@@ -80,16 +96,9 @@ def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
         denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
     if denom == 0.0:
         raise DomainError("exact solution is identically zero on the quadrature grid")
-
-    def error(block):
-        d = basis.combine_rows(block, rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d -= ref
-            d *= d
-            d *= w_grid
-            return _require_finite(np.sqrt(d.sum(axis=1) / denom), "delta_u").tolist()
-
-    return error
+    return _error(basis, rows, None, ref,
+                  lambda d: np.multiply(np.square(d, out=d), w_grid, out=d).sum(axis=1), denom,
+                  "delta_u")
 
 
 def delta_p(coeffs, problem, basis, quad_points=256):

@@ -3,16 +3,18 @@
 A Factorization checks its matrix once and computes each SVD at its first
 use: that of the column-equilibrated A for the beta = 0 rank test and solve,
 that of B = A diag(1/n!) for every beta > 0 solve and condition number, and
-the singular values of A for the beta = 0 condition number.  The functions
-below factor their system's matrix for one use; a sweep group keeps one
-Factorization for all its cells, since noisy data changes only the right side.
+the singular values of A for the beta = 0 condition number.  solve_rows solves a
+block of right sides, a beta per row, in one stacked product per kind of beta with
+a gemv per row, so each row equals its solve alone.  The functions below factor
+their system's matrix for one use; a sweep group keeps one Factorization for all
+its cells, since noisy data changes only the right side.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericalError, SingularMatrixError, check_real
+from .errors import DomainError, NumericalError, SingularMatrixError, check_real
 
 __all__ = [
     "Factorization",
@@ -26,6 +28,11 @@ __all__ = [
 # Singular values of the column-equilibrated matrix at or below this times the
 # largest count as zero; the count of those above it is the numerical rank.
 PIVOT_RTOL = 1e-14
+
+
+def _gemvs(matrix, rows):
+    """matrix @ row for a row or each row of a block: a gemv per row (a gemm rounds differently)."""
+    return matrix @ rows if rows.ndim == 1 else (matrix @ rows[:, :, None])[:, :, 0]
 
 
 def _check_finite(values, name="matrix"):
@@ -76,38 +83,44 @@ class Factorization:
         return np.linalg.svd(self.matrix, compute_uv=False)
 
     def solve(self, rhs, beta=0.0):
-        """The direct solve of A c = rhs at beta = 0, the Tikhonov-damped solve at beta > 0.
+        """The direct solve of A c = rhs at beta = 0, the Tikhonov-damped solve at beta > 0."""
+        return self.solve_rows(np.asarray(rhs)[None], [check_real(beta, "beta")])[0]
 
-        At beta > 0, y = V diag(sigma / (sigma^2 + beta)) U^T b for the SVD of B
-        minimizes ||A c - b||^2 + beta ||y||^2 over y = n! c.  That solves
-        (B^T B + beta I) y = B^T b without forming it, so the condition number
-        is not squared.  Finite data so large that the solution overflows raise
-        NumericalError.
+    def solve_rows(self, rhs, betas, subject="matrix is"):
+        """The (h, K) coefficients of an (h, n) block of right sides, row i at betas[i].
+
+        At beta = 0, c = D V diag(1/sigma) U^T b for the SVD of A D, D the inverse column
+        norms; a loss of rank raises SingularMatrixError with the count of scaled singular
+        values above PIVOT_RTOL times the largest.  At beta > 0, y = n! c = V diag(sigma /
+        (sigma^2 + beta)) U^T b for the SVD of B minimizes ||A c - b||^2 + beta ||y||^2.
+        Each mat-vec is a gemv per row, so a row rounds as it does alone (one row runs as
+        vectors: less overhead).  A non-finite right side or solution raises NumericalError.
         """
-        beta = check_real(beta, "beta")
-        if not beta:
-            return self._direct(rhs, "matrix is")
+        rhs, betas = np.asarray(rhs, dtype=float), np.asarray(betas, dtype=float)
+        listed = betas.tolist()
+        if (betas.ndim != 1 or rhs.shape != (len(betas), len(self.matrix))
+                or not all(0.0 <= beta < np.inf for beta in listed)):
+            raise DomainError(f"expected an (h, {len(self.matrix)}) block of right sides and h "
+                              f"finite betas >= 0, got shape {rhs.shape} and {listed}")
         _check_finite(rhs, "right-hand side")
-        u, sigma, vt, weights = self._normalized
+        if 0.0 in listed and any(listed):  # both kinds: each on its own factors
+            coeffs, damped = np.empty((len(rhs), self.matrix.shape[1])), betas > 0.0
+            for kind in (~damped, damped):
+                coeffs[kind] = self.solve_rows(rhs[kind], betas[kind], subject)
+            return coeffs
+        b, beta = (rhs[0], listed[0]) if len(rhs) == 1 else (rhs, betas[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = vt.T @ ((u.T @ rhs) * (sigma / (sigma * sigma + beta))) * weights
-        return _check_finite(coeffs, "solution")
-
-    def _direct(self, rhs, subject):
-        """c = D V diag(1/sigma) U^T b for the SVD of A D, D the inverse column norms.
-
-        Column scaling removes the spread of column magnitudes, so only a real
-        loss of rank remains.  Raises SingularMatrixError with the numerical rank,
-        the count of scaled singular values above PIVOT_RTOL times the largest.
-        """
-        _check_finite(rhs, "right-hand side")
-        u, sigma, vt, norms = self._equilibrated
-        rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
-        if rank < sigma.size:
-            raise SingularMatrixError(
-                rank, f"{subject} numerically singular at pivot {rank} (rank {rank} of {sigma.size})")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _check_finite(vt.T @ ((u.T @ rhs) / sigma) / norms, "solution")
+            if any(listed):
+                u, sigma, vt, weights = self._normalized
+                coeffs = _gemvs(vt.T, _gemvs(u.T, b) * (sigma / (sigma * sigma + beta))) * weights
+            else:
+                u, sigma, vt, norms = self._equilibrated
+                rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
+                if rank < sigma.size:
+                    raise SingularMatrixError(rank, f"{subject} numerically singular at pivot "
+                                                    f"{rank} (rank {rank} of {sigma.size})")
+                coeffs = _gemvs(vt.T, _gemvs(u.T, b) / sigma) / norms
+        return _check_finite(coeffs, "solution").reshape(len(rhs), self.matrix.shape[1])
 
     def condition_number(self, beta=0.0):
         """sigma_max / sigma_min of A at beta = 0; at beta > 0 the condition
@@ -132,10 +145,8 @@ def solve_direct(system):
 
 def solve_tikhonov(system, beta):
     """The damped solve; at beta = 0 a rank loss is reported as singular normal equations."""
-    beta = check_real(beta, "beta")
-    factors = Factorization(system.matrix)
-    return factors.solve(system.rhs, beta) if beta else factors._direct(
-        system.rhs, "normal equations are")
+    return Factorization(system.matrix).solve_rows(system.rhs[None], [check_real(beta, "beta")],
+                                                   "normal equations are")[0]
 
 
 def condition_number(system, beta=0.0):

@@ -250,16 +250,16 @@ def test_only_domain_errors_become_domain_error_records(monkeypatch):
     # A bare ValueError inside a cell (a numpy broadcast mismatch, say) is a
     # defect and propagates; the library's own DomainError is a tagged outcome.
     def solve_raising(exc_type):
-        def solve(factors, rhs, beta):
+        def solve_rows(factors, rhs, betas):
             raise exc_type("stage failed")
-        return solve
+        return solve_rows
 
     grid = SweepGrid(orders=(6,), betas=(0.0, 1e-7))
-    monkeypatch.setattr(experiments.Factorization, "solve", solve_raising(ValueError))
+    monkeypatch.setattr(experiments.Factorization, "solve_rows", solve_raising(ValueError))
     with pytest.raises(ValueError, match="stage failed") as info:
         run_sweep(grid)
     assert type(info.value) is ValueError
-    monkeypatch.setattr(experiments.Factorization, "solve", solve_raising(DomainError))
+    monkeypatch.setattr(experiments.Factorization, "solve_rows", solve_raising(DomainError))
     records = run_sweep(grid).records
     assert [rec.error for rec in records] == ["domain_error"] * 2
     assert all(math.isnan(rec.delta_p) for rec in records)
@@ -349,6 +349,31 @@ def test_overflowing_seeds_fail_only_their_own_cells():
             assert rec.error == "numerical_error"
         else:
             assert rec.error is not None
+    # One block that mixes seeds whose data overflow (0, 3), seeds whose
+    # solution overflows (1, 4, 7) and healthy cells, at both kinds of beta:
+    # each cell fails or solves as run_case does alone, with its message.
+    cells = [(0.0, 7e307, 0), (0.0, 7e307, 1), (0.0, 0.01, 2), (1e-7, 7e307, 3),
+             (1e-7, 7e307, 4), (1e-7, 0.01, 5), (0.0, 0.0, 6), (1e-7, 7e307, 7)]
+    group = experiments._Group(prob, 8, seeds=tuple(grid.seeds), mode="constant")
+    outcomes = group.solve(cells)
+    expected = []
+    for beta, level, seed in cells:
+        try:
+            with np.errstate(all="ignore"):
+                expected.append(run_case(prob, 8, beta, noise=dataclasses.replace(
+                    spec, level=level, seed=seed) if level else None))
+        except NumericalError as exc:
+            expected.append(exc)
+    assert [str(out) for out in outcomes if not isinstance(out, tuple)] == [
+        rows[0], "solution contains non-finite entries", rows[1],
+        "solution contains non-finite entries", "solution contains non-finite entries"]
+    for out, want in zip(outcomes, expected):
+        if isinstance(want, Exception):
+            assert (type(out), str(out)) == (type(want), str(want))
+        else:
+            coeffs, cond, res_norm, _ = out
+            assert (tuple(coeffs.tolist()), cond, res_norm) == (
+                want.coefficients, want.condition_number, want.residual_norm)
 
 
 def test_overflowing_solves_are_numerical_errors_without_errstate():
@@ -389,19 +414,24 @@ def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
 
 
 def test_one_bad_row_fails_only_its_own_cell(monkeypatch):
-    # Finite coefficients whose delta_p (a huge c_1) or delta_u alone (a huge
-    # c_2, whose flux at x = 0 vanishes) overflows: the block that holds them
-    # raises, and each row is measured alone, so only those cells fail.
+    # Finite coefficients whose differences overflow in delta_p (a huge c_3,
+    # whose flux 6 t c_3 overflows) or in delta_u alone (a huge c_2, whose flux
+    # at x = 0 vanishes): the block that holds them raises, and each row is
+    # measured alone, so only those cells fail.  (A huge c_1 whose squares alone
+    # overflow is measured finite: test_metrics.)
     grid = SweepGrid(orders=(8,), betas=(0.0,), noise_levels=(0.01,), seeds=range(10))
     clean = run_sweep(grid).records
     group_solve = experiments._Group.solve
 
-    def solve(group, beta, noise=None):
-        coeffs, *rest = group_solve(group, beta, noise)
-        if noise.seed in (2, 5, 9):
-            coeffs = coeffs.copy()
-            coeffs[1 if noise.seed == 2 else 2] = 1e300
-        return (coeffs, *rest)
+    def solve(group, cells):
+        outcomes = group_solve(group, cells)
+        for k, (_, _, seed) in enumerate(cells):
+            if seed in (2, 5, 9):
+                coeffs, *rest = outcomes[k]
+                coeffs = coeffs.copy()
+                coeffs[3 if seed == 2 else 2] = 1e308
+                outcomes[k] = (coeffs, *rest)
+        return outcomes
 
     monkeypatch.setattr(experiments._Group, "solve", solve)
     records = run_sweep(grid).records
@@ -413,7 +443,7 @@ def test_one_bad_row_fails_only_its_own_cell(monkeypatch):
         else:
             assert _record_key(rec) == _record_key(expected)
     group = experiments._Group(example1(), 8, seeds=tuple(grid.seeds))
-    block = np.array([solve(group, 0.0, NoiseSpec(0.01, seed))[0] for seed in grid.seeds])
+    block = np.array([out[0] for out in solve(group, [(0.0, 0.01, seed) for seed in grid.seeds])])
     delta_p_on, delta_u_on = group._errors
     with pytest.raises(NumericalError, match="^delta_p is not finite$"):
         delta_p_on(block)

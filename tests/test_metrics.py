@@ -9,6 +9,8 @@ import pytest
 from stefanflux import (
     DomainError,
     HeatPolynomialBasis,
+    NoiseSpec,
+    NumericalError,
     assemble,
     benchmark_problem,
     delta_p,
@@ -17,6 +19,7 @@ from stefanflux import (
     example2,
     flux_curve,
     preset_scheme,
+    run_case,
     solve_direct,
     solve_tikhonov,
 )
@@ -200,3 +203,33 @@ def test_blocks_equal_rows_alone_and_the_one_row_formulas(name, order):
             delta_p(bad, prob, basis)
         with pytest.raises(DomainError, match="coefficients"):
             delta_u(bad, prob, basis)
+
+
+def test_errors_whose_squares_alone_overflow_are_rescaled():
+    # At a constant level of 1e155 the flux differences are finite but their
+    # squares overflow; delta_p and delta_u are measured as scale * sqrt(sum
+    # w (d / scale)^2), 1e5 times their values at 1e150, and not an overflow.
+    # A row that does not overflow keeps its bits beside one that does, and a
+    # row whose differences themselves overflow still raises.
+    reports = {level: run_case(example1(), 8, noise=NoiseSpec(level, 1, "constant"))
+               for level in (1e150, 1e155)}
+    for name in ("delta_p", "delta_u"):
+        value = getattr(reports[1e155], name)
+        assert math.isfinite(value)
+        assert value == pytest.approx(1e5 * getattr(reports[1e150], name), rel=1e-6)
+    # Past 1e156 the right side's own norm overflows too; the relative residual
+    # is then taken on the right side scaled by its largest entry.
+    for level in (1e156, 1e160, 1e165):
+        report = run_case(example1(), 8, noise=NoiseSpec(level, 1, "constant"))
+        assert report.delta_p == pytest.approx(level / 1e150 * reports[1e150].delta_p, rel=1e-6)
+        assert 0.0 < report.relative_residual < 1e-12
+    prob, basis = example1(), HeatPolynomialBasis(1.0, 8)
+    healthy = solve_direct(assemble(prob, basis, preset_scheme(8)))
+    huge = np.array(reports[1e155].coefficients)
+    for error in (_delta_p_on(prob, basis), _delta_u_on(prob, basis)):
+        alone = error(healthy[None])[0]
+        assert error(np.array([healthy, huge, healthy])) == [alone, error(huge[None])[0], alone]
+        overflowing = healthy.copy()
+        overflowing[3] = 1e308  # its flux 6 t c_3 and its values overflow
+        with pytest.raises(NumericalError, match="is not finite$"):
+            error(np.array([healthy, overflowing]))

@@ -11,6 +11,7 @@ from stefanflux import (
     NumericalError,
     SingularMatrixError,
     assemble,
+    benchmark_problem,
     condition_number,
     delta_p,
     example1,
@@ -21,6 +22,7 @@ from stefanflux import (
     solve_direct,
     solve_tikhonov,
 )
+from stefanflux import experiments
 from stefanflux.assembly import LinearSystem
 from stefanflux.solver import Factorization
 
@@ -238,3 +240,50 @@ def test_overflowing_solution_raises_numerical_error():
         assert np.isfinite(factors.solve(np.full(2, 1e300), beta)).all()
     with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
         solve_tikhonov(_system(np.diag([1.0, 1e-5]), [1e308, 1e308]), 0.0)
+
+
+@pytest.mark.parametrize("order", [4, 12, 20])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_block_solve_equals_rows_alone(name, order):
+    # A block of right sides solves as one stacked product per kind of beta, a
+    # gemv per row, so each row equals its own solve and the one-row formulas
+    # bit for bit, at any height and any mix of betas; so do a sweep group's
+    # stacked residual norms and np.linalg.norm.
+    prob = benchmark_problem(name)
+    system = assemble(prob, HeatPolynomialBasis(prob.diffusivity, order), preset_scheme(order))
+    factors = Factorization(system.matrix)
+    noise = np.random.default_rng(order).standard_normal((9, system.size))
+    rhs = system.rhs * (1.0 + 1e-2 * noise)
+    u, sigma, vt, norms = factors._equilibrated
+    nu, nsigma, nvt, weights = factors._normalized
+    assert factors.solve_rows(rhs[:0], []).shape == (0, system.size)
+    for h in (1, 2, 7, 8, 9):
+        mixed = [(0.0, 1e-9, 1e-7)[k % 3] for k in range(h)]
+        for betas in ([0.0] * h, [1e-9] * h, [1e-7] * h, mixed):
+            block = factors.solve_rows(rhs[:h], betas)
+            assert block.shape == (h, system.size)
+            for row, b, beta in zip(block, rhs, betas):
+                assert (row == factors.solve(b, beta)).all()
+                alone = (vt.T @ ((u.T @ b) / sigma) / norms if not beta else
+                         nvt.T @ ((nu.T @ b) * (nsigma / (nsigma * nsigma + beta))) * weights)
+                assert (row == alone).all()
+    group = experiments._Group(prob, order, seeds=tuple(range(9)))
+    cells = [(beta, 0.01, seed) for seed in range(9) for beta in (0.0, 1e-7)]
+    outcomes = group.solve(cells)
+    assert len(outcomes) == len(cells)
+    for (beta, _, _), (coeffs, cond, res_norm, b) in zip(cells, outcomes):
+        assert (coeffs == factors.solve(b, beta)).all()
+        assert res_norm == float(np.linalg.norm(system.matrix @ coeffs - b))
+        assert cond == factors.condition_number(beta)
+    for bad_rhs, bad_betas in ((rhs[0], [0.0]), (rhs[:2], [0.0]), (rhs[:2, :-1], [0.0, 0.0]),
+                               (rhs[:2], [[0.0, 0.0]]), (rhs[:1], 0.0), (rhs[None, :2], [0.0])):
+        with pytest.raises(DomainError, match="block"):
+            factors.solve_rows(bad_rhs, bad_betas)
+    for bad in (-1e-3, math.nan, math.inf):
+        with pytest.raises(DomainError, match="betas"):
+            factors.solve_rows(rhs[:2], [0.0, bad])
+    nonfinite = rhs[:3].copy()
+    nonfinite[1, 0] = np.nan
+    for betas in ([0.0] * 3, [1e-7] * 3):
+        with pytest.raises(NumericalError, match="^right-hand side contains non-finite entries$"):
+            factors.solve_rows(nonfinite, betas)
