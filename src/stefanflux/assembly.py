@@ -23,7 +23,7 @@ from . import quadrature
 from .errors import DomainError, NumericalError, check_integer
 
 __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
-           "stefan_nodes", "panel_sums", "with_stefan_data"]
+           "stefan_nodes", "panel_sums"]
 
 
 def check_quadrature_order(order):
@@ -96,8 +96,7 @@ class LinearSystem:
 
 
 def _require_finite(matrix, rhs, family):
-    finite = np.isfinite(rhs)
-    bad = np.flatnonzero(~(finite if matrix is None else np.isfinite(matrix).all(axis=1) & finite))
+    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
     if bad.size:
         raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
 
@@ -116,8 +115,8 @@ def assemble(problem, basis, scheme):
     """Build the collocation system for the given problem and basis from clean data.
 
     The energy-balance right side uses the closed form
-    latent_heat * density * (s(t_i) - s(t_{i-1})).  Measured or noisy data
-    replaces it through with_stefan_data, sampled at stefan_nodes.
+    latent_heat * density * (s(t_i) - s(t_{i-1})).  Measured or noisy data,
+    sampled at stefan_nodes, replaces it by the panel_sums of the weighted data.
     """
     size = basis.size
     if scheme.size != size:
@@ -165,17 +164,6 @@ def assemble(problem, basis, scheme):
     matrix = np.ascontiguousarray(np.concatenate([dirichlet, stefan, initial]))
     rhs = np.concatenate([dirichlet_rhs, stefan_rhs, initial_rhs])
     return LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
-
-
-def with_stefan_data(system, scheme, weights, data):
-    """system with the energy-balance right side integrated from data at stefan_nodes."""
-    rows = slice(scheme.n_dirichlet, scheme.n_dirichlet + scheme.n_stefan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stefan_rhs = panel_sums(weights * data, scheme.quadrature_order)
-    _require_finite(system.matrix[rows], stefan_rhs, "stefan")
-    rhs = system.rhs.copy()
-    rhs[rows] = stefan_rhs
-    return LinearSystem(matrix=system.matrix, rhs=rhs, row_labels=system.row_labels)
 
 
 def residual(system, coeffs):

@@ -101,11 +101,7 @@ def _merged(args, config):
     """Flag value if given, else config file value, else the supplied default."""
     def pick(name, default):
         flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in config:
-            return config[name]
-        return default
+        return flag if flag is not None else config.get(name, default)
     return pick
 
 

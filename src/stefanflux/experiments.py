@@ -1,13 +1,15 @@
 """Parameter sweeps over order, damping, noise level, seed, and horizon.
 
-A sweep runs one group at a time: the cells sharing (horizon, order), which
-the grid emits contiguously.  A group builds its problem, basis, scheme, clean
-system and one Factorization of its matrix once; the noise of all its seeds in
-one block at its first noisy cell, and at each level's first cell the right
-sides of all its seeds.  Then, 8 cells at a time, it solves the cells' right
-sides in one Factorization.solve_rows call (a gemv per row, so each cell's bits
-are its own), takes their residual norms as stacked dots, and measures those
-that solved as one block.  Memory holds one group; run_case is a group of one.
+A sweep runs one horizon at a time: its problem, and its delta_p and delta_u
+grids with design rows up to the largest order, are built once and shared by its
+groups, the cells sharing (horizon, order), which the grid emits contiguously.
+A group builds its basis, scheme, clean system and one Factorization of its
+matrix once, its seeds' noise in one block, and each level's right sides in one
+block.  Then, 8 cells at a time, it solves their right sides in one
+Factorization.solve_rows call (a gemv per row, so each cell's bits are its own),
+takes their residual norms as stacked dots, and measures the solved ones as one
+block on the first N + 1 design rows.  Memory holds one horizon's grids and one
+group; run_case is a horizon of one order and a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell, as when its seed's row, solution,
@@ -32,7 +34,7 @@ from .assembly import (CollocationScheme, assemble, check_quadrature_order, pane
 from .basis import HeatPolynomialBasis
 from .errors import (DomainError, NumericalError, SingularMatrixError, check_integer,
                      check_real)
-from .metrics import _delta_p_on, _delta_u_on, flux_curve
+from .metrics import _delta_p_grid, _delta_u_grid, _error, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
 from .solver import Factorization, _gemvs
@@ -57,18 +59,43 @@ class SolveReport:
     flux_curve: tuple
 
 
+def _norms(rows):
+    """The 2-norm of each row as a stacked dot, which rounds as np.linalg.norm does, and of a row
+    whose squares alone overflow as scale * norm(row / scale), scale = max |row|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+        for i in np.flatnonzero(np.isinf(norms)):  # a non-finite row comes out nan
+            scale = np.abs(rows[i]).max()
+            norms[i] = scale * np.linalg.norm(rows[i] / scale)
+    return norms
+
+
+class _Horizon:
+    """A horizon's problem, and the metrics._error arguments of delta_p and delta_u with design
+    rows up to max_order, built at the first measured block (a build that raises caches nothing)."""
+
+    def __init__(self, problem, max_order):
+        self.problem, self.basis = problem, HeatPolynomialBasis(problem.diffusivity, max_order)
+
+    @cached_property
+    def grids(self):
+        # Rows above a group's order can overflow where the group's own rows do not.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _delta_p_grid(self.problem, self.basis), _delta_u_grid(self.problem, self.basis)
+
+
 class _Group:
-    """What the cells of one (problem, order, scheme) share, built once.
+    """What the cells of one (horizon, order, scheme) share, built once.
 
     seeds, the noise seeds of its cells, are drawn in one block at the first noisy cell.
     A cached property that raises caches nothing, so its next block tries again.
     """
 
-    def __init__(self, problem, order, scheme=None, quadrature_order=16, seeds=(), mode="relative"):
-        self.problem = problem
-        self.basis = HeatPolynomialBasis(problem.diffusivity, order)
+    def __init__(self, shared, order, scheme=None, quadrature_order=16, seeds=(), mode="relative"):
+        self.shared, self.problem = shared, shared.problem
+        self.basis = HeatPolynomialBasis(self.problem.diffusivity, order)
         self.scheme = scheme if scheme is not None else preset_scheme(order, quadrature_order)
-        self.system = assemble(problem, self.basis, self.scheme)
+        self.system = assemble(self.problem, self.basis, self.scheme)
         self.factors = Factorization(self.system.matrix)
         self.seeds, self.mode = seeds, mode
         self._rows = {seed: row for row, seed in enumerate(seeds)}
@@ -119,9 +146,8 @@ class _Group:
             coeffs = self.factors.solve_rows(rhs, betas)
         except _CELL_ERRORS as exc:  # then cell by cell, so that only failing cells fail
             return [self.solve([cell])[0] for cell in cells] if len(cells) > 1 else [exc]
-        with np.errstate(over="ignore", invalid="ignore"):  # squares past 1e154 overflow
-            d = _gemvs(self.system.matrix, coeffs) - rhs
-            norms = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0, 0].tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
         for i, beta, c, norm, b in zip(index, betas, coeffs, norms, rhs):
             outcomes[i] = ((c, self.factors.condition_number(beta), norm, b) if math.isfinite(norm)
                            else NumericalError("residual norm is not finite"))
@@ -129,8 +155,8 @@ class _Group:
 
     @cached_property
     def _errors(self):
-        """The delta_p and delta_u closures, built at the first block: a failed solve costs none."""
-        return _delta_p_on(self.problem, self.basis), _delta_u_on(self.problem, self.basis)
+        """The delta_p and delta_u closures, on the horizon's grids from the first block on."""
+        return tuple(_error(self.basis, *grid) for grid in self.shared.grids)
 
     def measure(self, block):
         """Each row's (delta_p, delta_u, error tag); a block that fails is measured row by row."""
@@ -149,17 +175,14 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
     level, seed, mode = (noise.level, noise.seed, noise.mode) if noise else (0.0, 0, "relative")
-    group = _Group(problem, order, scheme, seeds=(seed,), mode=mode)
+    group = _Group(_Horizon(problem, order), order, scheme, seeds=(seed,), mode=mode)
     (outcome,) = group.solve([(check_real(beta, "beta"), level, seed)])
     if not isinstance(outcome, tuple):
         raise outcome
     coeffs, cond, res_norm, rhs = outcome
     (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples)
-    with np.errstate(over="ignore"):  # squares past 1e154 overflow: then scale by the largest
-        rhs_norm = float(np.linalg.norm(rhs))
-    if math.isinf(rhs_norm):
-        rhs_norm = float(np.linalg.norm(rhs / np.abs(rhs).max()) * np.abs(rhs).max())
+    rhs_norm = float(_norms(rhs[None])[0])
     return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
                        float(max(row[3] for row in curve)), tuple(curve))
@@ -237,11 +260,8 @@ class AggregateRow:
 
 
 def _error_tag(exc):
-    if isinstance(exc, SingularMatrixError):
-        return "singular_matrix"
-    if isinstance(exc, NumericalError):
-        return "numerical_error"
-    return "domain_error"
+    return ("singular_matrix" if isinstance(exc, SingularMatrixError) else
+            "numerical_error" if isinstance(exc, NumericalError) else "domain_error")
 
 
 # Typed failures only: a stray numpy ValueError inside a cell is a defect and propagates.
@@ -252,13 +272,13 @@ _CELL_ERRORS = (DomainError, NumericalError, FloatingPointError, OverflowError)
 _BLOCK = 8
 
 
-def _evaluate_group(grid, cells):
+def _evaluate_group(grid, shared, cells):
     """Yield the CellRecord of each cell of one (horizon, order) group."""
     horizon, order = cells[0][:2]
     start = time.perf_counter()
     try:
-        group = _Group(benchmark_problem(grid.benchmark, horizon), order, grid.scheme_override,
-                       grid.quadrature_order, grid.seeds, grid.noise_mode)
+        group = _Group(shared, order, grid.scheme_override, grid.quadrature_order, grid.seeds,
+                       grid.noise_mode)
     except _CELL_ERRORS as exc:
         group, failure = None, exc
     share = (time.perf_counter() - start) / len(cells)
@@ -290,17 +310,16 @@ class SweepResult:
         rows = []
         for key, recs in groups.items():
             ok = [r for r in recs if r.error is None]
-            nan = float("nan")
             rows.append(AggregateRow(
                 benchmark=recs[0].benchmark,
                 order=key[0], beta=key[1], noise_level=key[2], horizon=key[3],
                 seed_count=len(recs),
-                delta_p_median=float(np.median([r.delta_p for r in ok])) if ok else nan,
+                delta_p_median=float(np.median([r.delta_p for r in ok])) if ok else math.nan,
                 delta_p_iqr=float(np.subtract(*np.percentile(
-                    [r.delta_p for r in ok], [75, 25]))) if ok else nan,
-                delta_u_median=float(np.median([r.delta_u for r in ok])) if ok else nan,
+                    [r.delta_p for r in ok], [75, 25]))) if ok else math.nan,
+                delta_u_median=float(np.median([r.delta_u for r in ok])) if ok else math.nan,
                 condition_number=float(np.median(
-                    [r.condition_number for r in ok])) if ok else nan,
+                    [r.condition_number for r in ok])) if ok else math.nan,
                 failures=len(recs) - len(ok)))
         return rows
 
@@ -314,11 +333,14 @@ class SweepResult:
 
 
 def run_sweep(grid, jobs=1):
-    """Run every cell of the grid group by group in this process.
+    """Run every cell of the grid horizon by horizon and group by group in this process.
 
     jobs must be an integer in [1, 2**63) and has no effect; it stays for callers that pass it.
     """
     check_integer(jobs, "jobs", 1)
-    return SweepResult(grid=grid, records=[
-        record for _, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[:2])
-        for record in _evaluate_group(grid, list(cells))])
+    records = []
+    for horizon, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[0]):
+        shared = _Horizon(benchmark_problem(grid.benchmark, horizon), max(grid.orders))
+        for _, group in itertools.groupby(cells, key=lambda cell: cell[1]):
+            records.extend(_evaluate_group(grid, shared, list(group)))
+    return SweepResult(grid=grid, records=records)

@@ -10,9 +10,9 @@ delta_u does the same for the temperature over the curvilinear domain
 difference or result that is not finite raises NumericalError, while a row whose
 squares alone overflow is summed again scaled by its largest difference.
 
-_delta_p_on and _delta_u_on build their grids once and map an (h, K) block of
-coefficients to h values, each rounded as its row alone (one gemv per row, then
-in-place steps in the one-row order); delta_p and delta_u are a block of one.
+_delta_p_grid and _delta_u_grid build a grid once.  _error maps an (h, K) block of
+coefficients to h values on its first K design rows, each rounded as its row alone;
+_delta_p_on and _delta_u_on pair the two, and delta_p and delta_u are a block of one.
 """
 
 import numpy as np
@@ -37,11 +37,11 @@ def _require_finite(value, what):
 
 
 def _error(basis, rows, factor, ref, squares, denom, what):
-    """Blocks to sqrt(squares(d) / denom) per row, d = factor * combine_rows(block, rows) - ref
-    (no factor if None) and squares summing w d^2 in place.  A row whose squares alone
-    overflow is measured as scale * sqrt(squares(d / scale) / denom), scale = max |d|."""
+    """Blocks to sqrt(squares(d) / denom) per row, d = factor * combine_rows(block, rows[:K]) - ref
+    with K = basis.size (no factor if None), squares summing w d^2 in place.  A row whose squares
+    alone overflow is measured as scale * sqrt(squares(d / scale) / denom), scale = max |d|."""
     def diffs(block):
-        d = basis.combine_rows(block, rows)
+        d = basis.combine_rows(block, rows[:basis.size])
         if factor is not None:
             d *= factor
         d -= ref
@@ -60,8 +60,8 @@ def _error(basis, rows, factor, ref, squares, denom, what):
     return error
 
 
-def _delta_p_on(problem, basis, quad_points=256):
-    """delta_p of each row of an (h, K) block of coefficients, its grid built once."""
+def _delta_p_grid(problem, basis, quad_points=256):
+    """The arguments of _error after basis for delta_p, with design rows up to basis.size."""
     exact_ux0 = _require_oracle(problem, "exact_flux_gradient")
     if quad_points < 1:
         raise DomainError(f"quad_points must be >= 1, got {quad_points}")
@@ -74,12 +74,12 @@ def _delta_p_on(problem, basis, quad_points=256):
         denom = _require_finite(float(weights @ (ref * ref)), "exact flux norm")
     if denom == 0.0:
         raise DomainError("exact flux is identically zero on the quadrature grid")
-    return _error(basis, rows, -lam, ref,
-                  lambda d: (np.square(d, out=d)[:, None, :] @ weights)[:, 0], denom, "delta_p")
+    return (rows, -lam, ref,
+            lambda d: (np.square(d, out=d)[:, None, :] @ weights)[:, 0], denom, "delta_p")
 
 
-def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
-    """delta_u of each row of an (h, K) block of coefficients, its grid built once."""
+def _delta_u_grid(problem, basis, quad_points_t=64, quad_points_x=64):
+    """The arguments of _error after basis for delta_u, with design rows up to basis.size."""
     exact = _require_oracle(problem, "exact_solution")
     if quad_points_t < 1 or quad_points_x < 1:
         raise DomainError("quadrature point counts must be >= 1")
@@ -96,9 +96,18 @@ def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
         denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
     if denom == 0.0:
         raise DomainError("exact solution is identically zero on the quadrature grid")
-    return _error(basis, rows, None, ref,
-                  lambda d: np.multiply(np.square(d, out=d), w_grid, out=d).sum(axis=1), denom,
-                  "delta_u")
+    return (rows, None, ref,
+            lambda d: np.multiply(np.square(d, out=d), w_grid, out=d).sum(axis=1), denom, "delta_u")
+
+
+def _delta_p_on(problem, basis, quad_points=256):
+    """delta_p of each row of an (h, K) block of coefficients, its grid built once."""
+    return _error(basis, *_delta_p_grid(problem, basis, quad_points))
+
+
+def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
+    """delta_u of each row of an (h, K) block of coefficients, its grid built once."""
+    return _error(basis, *_delta_u_grid(problem, basis, quad_points_t, quad_points_x))
 
 
 def delta_p(coeffs, problem, basis, quad_points=256):

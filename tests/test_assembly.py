@@ -9,6 +9,7 @@ from stefanflux import (
     CollocationScheme,
     DomainError,
     HeatPolynomialBasis,
+    NoiseSpec,
     NumericalError,
     StefanProblem,
     assemble,
@@ -16,9 +17,11 @@ from stefanflux import (
     example2,
     preset_scheme,
     residual,
+    run_case,
     solve_direct,
 )
-from stefanflux.assembly import LinearSystem, stefan_nodes, with_stefan_data
+from stefanflux import experiments
+from stefanflux.assembly import LinearSystem, panel_sums, stefan_nodes
 from stefanflux.quadrature import subdivided_nodes
 
 
@@ -209,21 +212,21 @@ def _flat_interface_problem(initial_profile):
         initial_profile=initial_profile)
 
 
-def test_nonfinite_values_name_the_offending_row():
+def test_nonfinite_values_name_the_offending_row(monkeypatch):
     basis = HeatPolynomialBasis(1.0, 4)
     scheme = preset_scheme(4)
     bad_initial = _flat_interface_problem(lambda x: float("inf"))
     with pytest.raises(NumericalError, match="initial row 1"):
         assemble(bad_initial, basis, scheme)
+    # Noisy data enter through the panel sums of a sweep group, run_case's path.
     ok = _flat_interface_problem(lambda x: 0.0)
-    t_nodes, t_weights = stefan_nodes(ok, scheme)
+    monkeypatch.setattr(experiments, "scale_draws",
+                        lambda spec, clean, draws, conductivity: np.full_like(draws, np.inf))
     with pytest.raises(NumericalError, match="stefan row 1"):
-        with_stefan_data(assemble(ok, basis, scheme), scheme, t_weights,
-                         np.full_like(t_nodes, np.inf))
+        run_case(ok, 4, noise=NoiseSpec(0.01))
 
 
 def test_zero_level_noise_reproduces_clean_system():
-    from stefanflux import NoiseSpec
     from stefanflux.noise import scale_draws, standard_draws
 
     prob = example1()
@@ -233,7 +236,10 @@ def test_zero_level_noise_reproduces_clean_system():
     t_nodes, t_weights = stefan_nodes(prob, scheme)
     data = scale_draws(NoiseSpec(0.0), prob.interface_flux(t_nodes),
                        standard_draws(0, t_nodes), prob.conductivity)
-    noisy = with_stefan_data(clean, scheme, t_weights, data)
+    rhs = clean.rhs.copy()
+    rhs[scheme.n_dirichlet:scheme.n_dirichlet + scheme.n_stefan] = panel_sums(
+        t_weights * data, scheme.quadrature_order)
+    noisy = LinearSystem(clean.matrix, rhs, clean.row_labels)
     np.testing.assert_array_equal(noisy.matrix, clean.matrix)
     # Clean data integrates through the closed form, the zero-level path
     # through quadrature; they agree to quadrature accuracy.

@@ -34,7 +34,7 @@ from stefanflux import (
     sqrt_boundary_problem,
 )
 from stefanflux import experiments
-from stefanflux.assembly import check_quadrature_order, stefan_nodes, with_stefan_data
+from stefanflux.assembly import check_quadrature_order, panel_sums, stefan_nodes
 from stefanflux.errors import check_integer
 from stefanflux.experiments import _error_tag
 from stefanflux.noise import scale_draws, standard_draws
@@ -72,7 +72,9 @@ def test_noisy_run_case_matches_manual_pipeline(mode):
     t_nodes, t_weights = stefan_nodes(prob, scheme)
     data = scale_draws(spec, prob.interface_flux(t_nodes), standard_draws(spec.seed, t_nodes),
                        prob.conductivity)
-    system = with_stefan_data(assemble(prob, basis, scheme), scheme, t_weights, data)
+    system = assemble(prob, basis, scheme)
+    system.rhs[scheme.n_dirichlet:scheme.n_dirichlet + scheme.n_stefan] = panel_sums(
+        t_weights * data, scheme.quadrature_order)
     coeffs = solve(system, 1e-5)
     assert report.coefficients == tuple(float(c) for c in coeffs)
     assert report.delta_p == delta_p(coeffs, prob, basis)
@@ -220,14 +222,53 @@ def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
     # draws; each record must still equal an independent run_case, field by
     # field.  N=20 at T=1.5 and beta=0 has full rank once its columns are
     # scaled, so every cell solves.
-    grid = SweepGrid(orders=(4, 12, 20), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
-                     seeds=(0, 1), horizons=(0.5, 1.5), benchmark=problem_id, noise_mode=mode)
-    expected = [_case_key(grid, cell) for cell in grid.cells()]
-    assert sum(key[1] == "singular_matrix" for key in expected) == 0
-    for jobs in (1, 2):
-        records = run_sweep(grid, jobs=jobs).records
-        assert [_record_key(rec) for rec in records] == expected
-        assert all(rec.wall_time > 0.0 for rec in records)
+    # The order groups of a horizon measure on the first N + 1 design rows of
+    # its grids, built at the largest order, whichever order comes first.
+    for orders in ((4, 12, 20), (12, 4, 20)):
+        grid = SweepGrid(orders=orders, betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
+                         seeds=(0, 1), horizons=(0.5, 1.5), benchmark=problem_id,
+                         noise_mode=mode)
+        expected = [_case_key(grid, cell) for cell in grid.cells()]
+        assert sum(key[1] == "singular_matrix" for key in expected) == 0
+        for jobs in (1, 2):
+            records = run_sweep(grid, jobs=jobs).records
+            assert [_record_key(rec) for rec in records] == expected
+            assert all(rec.wall_time > 0.0 for rec in records)
+
+
+def test_problem_and_error_grids_are_built_once_per_horizon(monkeypatch):
+    # A horizon's order groups share its problem and its delta_p/delta_u grids,
+    # built at the grid's largest order; run_case builds one at its own order,
+    # and a horizon whose cells all fail to solve builds none.
+    builds, problems = [], []
+    for name in ("_delta_p_grid", "_delta_u_grid"):
+        monkeypatch.setattr(experiments, name, lambda problem, basis, build=getattr(
+            experiments, name): builds.append(basis.max_order) or build(problem, basis))
+    build_problem = experiments.benchmark_problem
+    monkeypatch.setattr(experiments, "benchmark_problem", lambda benchmark, horizon:
+                        problems.append(horizon) or build_problem(benchmark, horizon))
+    grid = SweepGrid(orders=(4, 12, 8), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
+                     horizons=(0.5, 1.5))
+    assert all(rec.error is None for rec in run_sweep(grid).records)
+    assert (builds, problems) == ([12, 12] * 2, [0.5, 1.5])
+    builds.clear()
+    run_case(example1(), 8)
+    assert builds == [8, 8]
+    builds.clear()
+    grid = SweepGrid(orders=(6, 8), horizons=(0.5, 1.5), scheme_override=preset_scheme(12))
+    assert {rec.error for rec in run_sweep(grid).records} == {"domain_error"}
+    assert builds == []
+
+
+def test_rows_above_a_group_order_may_overflow():
+    # The horizon's grids hold design rows up to N=400, which overflow where
+    # those of N=8 and N=12 do not.  Under warnings-as-errors N=8 and N=12
+    # still measure, and N=400 fails typed, each as run_case does alone.
+    grid = SweepGrid(orders=(8, 12, 400), horizons=(1.0, 3.0))
+    records = run_sweep(grid).records
+    assert [rec.error for rec in records] == [None, None, "numerical_error"] * 2
+    assert [_record_key(rec) for rec in records] == [_case_key(grid, cell)
+                                                     for cell in grid.cells()]
 
 
 def test_rank_deficient_group_tags_direct_cells_singular(monkeypatch):
@@ -354,7 +395,8 @@ def test_overflowing_seeds_fail_only_their_own_cells():
     # each cell fails or solves as run_case does alone, with its message.
     cells = [(0.0, 7e307, 0), (0.0, 7e307, 1), (0.0, 0.01, 2), (1e-7, 7e307, 3),
              (1e-7, 7e307, 4), (1e-7, 0.01, 5), (0.0, 0.0, 6), (1e-7, 7e307, 7)]
-    group = experiments._Group(prob, 8, seeds=tuple(grid.seeds), mode="constant")
+    group = experiments._Group(experiments._Horizon(prob, 8), 8, seeds=tuple(grid.seeds),
+                               mode="constant")
     outcomes = group.solve(cells)
     expected = []
     for beta, level, seed in cells:
@@ -379,26 +421,37 @@ def test_overflowing_seeds_fail_only_their_own_cells():
 def test_overflowing_solves_are_numerical_errors_without_errstate():
     # The same grid outside np.errstate, where warnings are errors: the finite
     # but huge data of seeds 1, 2, 4, 6 and 7 overflow the solve at 7e307, and
-    # at 1e300 every seed solves but its residual's norm overflows.  Each raises
-    # a typed error, not a RuntimeWarning or a misnamed failure of the metrics.
+    # each raises a typed error, not a RuntimeWarning or a misnamed failure of
+    # the metrics.  At 1e300 every seed solves, and its residual, whose squares
+    # alone overflow, is measured as scale * norm(d / scale), scale = max |d|.
     grid = SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 1e300, 7e307),
                      seeds=range(8), noise_mode="constant")
     records = run_sweep(grid).records
     assert len(records) == 64
     for rec in records:
-        assert rec.error == (None if rec.noise_level < 1.0 else "numerical_error")
+        assert rec.error == (None if rec.noise_level < 7e307 else "numerical_error")
     for seed in (1, 2, 4, 6, 7):
         with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
             run_case(example1(), 8, noise=NoiseSpec(7e307, seed, "constant"))
+    group = experiments._Group(experiments._Horizon(example1(), 8), 8, seeds=tuple(grid.seeds),
+                               mode="constant")
     for seed, beta in itertools.product(range(8), (0.0, 1e-7)):
-        with pytest.raises(NumericalError, match="^residual norm is not finite$"):
-            run_case(example1(), 8, beta, noise=NoiseSpec(1e300, seed, "constant"))
+        report = run_case(example1(), 8, beta, noise=NoiseSpec(1e300, seed, "constant"))
+        assert all(math.isfinite(value) for value in (
+            report.residual_norm, report.relative_residual, report.delta_p, report.delta_u))
+        d = group.system.matrix @ np.array(report.coefficients) - group._rhs_block(1e300)[0][seed]
+        with np.errstate(over="ignore"):
+            assert math.isinf(d @ d)
+        scale = np.abs(d).max()
+        assert report.residual_norm == scale * np.linalg.norm(d / scale)
 
 
 def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
     # A group measures up to eight solved cells at once; a cell whose solve
     # fails is left out of its block, and the records equal run_case's.  Each
     # group's 18 cells make blocks of 8, 8 and 2 cells, the last two unsolved.
+    # At N=6, seed 1's beta = 0 cell at 7e307 solves and fails in the metrics:
+    # its first block of 7 rows fails and is measured again row by row.
     shapes = []
     measure = experiments._Group.measure
     monkeypatch.setattr(experiments._Group, "measure",
@@ -408,7 +461,7 @@ def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
     records = run_sweep(grid).records
     solved = [rec.error is None for rec in records]
     assert solved == ([True] * 6 + [False] * 3) * 4
-    assert shapes == [(6, 7), (6, 7), (6, 9), (6, 9)]
+    assert shapes == [(7, 7)] + [(1, 7)] * 7 + [(6, 7), (6, 9), (6, 9)]
     assert [_record_key(rec) for rec in records] == [_case_key(grid, cell)
                                                      for cell in grid.cells()]
 
@@ -442,7 +495,7 @@ def test_one_bad_row_fails_only_its_own_cell(monkeypatch):
                                                rec.condition_number, rec.residual_norm))
         else:
             assert _record_key(rec) == _record_key(expected)
-    group = experiments._Group(example1(), 8, seeds=tuple(grid.seeds))
+    group = experiments._Group(experiments._Horizon(example1(), 8), 8, seeds=tuple(grid.seeds))
     block = np.array([out[0] for out in solve(group, [(0.0, 0.01, seed) for seed in grid.seeds])])
     delta_p_on, delta_u_on = group._errors
     with pytest.raises(NumericalError, match="^delta_p is not finite$"):

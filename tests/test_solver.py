@@ -267,7 +267,7 @@ def test_block_solve_equals_rows_alone(name, order):
                 alone = (vt.T @ ((u.T @ b) / sigma) / norms if not beta else
                          nvt.T @ ((nu.T @ b) * (nsigma / (nsigma * nsigma + beta))) * weights)
                 assert (row == alone).all()
-    group = experiments._Group(prob, order, seeds=tuple(range(9)))
+    group = experiments._Group(experiments._Horizon(prob, order), order, seeds=tuple(range(9)))
     cells = [(beta, 0.01, seed) for seed in range(9) for beta in (0.0, 1e-7)]
     outcomes = group.solve(cells)
     assert len(outcomes) == len(cells)
