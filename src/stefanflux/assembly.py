@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
+from .basis import RowTable
 from .errors import DomainError, NumericalError, check_integer
 
 __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
-           "stefan_nodes", "panel_sums"]
+           "stefan_nodes", "interface_nodes", "panel_sums"]
 
 
 def check_quadrature_order(order):
@@ -111,12 +112,23 @@ def stefan_nodes(problem, scheme):
     return quadrature.subdivided_nodes(0.0, problem.horizon, scheme.n_stefan, scheme.quadrature_order)
 
 
-def assemble(problem, basis, scheme):
+def interface_nodes(problem, scheme):
+    """(times, weights, s(times)) of the temperature rows' and of the energy-balance rows'
+    quadrature nodes."""
+    return tuple((t, w, problem.boundary(t)) for t, w in (
+        quadrature.subdivided_nodes(0.0, problem.horizon, scheme.n_dirichlet,
+                                    scheme.quadrature_order), stefan_nodes(problem, scheme)))
+
+
+def assemble(problem, basis, scheme, nodes=None, rows=None):
     """Build the collocation system for the given problem and basis from clean data.
 
-    The energy-balance right side uses the closed form
-    latent_heat * density * (s(t_i) - s(t_{i-1})).  Measured or noisy data,
-    sampled at stefan_nodes, replaces it by the panel_sums of the weighted data.
+    nodes, the interface_nodes, and rows, which maps 0 to the value rows at the temperature
+    nodes and 1 to the dx rows at the energy-balance nodes (the latter only once the former are
+    finite), are evaluated here unless a caller has them.  The
+    energy-balance right side uses the closed form latent_heat * density * (s(t_i) - s(t_{i-1})).
+    Measured or noisy data, sampled at stefan_nodes, replaces it by the panel_sums of the
+    weighted data.
     """
     size = basis.size
     if scheme.size != size:
@@ -127,19 +139,19 @@ def assemble(problem, basis, scheme):
     q = scheme.quadrature_order
 
     with np.errstate(over="ignore", invalid="ignore"):
+        (t_nodes, t_weights, s_nodes), (ts_nodes, ts_weights, ss_nodes) = (
+            nodes or interface_nodes(problem, scheme))
+        if rows is None:
+            table = RowTable((s_nodes, t_nodes, "value"), (ss_nodes, ts_nodes, "dx"))
+            rows = lambda family: basis.rows(table, basis.max_order, family)[0]
         # Interface temperature rows.
-        t_nodes, t_weights = quadrature.subdivided_nodes(0.0, horizon, scheme.n_dirichlet, q)
-        s_nodes = problem.boundary(t_nodes)
-        dirichlet = panel_sums(t_weights * basis.design(s_nodes, t_nodes), q).T
+        dirichlet = panel_sums(t_weights * rows(0), q).T
         dirichlet_rhs = np.full(scheme.n_dirichlet,
                                 problem.melt_temperature * (horizon / scheme.n_dirichlet))
         _require_finite(dirichlet, dirichlet_rhs, "dirichlet")
 
         # Interface energy-balance rows.
-        t_nodes, t_weights = stefan_nodes(problem, scheme)
-        s_nodes = problem.boundary(t_nodes)
-        stefan = panel_sums(t_weights * (-problem.conductivity)
-                            * basis.design(s_nodes, t_nodes, "dx"), q).T
+        stefan = panel_sums(ts_weights * (-problem.conductivity) * rows(1), q).T
         edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
         s_edges = problem.boundary(edges)
         stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)

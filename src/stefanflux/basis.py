@@ -15,11 +15,28 @@ identically, which is what makes them usable as trial functions for
 boundary-data fitting.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from .errors import DomainError, check_integer
 
-__all__ = ["HeatPolynomialBasis"]
+__all__ = ["HeatPolynomialBasis", "RowTable"]
+
+
+class RowTable:
+    """(x, t, deriv) node sets on one point axis and the basis rows filled there so far;
+    filled[i] is the highest order filled in set i, -1 before its first fill."""
+
+    def __init__(self, *sets):
+        shapes = [np.broadcast(x, t).shape for x, t, _ in sets]
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
+        self.bounds, self.derivs = list(zip([0] + ends[:-1], ends)), [d for *_, d in sets]
+        self.x, self.t = np.empty(ends[-1]), np.empty(ends[-1])
+        for (x, t, _), (a, b), shape in zip(sets, self.bounds, shapes):
+            self.x[a:b].reshape(shape)[...], self.t[a:b].reshape(shape)[...] = x, t
+        self.filled, self.basis, self.buffer = [-1] * len(sets), None, None
 
 
 class HeatPolynomialBasis:
@@ -79,41 +96,58 @@ class HeatPolynomialBasis:
             coeffs.append(k)
         return coeffs
 
-    def design(self, x, t, deriv="value"):
-        """Evaluate v_0 .. v_N, or their first derivative in x or t, at once.
+    def rows(self, table, order, *which):
+        """Rows 0 .. order of the named sets of a RowTable, each (order + 1, points): value rows
+        are views of the table, dx and dt rows new arrays from the ladder identities (orders as
+        floats: the same bits).  Sets short of order are filled first, in one recurrence over
+        the points from the first to the last of them that continues from the rows there; a
+        table's first fill covers every set.  Row n + 1 is x v_n + 2 a^2 n t v_{n-1}, from rows
+        n and n - 1 alone, so rows do not depend on N and rows given out stay valid."""
+        order, first_fill = self._check_order(order), table.basis is None
+        if first_fill:
+            table.basis, table.buffer = self, np.empty((max(self.size, 2), table.x.size))
+            table.st = (2.0 * self.diffusivity * self.diffusivity) * table.t
+        elif table.basis is not self:
+            raise DomainError("a RowTable is filled by the basis that filled it first")
+        late = [i for i in (range(len(table.bounds)) if first_fill else which)
+                if table.filled[i] < order]
+        if late:
+            span = range(min(late), max(late) + 1)
+            first, (a, _), (_, b) = (min(table.filled[i] for i in span), table.bounds[span[0]],
+                                     table.bounds[span[-1]])
+            # rows[k] is row lo + k - 1 for the first order lo that the loop computes from.
+            lo, xs, st = max(first, 1), table.x[a:b], table.st[a:b]
+            rows, term = list(table.buffer[lo - 1:max(order, 1) + 1, a:b]), np.empty_like(xs)
+            if first < 1:
+                rows[0][...], rows[1][...] = 1.0, xs
+            for k, n in enumerate(range(lo, order), 1):
+                np.multiply(st, rows[k - 1], term)
+                term *= n
+                np.multiply(xs, rows[k], rows[k + 1])
+                rows[k + 1] += term
+            for i in span:
+                table.filled[i] = max(table.filled[i], order)
+        return [self._ladder(table, i, order) for i in which]
 
-        Returns an array of shape (N + 1,) + broadcast(x, t).shape whose row n
-        is the order-n function.  Row n + 1 is x v_n + 2 a^2 n t v_{n-1},
-        computed from rows n and n - 1 alone, so rows do not depend on N.
-        """
-        if deriv not in ("value", "dx", "dt"):
-            raise DomainError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
-        xb, tb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
-        # Flat rows, so that rows[n] is a writable view even for scalar input.
-        xs = xb.reshape(-1)
-        st = (2.0 * self.diffusivity * self.diffusivity) * tb.reshape(-1)
-        rows = np.empty((self.size, xs.size))
-        rows[0] = 1.0
-        rows[1:2] = xs
-        term = np.empty_like(st)
-        for n in range(1, self.max_order):
-            np.multiply(st, rows[n - 1], out=term)
-            term *= n
-            np.multiply(xs, rows[n], out=rows[n + 1])
-            rows[n + 1] += term
-        rows = rows.reshape((self.size,) + xb.shape)
+    def _ladder(self, table, i, order):
+        """Set i's rows 0 .. order: value rows as a view of the table, d/dx v_n = n v_{n-1} and
+        d/dt v_n = a^2 n (n-1) v_{n-2} as a new array."""
+        rows, deriv = table.buffer[:order + 1, slice(*table.bounds[i])], table.derivs[i]
         if deriv == "value":
             return rows
-        # Ladder identities: d/dx v_n = n v_{n-1}, d/dt v_n = a^2 n (n-1) v_{n-2}.
-        column = (slice(None),) + (None,) * xb.ndim
-        out = np.zeros_like(rows)
-        if deriv == "dx":
-            np.multiply(np.arange(1, self.size)[column], rows[:-1], out=out[1:])
-        else:
-            a2 = self.diffusivity * self.diffusivity
-            scale = np.array([a2 * n * (n - 1) for n in range(2, self.size)])
-            np.multiply(scale[column], rows[:-2], out=out[2:])
+        if deriv not in ("dx", "dt"):
+            raise DomainError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
+        lag, out = 1 + (deriv == "dt"), np.empty(rows.shape)
+        n, out[:lag] = np.arange(float(len(rows)))[lag:, None], 0.0
+        np.multiply(n if lag == 1 else self.diffusivity * self.diffusivity * n * (n - 1.0),
+                    rows[:len(rows) - lag], out=out[lag:])
         return out
+
+    def design(self, x, t, deriv="value"):
+        """Evaluate v_0 .. v_N, or their first derivative in x or t, at once: the rows of a
+        one-set RowTable, shaped (N + 1,) + broadcast(x, t).shape."""
+        (rows,) = self.rows(RowTable((x, t, deriv)), self.max_order, 0)
+        return rows.reshape((self.size,) + np.broadcast_shapes(np.shape(x), np.shape(t)))
 
     def _row(self, n, x, t, deriv):
         n = self._check_order(n)

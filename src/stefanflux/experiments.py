@@ -1,15 +1,19 @@
 """Parameter sweeps over order, damping, noise level, seed, and horizon.
 
-A sweep runs one horizon at a time: its problem, and its delta_p and delta_u
-grids with design rows up to the largest order, are built once and shared by its
-groups, the cells sharing (horizon, order), which the grid emits contiguously.
-A group builds its basis, scheme, clean system and one Factorization of its
-matrix once, its seeds' noise in one block, and each level's right sides in one
-block.  Then, 8 cells at a time, it solves their right sides in one
-Factorization.solve_rows call (a gemv per row, so each cell's bits are its own),
-takes their residual norms as stacked dots, and measures the solved ones as one
-block on the first N + 1 design rows.  Memory holds one horizon's grids and one
-group; run_case is a horizon of one order and a group of one cell.
+A sweep runs one horizon at a time.  Its problem, each order's scheme and one
+RowTable of all its node sets (delta_p's, delta_u's and every scheme's interface
+nodes) are built once.  The table's first fill, at the first group's build, runs
+the recurrence over every set; a later group continues it over the sets it asks
+for only: its temperature rows, its energy-balance rows once those are finite,
+and delta_p's and delta_u's once it measures.  A group, the cells sharing
+(horizon, order), which the grid emits contiguously, builds its clean system and
+one Factorization of its matrix once, its seeds' noise in one block, and each
+level's right sides in one block.  Then, 8 cells at a time, it solves their
+right sides in one Factorization.solve_rows call (a gemv per row, so each cell's
+bits are its own), takes their residual norms as stacked dots, and measures the
+solved ones as one block.  Memory holds one horizon's table and one group;
+run_case is a horizon of one order, whose table also holds the flux samples,
+and a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell, as when its seed's row, solution,
@@ -29,12 +33,12 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import (CollocationScheme, assemble, check_quadrature_order, panel_sums,
-                       preset_scheme, stefan_nodes)
-from .basis import HeatPolynomialBasis
+from .assembly import (CollocationScheme, assemble, check_quadrature_order, interface_nodes,
+                       panel_sums, preset_scheme)
+from .basis import HeatPolynomialBasis, RowTable
 from .errors import (DomainError, NumericalError, SingularMatrixError, check_integer,
                      check_real)
-from .metrics import _delta_p_grid, _delta_u_grid, _error, flux_curve
+from .metrics import _delta_p_grid, _delta_u_grid, _error, _flux_nodes, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
 from .problem import BenchmarkId, benchmark_problem
 from .solver import Factorization, _gemvs
@@ -71,17 +75,39 @@ def _norms(rows):
 
 
 class _Horizon:
-    """A horizon's problem, and the metrics._error arguments of delta_p and delta_u with design
-    rows up to max_order, built at the first measured block (a build that raises caches nothing)."""
+    """A horizon's problem, each order's scheme (or its preset's DomainError), and one RowTable
+    of all its node sets: delta_p's and delta_u's, run_case's flux samples and each scheme's
+    interface nodes.  The oracle values of both errors come at the first measured block (a
+    build that raises caches nothing)."""
 
-    def __init__(self, problem, max_order):
-        self.problem, self.basis = problem, HeatPolynomialBasis(problem.diffusivity, max_order)
+    def __init__(self, problem, orders, scheme=None, quadrature_order=16, flux_samples=None):
+        self.problem, self.basis = problem, HeatPolynomialBasis(problem.diffusivity, max(orders))
+        self.schemes, self.nodes = {}, {}  # order -> scheme; scheme -> (first set, nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.errors = _delta_p_grid(problem), _delta_u_grid(problem)  # (nodes, oracle) each
+            sets = [nodes for nodes, _ in self.errors]
+            sets += [] if flux_samples is None else [_flux_nodes(problem, flux_samples)]
+            for order in orders:
+                try:
+                    self.schemes[order] = key = scheme or preset_scheme(order, quadrature_order)
+                except DomainError as exc:
+                    self.schemes[order] = exc
+                    continue
+                if key not in self.nodes:
+                    self.nodes[key] = len(sets), interface_nodes(problem, key)
+                    (t, _, s), (ts, _, ss) = self.nodes[key][1]
+                    sets += [(s, t, "value"), (ss, ts, "dx")]
+        self.table = RowTable(*sets)
+
+    def rows(self, order, *which):
+        with np.errstate(over="ignore", invalid="ignore"):  # rows above an order may overflow
+            return self.basis.rows(self.table, order, *which)
 
     @cached_property
-    def grids(self):
-        # Rows above a group's order can overflow where the group's own rows do not.
+    def oracles(self):
+        """The arguments of metrics._error after rows for delta_p and for delta_u."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _delta_p_grid(self.problem, self.basis), _delta_u_grid(self.problem, self.basis)
+            return tuple(oracle() for _, oracle in self.errors)
 
 
 class _Group:
@@ -91,11 +117,15 @@ class _Group:
     A cached property that raises caches nothing, so its next block tries again.
     """
 
-    def __init__(self, shared, order, scheme=None, quadrature_order=16, seeds=(), mode="relative"):
+    def __init__(self, shared, order, seeds=(), mode="relative"):
         self.shared, self.problem = shared, shared.problem
         self.basis = HeatPolynomialBasis(self.problem.diffusivity, order)
-        self.scheme = scheme if scheme is not None else preset_scheme(order, quadrature_order)
-        self.system = assemble(self.problem, self.basis, self.scheme)
+        self.scheme = shared.schemes[order]
+        if isinstance(self.scheme, DomainError):
+            raise self.scheme
+        first, self.nodes = shared.nodes[self.scheme]
+        self.system = assemble(self.problem, self.basis, self.scheme, self.nodes,
+                               lambda family: shared.rows(order, first + family)[0])
         self.factors = Factorization(self.system.matrix)
         self.seeds, self.mode = seeds, mode
         self._rows = {seed: row for row, seed in enumerate(seeds)}
@@ -105,7 +135,7 @@ class _Group:
     @cached_property
     def _noise(self):
         """The energy-balance weights, clean data at the nodes, and the seeds' draws there."""
-        ts, weights = stefan_nodes(self.problem, self.scheme)
+        ts, weights, _ = self.nodes[1]
         # Draws depend on the seed and the time alone, so every level and beta shares them.
         with np.errstate(over="ignore", invalid="ignore"):
             return weights, self.problem.interface_flux(ts), standard_draws(self.seeds, ts)
@@ -147,7 +177,11 @@ class _Group:
         except _CELL_ERRORS as exc:  # then cell by cell, so that only failing cells fail
             return [self.solve([cell])[0] for cell in cells] if len(cells) > 1 else [exc]
         with np.errstate(over="ignore", invalid="ignore"):
-            norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
+            if len(rhs) == 1:  # one cell, run_case's path: vectors have less overhead
+                norm = math.sqrt((d := self.system.matrix @ coeffs[0] - rhs[0]) @ d)
+                norms = [norm] if norm != math.inf else _norms(d[None]).tolist()
+            else:
+                norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
         for i, beta, c, norm, b in zip(index, betas, coeffs, norms, rhs):
             outcomes[i] = ((c, self.factors.condition_number(beta), norm, b) if math.isfinite(norm)
                            else NumericalError("residual norm is not finite"))
@@ -155,8 +189,11 @@ class _Group:
 
     @cached_property
     def _errors(self):
-        """The delta_p and delta_u closures, on the horizon's grids from the first block on."""
-        return tuple(_error(self.basis, *grid) for grid in self.shared.grids)
+        """The delta_p and delta_u closures, on the horizon's rows and oracle values from the first
+        measured block on."""
+        oracles = self.shared.oracles
+        return tuple(_error(self.basis, rows, *oracle)
+                     for rows, oracle in zip(self.shared.rows(self.basis.max_order, 0, 1), oracles))
 
     def measure(self, block):
         """Each row's (delta_p, delta_u, error tag); a block that fails is measured row by row."""
@@ -175,13 +212,14 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
     level, seed, mode = (noise.level, noise.seed, noise.mode) if noise else (0.0, 0, "relative")
-    group = _Group(_Horizon(problem, order), order, scheme, seeds=(seed,), mode=mode)
+    shared = _Horizon(problem, (order,), scheme, flux_samples=flux_samples)
+    group = _Group(shared, order, seeds=(seed,), mode=mode)
     (outcome,) = group.solve([(check_real(beta, "beta"), level, seed)])
     if not isinstance(outcome, tuple):
         raise outcome
     coeffs, cond, res_norm, rhs = outcome
     (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
-    curve = flux_curve(coeffs, problem, group.basis, flux_samples)
+    curve = flux_curve(coeffs, problem, group.basis, flux_samples, shared.rows(order, 2)[0])
     rhs_norm = float(_norms(rhs[None])[0])
     return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
@@ -277,8 +315,7 @@ def _evaluate_group(grid, shared, cells):
     horizon, order = cells[0][:2]
     start = time.perf_counter()
     try:
-        group = _Group(shared, order, grid.scheme_override, grid.quadrature_order, grid.seeds,
-                       grid.noise_mode)
+        group = _Group(shared, order, grid.seeds, grid.noise_mode)
     except _CELL_ERRORS as exc:
         group, failure = None, exc
     share = (time.perf_counter() - start) / len(cells)
@@ -340,7 +377,8 @@ def run_sweep(grid, jobs=1):
     check_integer(jobs, "jobs", 1)
     records = []
     for horizon, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[0]):
-        shared = _Horizon(benchmark_problem(grid.benchmark, horizon), max(grid.orders))
+        shared = _Horizon(benchmark_problem(grid.benchmark, horizon), grid.orders,
+                          grid.scheme_override, grid.quadrature_order)
         for _, group in itertools.groupby(cells, key=lambda cell: cell[1]):
             records.extend(_evaluate_group(grid, shared, list(group)))
     return SweepResult(grid=grid, records=records)

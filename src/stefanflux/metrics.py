@@ -10,9 +10,10 @@ delta_u does the same for the temperature over the curvilinear domain
 difference or result that is not finite raises NumericalError, while a row whose
 squares alone overflow is summed again scaled by its largest difference.
 
-_delta_p_grid and _delta_u_grid build a grid once.  _error maps an (h, K) block of
-coefficients to h values on its first K design rows, each rounded as its row alone;
-_delta_p_on and _delta_u_on pair the two, and delta_p and delta_u are a block of one.
+_delta_p_grid and _delta_u_grid give a functional's node set and a function that
+evaluates its oracle once.  _error maps an (h, K) block of coefficients to h values
+on the K design rows at those nodes, each rounded as its row alone; _delta_p_on and
+_delta_u_on pair the two on rows of their own, and delta_p and delta_u are a block of one.
 """
 
 import numpy as np
@@ -37,11 +38,11 @@ def _require_finite(value, what):
 
 
 def _error(basis, rows, factor, ref, squares, denom, what):
-    """Blocks to sqrt(squares(d) / denom) per row, d = factor * combine_rows(block, rows[:K]) - ref
-    with K = basis.size (no factor if None), squares summing w d^2 in place.  A row whose squares
-    alone overflow is measured as scale * sqrt(squares(d / scale) / denom), scale = max |d|."""
+    """Blocks to sqrt(squares(d) / denom) per row, d = factor * combine_rows(block, rows) - ref
+    (no factor if None), squares summing w d^2 in place.  A row whose squares alone overflow is
+    measured as scale * sqrt(squares(d / scale) / denom), scale = max |d|."""
     def diffs(block):
-        d = basis.combine_rows(block, rows[:basis.size])
+        d = basis.combine_rows(block, rows)
         if factor is not None:
             d *= factor
         d -= ref
@@ -50,8 +51,8 @@ def _error(basis, rows, factor, ref, squares, denom, what):
     def error(block):
         with np.errstate(over="ignore", invalid="ignore"):
             values = np.sqrt(squares(diffs(block)) / denom)
-            huge = np.isinf(values)
-            if huge.any():  # non-finite differences make nan here, which raises
+            if not np.isfinite(values).all():  # non-finite differences make nan, which raises
+                huge = np.isinf(values)
                 d = diffs(np.asarray(block)[huge])
                 scale = np.abs(d).max(axis=1)
                 values[huge] = scale * np.sqrt(squares(d / scale[:, None]) / denom)
@@ -60,27 +61,30 @@ def _error(basis, rows, factor, ref, squares, denom, what):
     return error
 
 
-def _delta_p_grid(problem, basis, quad_points=256):
-    """The arguments of _error after basis for delta_p, with design rows up to basis.size."""
-    exact_ux0 = _require_oracle(problem, "exact_flux_gradient")
+def _delta_p_grid(problem, quad_points=256):
+    """delta_p's (x, t, deriv) node set, and a function of no arguments that gives the arguments
+    of _error after rows there from the flux oracle."""
     if quad_points < 1:
         raise DomainError(f"quad_points must be >= 1, got {quad_points}")
     nodes, weights = quadrature.composite_nodes(0.0, problem.horizon, quad_points)
-    lam = problem.conductivity
-    rows = basis.design(0.0, nodes, "dx")
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = -lam * exact_ux0(nodes)
-        # The weights are positive, so the norm is finite only if ref is.
-        denom = _require_finite(float(weights @ (ref * ref)), "exact flux norm")
-    if denom == 0.0:
-        raise DomainError("exact flux is identically zero on the quadrature grid")
-    return (rows, -lam, ref,
-            lambda d: (np.square(d, out=d)[:, None, :] @ weights)[:, 0], denom, "delta_p")
+
+    def oracle():
+        lam, exact_ux0 = problem.conductivity, _require_oracle(problem, "exact_flux_gradient")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = -lam * exact_ux0(nodes)
+            # The weights are positive, so the norm is finite only if ref is.
+            denom = _require_finite(float(weights @ (ref * ref)), "exact flux norm")
+        if denom == 0.0:
+            raise DomainError("exact flux is identically zero on the quadrature grid")
+        return (-lam, ref, lambda d: (np.square(d, out=d)[:, None, :] @ weights)[:, 0], denom,
+                "delta_p")
+
+    return (0.0, nodes, "dx"), oracle
 
 
-def _delta_u_grid(problem, basis, quad_points_t=64, quad_points_x=64):
-    """The arguments of _error after basis for delta_u, with design rows up to basis.size."""
-    exact = _require_oracle(problem, "exact_solution")
+def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
+    """delta_u's (x, t, deriv) node set over 0 <= x <= s(t), and a function of no arguments that
+    gives the arguments of _error after rows there from the temperature oracle."""
     if quad_points_t < 1 or quad_points_x < 1:
         raise DomainError("quadrature point counts must be >= 1")
     t_nodes, t_weights = quadrature.panel_nodes(0.0, problem.horizon, quad_points_t)
@@ -90,24 +94,30 @@ def _delta_u_grid(problem, basis, quad_points_t=64, quad_points_x=64):
     t_grid = np.broadcast_to(t_nodes[:, None], x_grid.shape)
     # Jacobian of x = s(t) * xi maps the inner weights onto [0, s(t)].
     w_grid = np.outer(t_weights * s_vals, unit_w).reshape(-1)
-    rows = basis.design(x_grid, t_grid)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref = exact(x_grid, t_grid).reshape(-1)
-        denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
-    if denom == 0.0:
-        raise DomainError("exact solution is identically zero on the quadrature grid")
-    return (rows, None, ref,
-            lambda d: np.multiply(np.square(d, out=d), w_grid, out=d).sum(axis=1), denom, "delta_u")
+
+    def oracle():
+        exact = _require_oracle(problem, "exact_solution")
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = exact(x_grid, t_grid).reshape(-1)
+            denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
+        if denom == 0.0:
+            raise DomainError("exact solution is identically zero on the quadrature grid")
+        return (None, ref, lambda d: np.multiply(np.square(d, out=d), w_grid, out=d).sum(axis=1),
+                denom, "delta_u")
+
+    return (x_grid, t_grid, "value"), oracle
 
 
 def _delta_p_on(problem, basis, quad_points=256):
     """delta_p of each row of an (h, K) block of coefficients, its grid built once."""
-    return _error(basis, *_delta_p_grid(problem, basis, quad_points))
+    nodes, oracle = _delta_p_grid(problem, quad_points)
+    return _error(basis, basis.design(*nodes), *oracle())
 
 
 def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
     """delta_u of each row of an (h, K) block of coefficients, its grid built once."""
-    return _error(basis, *_delta_u_grid(problem, basis, quad_points_t, quad_points_x))
+    nodes, oracle = _delta_u_grid(problem, quad_points_t, quad_points_x)
+    return _error(basis, basis.design(*nodes), *oracle())
 
 
 def delta_p(coeffs, problem, basis, quad_points=256):
@@ -120,17 +130,24 @@ def delta_u(coeffs, problem, basis, quad_points_t=64, quad_points_x=64):
     return _delta_u_on(problem, basis, quad_points_t, quad_points_x)([coeffs])[0]
 
 
-def flux_curve(coeffs, problem, basis, samples=101):
+def _flux_nodes(problem, samples=101):
+    """flux_curve's (x, t, deriv) node set: samples uniform times at x = 0."""
+    if samples < 2:
+        raise DomainError(f"samples must be >= 2, got {samples}")
+    return 0.0, np.linspace(0.0, problem.horizon, samples), "dx"
+
+
+def flux_curve(coeffs, problem, basis, samples=101, rows=None):
     """Sampled boundary gradient curve on a uniform time grid.
 
     Returns a list of (t, ux0_reconstructed, ux0_exact, abs_error) tuples;
-    the exact columns are nan when the problem has no flux oracle.
+    the exact columns are nan when the problem has no flux oracle.  rows, the
+    dx rows at _flux_nodes, are evaluated here unless a caller has them.
     """
-    if samples < 2:
-        raise DomainError(f"samples must be >= 2, got {samples}")
-    ts = np.linspace(0.0, problem.horizon, samples)
+    nodes = _flux_nodes(problem, samples)
+    ts = nodes[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = basis.eval_combination(coeffs, 0.0, ts, deriv="dx")
+        rec = basis.combine(coeffs, basis.design(*nodes) if rows is None else rows)
         if problem.exact_flux_gradient is not None:
             ref = np.asarray(problem.exact_flux_gradient(ts), dtype=float)
             err = _require_finite(np.abs(rec - ref), "flux error")

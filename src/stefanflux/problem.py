@@ -191,12 +191,15 @@ def _rational(v, num, den):
 
 
 def _erf(x):
-    """erf elementwise, within 4 ulp of math.erf; |x| is clipped at 6, where erf is 1."""
-    y = np.minimum(np.abs(x), 6.0)
-    z = y * y
-    near = y * _rational(z, *_ERF_NEAR)
-    far = 1.0 - np.exp(-z) * _rational(y, *_ERF_FAR)
-    return np.copysign(np.where(y <= 0.5, near, far), x)
+    """erf elementwise, within 4 ulp of math.erf; |x| is clipped at 6, where erf is 1.
+    Each branch is evaluated on its own elements only (nan takes the far one)."""
+    y = np.minimum(np.abs(x), 6.0, out=np.empty(np.shape(x)))
+    near = y <= 0.5
+    far = ~near
+    v, w = y[near], y[far]
+    y[near] = v * _rational(v * v, *_ERF_NEAR)
+    y[far] = 1.0 - np.exp(-(w * w)) * _rational(w, *_ERF_FAR)
+    return np.copysign(y, x)
 
 
 def sqrt_boundary_problem(alpha, t0, *, horizon=1.0, diffusivity=1.0, conductivity=1.0,

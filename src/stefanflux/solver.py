@@ -61,16 +61,21 @@ class Factorization:
     """The SVDs of one finite square matrix A that solves and condition numbers need."""
 
     def __init__(self, matrix):
+        shape = np.shape(matrix)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise DomainError(f"matrix must be square, got shape {shape}")
         _check_finite(matrix)
         self.matrix = matrix
         self._conds = {}  # beta -> condition number: a sweep group's records share one float
 
     @cached_property
     def _equilibrated(self):
-        """U, sigma, V^T of A D and the column norms 1/D (van der Sluis scaling)."""
+        """U, sigma, V^T of A D, the column norms 1/D (van der Sluis scaling) and the numerical
+        rank, the count of singular values above PIVOT_RTOL times the largest."""
         norms = np.linalg.norm(self.matrix, axis=0)
         norms[norms == 0.0] = 1.0  # a zero column stays zero and fails the rank test
-        return (*np.linalg.svd(self.matrix / norms), norms)
+        u, sigma, vt = np.linalg.svd(self.matrix / norms)
+        return u, sigma, vt, norms, int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
 
     @cached_property
     def _normalized(self):
@@ -114,8 +119,7 @@ class Factorization:
                 u, sigma, vt, weights = self._normalized
                 coeffs = _gemvs(vt.T, _gemvs(u.T, b) * (sigma / (sigma * sigma + beta))) * weights
             else:
-                u, sigma, vt, norms = self._equilibrated
-                rank = int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))
+                u, sigma, vt, norms, rank = self._equilibrated
                 if rank < sigma.size:
                     raise SingularMatrixError(rank, f"{subject} numerically singular at pivot "
                                                     f"{rank} (rank {rank} of {sigma.size})")

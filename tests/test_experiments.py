@@ -236,28 +236,58 @@ def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
             assert all(rec.wall_time > 0.0 for rec in records)
 
 
+def _count_tables(monkeypatch):
+    """The RowTables HeatPolynomialBasis.rows fills, in first-use order, each once."""
+    tables, rows = {}, HeatPolynomialBasis.rows
+    monkeypatch.setattr(HeatPolynomialBasis, "rows", lambda basis, table, order, *which: (
+        tables.setdefault(id(table), table), rows(basis, table, order, *which))[1])
+    return tables
+
+
 def test_problem_and_error_grids_are_built_once_per_horizon(monkeypatch):
-    # A horizon's order groups share its problem and its delta_p/delta_u grids,
-    # built at the grid's largest order; run_case builds one at its own order,
-    # and a horizon whose cells all fail to solve builds none.
+    # A horizon's order groups share its problem, the oracle values of delta_p and
+    # delta_u, and one row table of all its node sets (delta_p's, delta_u's and
+    # every group's interface nodes), so the recurrence runs once per horizon.
+    # run_case is a horizon of one order whose table also holds the flux samples,
+    # and a horizon whose groups all fail to build fills no table and builds no
+    # oracle values.
     builds, problems = [], []
     for name in ("_delta_p_grid", "_delta_u_grid"):
-        monkeypatch.setattr(experiments, name, lambda problem, basis, build=getattr(
-            experiments, name): builds.append(basis.max_order) or build(problem, basis))
+        def counted(problem, name=name, build=getattr(experiments, name)):
+            nodes, oracle = build(problem)
+            return nodes, lambda: builds.append(name) or oracle()
+        monkeypatch.setattr(experiments, name, counted)
     build_problem = experiments.benchmark_problem
     monkeypatch.setattr(experiments, "benchmark_problem", lambda benchmark, horizon:
                         problems.append(horizon) or build_problem(benchmark, horizon))
+    tables = _count_tables(monkeypatch)
     grid = SweepGrid(orders=(4, 12, 8), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
                      horizons=(0.5, 1.5))
     assert all(rec.error is None for rec in run_sweep(grid).records)
-    assert (builds, problems) == ([12, 12] * 2, [0.5, 1.5])
+    assert (builds, problems) == (["_delta_p_grid", "_delta_u_grid"] * 2, [0.5, 1.5])
+    # Per horizon: delta_p's and delta_u's sets, then each order's temperature and
+    # energy-balance sets.
+    assert [table.filled for table in tables.values()] == [[12, 12, 4, 4, 12, 12, 8, 8]] * 2
     builds.clear()
+    tables.clear()
     run_case(example1(), 8)
-    assert builds == [8, 8]
+    assert builds == ["_delta_p_grid", "_delta_u_grid"]
+    assert [table.filled for table in tables.values()] == [[8] * 5]
     builds.clear()
+    tables.clear()
     grid = SweepGrid(orders=(6, 8), horizons=(0.5, 1.5), scheme_override=preset_scheme(12))
     assert {rec.error for rec in run_sweep(grid).records} == {"domain_error"}
-    assert builds == []
+    assert (builds, tables) == ([], {})
+
+
+def test_rows_are_filled_only_to_the_orders_that_use_them(monkeypatch):
+    # The N=400 groups fail in assembly on their temperature rows, filled to
+    # 400, so their energy-balance rows stop at 8, the first fill; delta_p's
+    # and delta_u's rows, which only a group that solves asks for, stop at 12.
+    tables = _count_tables(monkeypatch)
+    grid = SweepGrid(orders=(8, 12, 400), horizons=(1.0, 3.0))
+    assert [rec.error for rec in run_sweep(grid).records] == [None, None, "numerical_error"] * 2
+    assert [table.filled for table in tables.values()] == [[12, 12, 8, 8, 12, 12, 400, 8]] * 2
 
 
 def test_rows_above_a_group_order_may_overflow():
@@ -395,7 +425,7 @@ def test_overflowing_seeds_fail_only_their_own_cells():
     # each cell fails or solves as run_case does alone, with its message.
     cells = [(0.0, 7e307, 0), (0.0, 7e307, 1), (0.0, 0.01, 2), (1e-7, 7e307, 3),
              (1e-7, 7e307, 4), (1e-7, 0.01, 5), (0.0, 0.0, 6), (1e-7, 7e307, 7)]
-    group = experiments._Group(experiments._Horizon(prob, 8), 8, seeds=tuple(grid.seeds),
+    group = experiments._Group(experiments._Horizon(prob, (8,)), 8, seeds=tuple(grid.seeds),
                                mode="constant")
     outcomes = group.solve(cells)
     expected = []
@@ -433,7 +463,7 @@ def test_overflowing_solves_are_numerical_errors_without_errstate():
     for seed in (1, 2, 4, 6, 7):
         with pytest.raises(NumericalError, match="^solution contains non-finite entries$"):
             run_case(example1(), 8, noise=NoiseSpec(7e307, seed, "constant"))
-    group = experiments._Group(experiments._Horizon(example1(), 8), 8, seeds=tuple(grid.seeds),
+    group = experiments._Group(experiments._Horizon(example1(), (8,)), 8, seeds=tuple(grid.seeds),
                                mode="constant")
     for seed, beta in itertools.product(range(8), (0.0, 1e-7)):
         report = run_case(example1(), 8, beta, noise=NoiseSpec(1e300, seed, "constant"))
@@ -495,7 +525,7 @@ def test_one_bad_row_fails_only_its_own_cell(monkeypatch):
                                                rec.condition_number, rec.residual_norm))
         else:
             assert _record_key(rec) == _record_key(expected)
-    group = experiments._Group(experiments._Horizon(example1(), 8), 8, seeds=tuple(grid.seeds))
+    group = experiments._Group(experiments._Horizon(example1(), (8,)), 8, seeds=tuple(grid.seeds))
     block = np.array([out[0] for out in solve(group, [(0.0, 0.01, seed) for seed in grid.seeds])])
     delta_p_on, delta_u_on = group._errors
     with pytest.raises(NumericalError, match="^delta_p is not finite$"):

@@ -120,6 +120,29 @@ def test_erf_special_values_and_shape():
     assert np.shape(_erf(0.5)) == ()
 
 
+def test_erf_branches_on_their_own_elements_equal_the_where_form():
+    # _erf evaluates each branch of Cody's approximation only where it is
+    # taken; the bits and signs must be those of evaluating both everywhere
+    # and picking with np.where.
+    from stefanflux.problem import _ERF_FAR, _ERF_NEAR, _rational
+
+    def where_form(x):
+        y = np.minimum(np.abs(x), 6.0)
+        z = y * y
+        near = y * _rational(z, *_ERF_NEAR)
+        far = 1.0 - np.exp(-z) * _rational(y, *_ERF_FAR)
+        return np.copysign(np.where(y <= 0.5, near, far), x)
+
+    x = np.concatenate([np.linspace(-7.0, 7.0, 14_001), np.nextafter(0.5, [0.0, 1.0]),
+                        [0.0, -0.0, 0.5, -0.5, 6.0, -6.0, np.inf, -np.inf, np.nan, 5e-324]])
+    for value in (x, x.reshape(-1, 1)[:14_000].reshape(140, 100), np.float64(-0.25),
+                  np.array(0.75), np.array(-0.0), np.array(np.nan)):
+        got, want = _erf(value), where_form(value)
+        assert np.shape(got) == np.shape(want)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_neumann_consistency_values():
     val = neumann_consistency(EXAMPLE2_ALPHA)
     assert val == pytest.approx(1.0, abs=1e-4)

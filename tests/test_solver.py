@@ -1,6 +1,7 @@
 """Linear solvers: direct elimination, damped normal equations, conditioning."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -195,6 +196,18 @@ def test_beta_validation():
             run_case(example1(), 4, beta=bad)
 
 
+def test_non_square_matrix_rejected_at_construction():
+    # A 20 x 8 matrix used to fail only in solve_rows, with numpy's bare
+    # "operands could not be broadcast" ValueError.
+    rng = np.random.default_rng(0)
+    for shape in ((20, 8), (8, 20), (8,), (2, 2, 2)):
+        with pytest.raises(DomainError,
+                           match=f"^{re.escape(f'matrix must be square, got shape {shape}')}$"):
+            Factorization(rng.standard_normal(shape))
+    with pytest.raises(DomainError, match="square"):
+        Factorization(rng.standard_normal((20, 8))).solve(np.ones(20), 1e-3)
+
+
 def test_nonfinite_matrix_rejected():
     matrix = np.eye(2)
     matrix[0, 1] = np.inf
@@ -254,7 +267,7 @@ def test_block_solve_equals_rows_alone(name, order):
     factors = Factorization(system.matrix)
     noise = np.random.default_rng(order).standard_normal((9, system.size))
     rhs = system.rhs * (1.0 + 1e-2 * noise)
-    u, sigma, vt, norms = factors._equilibrated
+    u, sigma, vt, norms, _ = factors._equilibrated
     nu, nsigma, nvt, weights = factors._normalized
     assert factors.solve_rows(rhs[:0], []).shape == (0, system.size)
     for h in (1, 2, 7, 8, 9):
@@ -267,7 +280,7 @@ def test_block_solve_equals_rows_alone(name, order):
                 alone = (vt.T @ ((u.T @ b) / sigma) / norms if not beta else
                          nvt.T @ ((nu.T @ b) * (nsigma / (nsigma * nsigma + beta))) * weights)
                 assert (row == alone).all()
-    group = experiments._Group(experiments._Horizon(prob, order), order, seeds=tuple(range(9)))
+    group = experiments._Group(experiments._Horizon(prob, (order,)), order, seeds=tuple(range(9)))
     cells = [(beta, 0.01, seed) for seed in range(9) for beta in (0.0, 1e-7)]
     outcomes = group.solve(cells)
     assert len(outcomes) == len(cells)
