@@ -5,10 +5,12 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tests/make_identity_fixture.py
 
-The fixture holds the records of five sweep grids (the benchmark's two, a grid
-of odd orders and horizons on each benchmark, and a grid whose N=400 cells
-overflow), the reports of 48 run_case calls in the mix of the benchmark's
-single workload, and the environment they were made in.  A change that moves
+The fixture holds the records of six sweep grids (the benchmark's two, a grid
+of odd orders and horizons on each benchmark, a grid whose N=400 cells
+overflow, and one whose huge constant noise overflows squares, solves and
+metrics), the reports of 48 run_case calls in the mix of the benchmark's
+single workload and of the README's solve runs, and the environment they were
+made in.  A change that moves
 values on purpose runs this script again and says in CHANGES.md how many
 records moved and by how much.
 """
@@ -21,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from stefanflux import NoiseSpec, NumericalError, SweepGrid, benchmark_problem, run_case, run_sweep
+from stefanflux import (NoiseSpec, NumericalError, SweepGrid, example1, example2,
+                        linear_boundary_problem, run_case, run_sweep)
 
 FIXTURE = Path(__file__).with_name("identity_fixture.json")
 
@@ -36,7 +39,17 @@ GRIDS = {
                                 noise_levels=(0.0, 0.01), seeds=(0, 1), horizons=(1.0, 3.0),
                                 benchmark=name) for name in ("example1", "example2")},
     "orders_8_12_400": SweepGrid(orders=(8, 12, 400), horizons=(1.0, 3.0)),
+    "overflow": SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 1e300, 7e307),
+                          seeds=range(8), noise_mode="constant"),
 }
+
+# Problems by name: the presets and the README config file's linear family.
+PROBLEMS = {"example1": example1, "example2": example2,
+            "linear": lambda horizon: linear_boundary_problem(0.4, 0.7, horizon=horizon)}
+
+# The README's solve runs, as (problem, order, horizon, level, seed, beta).
+README_RUNS = [("example1", 12, 1.0, 0.0, 0, 0.0), ("example1", 8, 1.0, 0.01, 7, 1e-5),
+               ("linear", 8, 1.0, 0.0, 0, 1e-6)]
 
 
 def environment():
@@ -64,25 +77,27 @@ def sweep_records(grid):
                    rec.residual_norm))] for rec in run_sweep(grid).records]
 
 
-def case_report(benchmark, order, horizon, level, seed):
+def case_report(name, order, horizon, level, seed, *beta):
     """[case, error type and message or None, repr of the report's values and a digest of its
-    flux curve]."""
+    flux curve]; beta, when given, is the case's damping (else 0)."""
+    case = [name, order, horizon, level, seed, *beta]
     try:
-        report = run_case(benchmark_problem(benchmark, horizon), order,
+        report = run_case(PROBLEMS[name](horizon), order, *beta,
                           noise=NoiseSpec(level, seed) if level else None)
     except (NumericalError, ValueError) as exc:
-        return [[benchmark, order, horizon, level, seed], [type(exc).__name__, str(exc)], None]
+        return [case, [type(exc).__name__, str(exc)], None]
     values = (report.coefficients, report.scheme, report.beta, report.condition_number,
               report.residual_norm, report.relative_residual, report.delta_p, report.delta_u,
               report.max_abs_flux_error,
               hashlib.blake2b(repr(report.flux_curve).encode(), digest_size=16).hexdigest())
-    return [[benchmark, order, horizon, level, seed], None, repr(values)]
+    return [case, None, repr(values)]
 
 
 def collect():
     return {"environment": environment(),
             "sweeps": {name: sweep_records(grid) for name, grid in GRIDS.items()},
-            "cases": [case_report(*case) for case in cases()]}
+            "cases": [case_report(*case) for case in cases()],
+            "readme": [case_report(*run) for run in README_RUNS]}
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ def test_records_and_reports_match_the_identity_fixture():
     assert current["sweeps"].keys() == fixture["sweeps"].keys()
     pairs = [(name, now, then) for name in fixture["sweeps"]
              for now, then in zip(current["sweeps"][name], fixture["sweeps"][name], strict=True)]
-    pairs += [("cases", now, then)
-              for now, then in zip(current["cases"], fixture["cases"], strict=True)]
+    pairs += [(name, now, then) for name in ("cases", "readme")
+              for now, then in zip(current[name], fixture[name], strict=True)]
     # Cells and error tags (and run_case's error messages) hold on any machine.
     assert [(name, now[:2]) for name, now, _ in pairs] == [(name, then[:2])
                                                            for name, _, then in pairs]
