@@ -28,8 +28,8 @@ __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "re
 
 
 def check_quadrature_order(order):
-    """order as an int; DomainError unless it is an integer in [8, 2**63)."""
-    return check_integer(order, "quadrature_order", 8)
+    """order as an int; DomainError unless it is an integer in [8, 1000)."""
+    return check_integer(order, "quadrature_order", 8, 1000)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ Subcommands:
   plotdata   per-noise-level curve series; writes flux_eps_<level>.csv and
              abs_error_eps_<level>.csv
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  Flags
-override values loaded from an optional key = value config file.  Floats in
-CSV artifacts carry 17 significant digits so identical runs produce
-byte-identical files.
+Each command runs --benchmark or a config file's family, a sweep one problem
+per horizon.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Flags override the entries of an optional key = value config file.  CSV floats
+carry 17 significant digits, so identical runs write byte-identical files.
 """
 
 import argparse
@@ -105,10 +105,9 @@ def _merged(args, config):
     return pick
 
 
-def _resolve_problem(pick):
-    benchmark = pick("benchmark", None)
-    family = pick("family", None)
-    horizon = float(pick("horizon", 1.0))
+def _resolve_problem(pick, horizon):
+    """The benchmark or family problem that the flags and config file name, at horizon."""
+    benchmark, family = pick("benchmark", None), pick("family", None)
     if benchmark is not None and family is not None:
         raise ConfigError("specify either benchmark or family, not both")
     if family is None:
@@ -181,7 +180,7 @@ def _out_dir(pick):
 
 def _case_setup(pick):
     """Problem, order, scheme, beta, samples, seed, noise mode and levels of a case."""
-    problem = _resolve_problem(pick)
+    problem = _resolve_problem(pick, float(pick("horizon", 1.0)))
     order = int(pick("order", 12))
     quad = int(pick("quad", 16))
     scheme_text = pick("scheme", None)
@@ -238,9 +237,6 @@ def cmd_solve(pick):
 
 
 def cmd_sweep(pick):
-    benchmark = pick("benchmark", None)
-    if pick("family", None) is not None:
-        raise ConfigError("sweep supports benchmark problems only")
     orders = _parse_list(pick("orders", None) or pick("order", 12), int)
     betas = _parse_list(pick("betas", None) or pick("beta", 0.0), float)
     horizons = _parse_list(pick("horizons", None) or pick("horizon", 1.0), float)
@@ -250,12 +246,11 @@ def cmd_sweep(pick):
     scheme_text = pick("scheme", None)
     scheme = _parse_scheme(scheme_text, quad) if scheme_text is not None else None
     grid = SweepGrid(orders=orders, betas=betas, noise_levels=levels, seeds=seeds,
-                     horizons=horizons,
-                     benchmark=benchmark if benchmark is not None else "example1",
+                     horizons=horizons, benchmark=lambda horizon: _resolve_problem(pick, horizon),
                      scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),
                      quadrature_order=quad)
     out = _out_dir(pick)
-    # run_sweep validates jobs before it runs a cell; --out is made after it.
+    # run_sweep validates jobs, then builds each horizon's problem; --out is made after it.
     result = run_sweep(grid, jobs=int(pick("jobs", 1)))
     out.mkdir(parents=True, exist_ok=True)
     rows = result.aggregate()

@@ -1,19 +1,19 @@
 """Parameter sweeps over order, damping, noise level, seed, and horizon.
 
-A sweep runs one horizon at a time.  Its problem, each order's scheme and one
-RowTable of all its node sets (delta_p's, delta_u's and every scheme's interface
-nodes) are built once.  The table's first fill, at the first group's build, runs
-the recurrence over every set; a later group continues it over the sets it asks
-for only: its temperature rows, its energy-balance rows once those are finite,
-and delta_p's and delta_u's once it measures.  A group, the cells sharing
-(horizon, order), which the grid emits contiguously, builds its clean system and
-one Factorization of its matrix once, its seeds' noise in one block, and each
-level's right sides in one block.  Then, 8 cells at a time, it solves their
-right sides in one Factorization.solve_rows call (a gemv per row, so each cell's
-bits are its own), takes their residual norms as stacked dots, and measures the
-solved ones as one block.  Memory holds one horizon's table and one group;
-run_case is a horizon of one order, whose table also holds the flux samples,
-and a group of one cell.
+A sweep runs one horizon at a time.  Its problem, grid.benchmark(horizon), each
+order's scheme and one RowTable of all its node sets (delta_p's, delta_u's and
+every scheme's interface nodes) are built once.  The table's first fill, at the
+first group's build, runs the recurrence over every set up to the lowest order
+whose scheme was built; a group continues it over the sets it asks for only: its
+temperature rows, its energy-balance rows once those are finite, and delta_p's
+and delta_u's once it measures.  A group, the cells sharing (horizon, order),
+which the grid emits contiguously, builds its clean system and one Factorization
+of its matrix once, its seeds' noise in one block, and each level's right sides
+in one block.  Then, 8 cells at a time, it solves their right sides in one
+Factorization.solve_rows call (a gemv per row, so each cell's bits are its own),
+takes their residual norms as stacked dots, and measures the solved ones as one
+block.  Memory holds one horizon's table and one group; run_case is a horizon of
+one order, whose table also holds the flux samples, and a group of one cell.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell, as when its seed's row, solution,
@@ -29,7 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .errors import (DomainError, NumericalError, SingularMatrixError, check_int
                      check_real)
 from .metrics import _delta_p_grid, _delta_u_grid, _error, _flux_nodes, flux_curve
 from .noise import MODES, NoiseSpec, check_seed, scale_draws, standard_draws
-from .problem import BenchmarkId, benchmark_problem
+from .problem import BenchmarkId
 from .solver import Factorization, _gemvs
 
 __all__ = ["SolveReport", "SweepGrid", "CellRecord", "AggregateRow", "SweepResult",
@@ -77,8 +77,10 @@ def _norms(rows):
 class _Horizon:
     """A horizon's problem, each order's scheme (or its preset's DomainError), and one RowTable
     of all its node sets: delta_p's and delta_u's, run_case's flux samples and each scheme's
-    interface nodes.  The oracle values of both errors come at the first measured block (a
-    build that raises caches nothing)."""
+    interface nodes.  The table's first fill covers every set up to the lowest order whose
+    scheme was built, so a first group of higher order fills only its own sets past it.  The
+    oracle values of both errors come at the first measured block (a build that raises caches
+    nothing)."""
 
     def __init__(self, problem, orders, scheme=None, quadrature_order=16, flux_samples=None):
         self.problem, self.basis = problem, HeatPolynomialBasis(problem.diffusivity, max(orders))
@@ -101,6 +103,9 @@ class _Horizon:
 
     def rows(self, order, *which):
         with np.errstate(over="ignore", invalid="ignore"):  # rows above an order may overflow
+            if self.table.basis is None:  # first fill: every set, to the lowest built order
+                self.basis.rows(self.table, min(n for n, key in self.schemes.items()
+                                                if not isinstance(key, DomainError)))
             return self.basis.rows(self.table, order, *which)
 
     @cached_property
@@ -228,14 +233,15 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian cell grid over orders x betas x noise levels x seeds x horizons."""
+    """Cartesian cell grid over orders x betas x noise levels x seeds x horizons.  benchmark is
+    a preset (a BenchmarkId or its name) or any function horizon -> StefanProblem."""
 
     orders: tuple
     betas: tuple = (0.0,)
     noise_levels: tuple = (0.0,)
     seeds: tuple = (0,)
     horizons: tuple = (1.0,)
-    benchmark: BenchmarkId = BenchmarkId.EXAMPLE1
+    benchmark: Callable = BenchmarkId.EXAMPLE1
     scheme_override: Optional[CollocationScheme] = None
     noise_mode: str = "relative"
     quadrature_order: int = 16
@@ -248,7 +254,8 @@ class SweepGrid:
             object.__setattr__(self, name, tuple(check_real(v, name, positive)
                                                  for v in getattr(self, name)))
         object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
-        object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
+        if not callable(self.benchmark):
+            object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):
             if not getattr(self, name):
@@ -328,7 +335,7 @@ def _evaluate_group(grid, shared, cells):
         for cell, out in zip(block, outcomes):
             dp, du, error = next(measured) if type(out) is tuple else (None, None, _error_tag(out))
             values = (dp, du, *out[1:3]) if error is None else [math.nan] * 4
-            yield CellRecord(grid.benchmark.value, order, *cell[2:], horizon, *values, seconds,
+            yield CellRecord(shared.problem.label, order, *cell[2:], horizon, *values, seconds,
                              error)
 
 
@@ -377,8 +384,8 @@ def run_sweep(grid, jobs=1):
     check_integer(jobs, "jobs", 1)
     records = []
     for horizon, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[0]):
-        shared = _Horizon(benchmark_problem(grid.benchmark, horizon), grid.orders,
-                          grid.scheme_override, grid.quadrature_order)
+        shared = _Horizon(grid.benchmark(horizon), grid.orders, grid.scheme_override,
+                          grid.quadrature_order)
         for _, group in itertools.groupby(cells, key=lambda cell: cell[1]):
             records.extend(_evaluate_group(grid, shared, list(group)))
     return SweepResult(grid=grid, records=records)

@@ -2,7 +2,7 @@
 
 Noisy data enters a system one way: standard_draws at assembly.stefan_nodes,
 scale_draws, then panel_sums into the energy-balance right sides
-(experiments._Group._noisy_rhs).  The draw at t depends on the seed and
+(experiments._Group._rhs_block).  The draw at t depends on the seed and
 tq = round(t / 1e-12) mod 2**64 alone, so it is byte-reproducible whatever the
 order or batching.  The stream is counter-based (Salmon et al., SC 2011): on
 uint64 mod 2**64, with mix the SplitMix64 finaliser (Steele, Lea & Flood,

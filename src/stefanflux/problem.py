@@ -14,7 +14,7 @@ Two closed-form families are provided.  A linear boundary s = p0 + p1 t
 pairs with a travelling-wave exponential solution, and a square-root
 boundary s = 2 alpha sqrt(t + t0) pairs with the classical similarity
 solution in erf.  The benchmark presets are fixed members of these
-families.
+families; a BenchmarkId called with a horizon builds its preset's problem.
 
 Problem callables may be scalar-only (math-based, say).  A StefanProblem
 probes each one once, when it is built, on an array of times; a callable
@@ -56,6 +56,9 @@ _FAMILIES = ("linear_boundary_problem.<locals>.", "sqrt_boundary_problem.<locals
 class BenchmarkId(str, Enum):
     EXAMPLE1 = "example1"
     EXAMPLE2 = "example2"
+
+    def __call__(self, horizon=1.0):
+        return (example1 if self is BenchmarkId.EXAMPLE1 else example2)(horizon)
 
 
 def _check_material(*values):
@@ -267,10 +270,7 @@ def example2(horizon=1.0):
 
 def benchmark_problem(benchmark, horizon=1.0):
     """Materialize a benchmark preset from its identifier."""
-    benchmark = BenchmarkId(benchmark)
-    if benchmark is BenchmarkId.EXAMPLE1:
-        return example1(horizon)
-    return example2(horizon)
+    return BenchmarkId(benchmark)(horizon)
 
 
 def neumann_consistency(alpha):

@@ -209,7 +209,8 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     cfg.write_text("family = linear\np0 = 0.4\np1 = 0.7\n")
     assert _run(capsys, "solve", "--config", str(cfg), "--benchmark", "example1",
                 "--out", out)[0] == 2
-    assert _run(capsys, "sweep", "--config", str(cfg), "--out", out)[0] == 2
+    assert _run(capsys, "sweep", "--config", str(cfg), "--benchmark", "example1",
+                "--out", out)[0] == 2
     incomplete = tmp_path / "incomplete.cfg"
     incomplete.write_text("family = linear\n")
     assert _run(capsys, "solve", "--config", str(incomplete), "--out", out)[0] == 2
@@ -243,7 +244,10 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
            ["solve", "--order", "12", "--scheme", "6,5,1"],
            ["solve", "--config", str(tmp_path / "missing.cfg")],
            ["plotdata", "--noise", "0.01,0.010000001"], ["plotdata", "--noise", "0,0.01,0"],
-           ["sweep", "--orders", "8", "--quad", "5"])
+           ["sweep", "--orders", "8", "--quad", "5"],
+           # Bounded before anything is allocated; these used to exit 1 with a MemoryError.
+           ["solve", "--quad", "1000000"], ["sweep", "--orders", "8", "--quad", "1000000"],
+           ["solve", "--samples", "1000000000000"], ["plotdata", "--samples", "1000000000000"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))
@@ -272,6 +276,40 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
             assert code == 2
             assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
     assert blocker.read_text() == "kept\n"
+
+
+def test_family_sweep(tmp_path, capsys):
+    # A sweep runs a config file's family as it runs a benchmark, one problem per
+    # horizon, and its artifacts are byte-identical across reruns.
+    cfg = tmp_path / "linear.cfg"
+    cfg.write_text("family = linear\np0 = 0.4\np1 = 0.7\n")
+    argv = ["sweep", "--config", str(cfg), "--orders", "6,8,10", "--betas", "0,1e-7",
+            "--horizons", "1,2"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        code, printed, _ = _run(capsys, *argv, "--out", str(out))
+        assert (code, printed.strip()) == (0, "sweep ok: 12 cells, 0 failures")
+    header, rows = _read_csv(runs[0] / "sweep.csv")
+    assert {dict(zip(header, row))["benchmark"] for row in rows} == {"linear"}
+    assert {dict(zip(header, row))["T"] for row in rows} == {"1", "2"}
+    for name in ("sweep.csv", "table1_style.csv"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def test_family_sweep_errors_exit_2_before_writing(tmp_path, capsys):
+    # A family that cannot be built at one of the grid's horizons fails the sweep
+    # as a configuration error, and a horizon the grid refuses keeps its message.
+    cfg = tmp_path / "falling.cfg"
+    cfg.write_text("family = linear\np0 = 0.4\np1 = -0.7\n")
+    for horizons, message in (("0.5,1", "boundary must stay positive over the horizon"),
+                              ("0.5,-1", "horizons must be finite and > 0, got -1.0")):
+        out = tmp_path / "out"
+        code, _, err = _run(capsys, "sweep", "--config", str(cfg), "--orders", "6",
+                            "--horizons", horizons, "--out", str(out))
+        error = json.loads(err.strip().splitlines()[-1])
+        assert (code, error["error"]) == (2, "config_error")
+        assert message in error["message"]
+        assert not out.exists()
 
 
 def test_custom_family_solve(tmp_path, capsys):

@@ -200,7 +200,7 @@ def _case_key(grid, cell):
     horizon, order, beta, level, seed = cell
     spec = NoiseSpec(level, seed, grid.noise_mode) if level > 0.0 else None
     try:
-        rep = run_case(benchmark_problem(grid.benchmark, horizon), order, beta=beta, noise=spec)
+        rep = run_case(grid.benchmark(horizon), order, beta=beta, noise=spec)
     except (NumericalError, ValueError) as exc:
         return cell, _error_tag(exc)
     return cell, (rep.delta_p, rep.delta_u, rep.condition_number, rep.residual_norm)
@@ -215,7 +215,12 @@ def _record_key(rec):
     return cell, (rec.delta_p, rec.delta_u, rec.condition_number, rec.residual_norm)
 
 
-@pytest.mark.parametrize("problem_id", ["example1", "example2"])
+# Family members that a grid sweeps through a function horizon -> StefanProblem.
+FAMILY_MEMBERS = {"linear": lambda horizon: linear_boundary_problem(0.4, 0.7, horizon=horizon),
+                  "sqrt": lambda horizon: sqrt_boundary_problem(0.6, 0.16, horizon=horizon)}
+
+
+@pytest.mark.parametrize("problem_id", ["example1", "example2", *FAMILY_MEMBERS])
 @pytest.mark.parametrize("mode", ["relative", "constant"])
 def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
     # Cells share their (horizon, order) group's matrix, error grids and noise
@@ -224,16 +229,18 @@ def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
     # scaled, so every cell solves.
     # The order groups of a horizon measure on the first N + 1 design rows of
     # its grids, built at the largest order, whichever order comes first.
+    # A family sweeps as a preset does, and its records carry the family's label.
     for orders in ((4, 12, 20), (12, 4, 20)):
         grid = SweepGrid(orders=orders, betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
-                         seeds=(0, 1), horizons=(0.5, 1.5), benchmark=problem_id,
-                         noise_mode=mode)
+                         seeds=(0, 1), horizons=(0.5, 1.5),
+                         benchmark=FAMILY_MEMBERS.get(problem_id, problem_id), noise_mode=mode)
         expected = [_case_key(grid, cell) for cell in grid.cells()]
         assert sum(key[1] == "singular_matrix" for key in expected) == 0
         for jobs in (1, 2):
             records = run_sweep(grid, jobs=jobs).records
             assert [_record_key(rec) for rec in records] == expected
             assert all(rec.wall_time > 0.0 for rec in records)
+            assert {rec.benchmark for rec in records} == {problem_id}
 
 
 def _count_tables(monkeypatch):
@@ -257,12 +264,10 @@ def test_problem_and_error_grids_are_built_once_per_horizon(monkeypatch):
             nodes, oracle = build(problem)
             return nodes, lambda: builds.append(name) or oracle()
         monkeypatch.setattr(experiments, name, counted)
-    build_problem = experiments.benchmark_problem
-    monkeypatch.setattr(experiments, "benchmark_problem", lambda benchmark, horizon:
-                        problems.append(horizon) or build_problem(benchmark, horizon))
     tables = _count_tables(monkeypatch)
     grid = SweepGrid(orders=(4, 12, 8), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
-                     horizons=(0.5, 1.5))
+                     horizons=(0.5, 1.5),
+                     benchmark=lambda horizon: problems.append(horizon) or example1(horizon))
     assert all(rec.error is None for rec in run_sweep(grid).records)
     assert (builds, problems) == (["_delta_p_grid", "_delta_u_grid"] * 2, [0.5, 1.5])
     # Per horizon: delta_p's and delta_u's sets, then each order's temperature and
@@ -284,10 +289,22 @@ def test_rows_are_filled_only_to_the_orders_that_use_them(monkeypatch):
     # The N=400 groups fail in assembly on their temperature rows, filled to
     # 400, so their energy-balance rows stop at 8, the first fill; delta_p's
     # and delta_u's rows, which only a group that solves asks for, stop at 12.
-    tables = _count_tables(monkeypatch)
-    grid = SweepGrid(orders=(8, 12, 400), horizons=(1.0, 3.0))
-    assert [rec.error for rec in run_sweep(grid).records] == [None, None, "numerical_error"] * 2
-    assert [table.filled for table in tables.values()] == [[12, 12, 8, 8, 12, 12, 400, 8]] * 2
+    # The first fill, of every set, stops at the lowest order even when N=400
+    # comes first, so both orders of the grid fill alike and give equal records.
+    tables, fills, records = _count_tables(monkeypatch), [], []
+    for orders in ((8, 12, 400), (400, 8, 12)):
+        tables.clear()
+        grid = SweepGrid(orders=orders, horizons=(1.0, 3.0))
+        result = run_sweep(grid).records
+        assert [rec.error for rec in result] == [None if cell[1] < 400 else "numerical_error"
+                                                 for cell in grid.cells()]
+        records.append(dict(map(_record_key, result)))
+        sets = ["delta_p", "delta_u"] + [(n, rows) for n in orders for rows in ("value", "dx")]
+        fills.append([dict(zip(sets, table.filled, strict=True)) for table in tables.values()])
+    assert records[0] == records[1]
+    assert fills[0] == fills[1] == [{"delta_p": 12, "delta_u": 12, (8, "value"): 8, (8, "dx"): 8,
+                                     (12, "value"): 12, (12, "dx"): 12, (400, "value"): 400,
+                                     (400, "dx"): 8}] * 2
 
 
 def test_rows_above_a_group_order_may_overflow():
@@ -336,16 +353,14 @@ def test_only_domain_errors_become_domain_error_records(monkeypatch):
     assert all(math.isnan(rec.delta_p) for rec in records)
 
 
-def test_group_build_failure_tags_every_cell(monkeypatch):
+def test_group_build_failure_tags_every_cell():
     grid = SweepGrid(orders=(8,), betas=(0.0, 1e-3), noise_levels=(0.0, 0.01),
                      scheme_override=preset_scheme(12))
     assert [rec.error for rec in run_sweep(grid).records] == ["domain_error"] * 4
     # The error grids are built at a group's first solve; one that cannot be
     # built (no temperature oracle) fails every cell that reaches it alike.
-    monkeypatch.setattr(experiments, "benchmark_problem",
-                        lambda benchmark, horizon: dataclasses.replace(
-                            example1(horizon), exact_solution=None))
-    grid = SweepGrid(orders=(6,), betas=(0.0, 1e-3))
+    grid = SweepGrid(orders=(6,), betas=(0.0, 1e-3), benchmark=lambda horizon: dataclasses.replace(
+        example1(horizon), exact_solution=None))
     assert [rec.error for rec in run_sweep(grid).records] == ["domain_error"] * 2
 
 
@@ -580,15 +595,14 @@ def test_one_factorisation_per_group(monkeypatch):
         assert len(calls) == count
 
 
-def test_overflowing_oracles_raise_numerical_error(monkeypatch):
+def test_overflowing_oracles_raise_numerical_error():
     # A steep linear family overflows its exact oracles; the metrics raise a
     # typed error instead of returning nan and inf.
     with pytest.raises(NumericalError):
         run_case(linear_boundary_problem(0.5, 30.0), 8)
-    monkeypatch.setattr(experiments, "benchmark_problem",
-                        lambda benchmark, horizon: linear_boundary_problem(0.5, 30.0,
-                                                                           horizon=horizon))
-    assert run_sweep(SweepGrid(orders=(8,))).records[0].error == "numerical_error"
+    grid = SweepGrid(orders=(8,), benchmark=lambda horizon: linear_boundary_problem(
+        0.5, 30.0, horizon=horizon))
+    assert run_sweep(grid).records[0].error == "numerical_error"
 
 
 def test_zero_level_is_seed_invariant():

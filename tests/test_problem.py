@@ -175,6 +175,13 @@ def test_benchmark_factory():
     assert prob.label == "example2"
     with pytest.raises(ValueError):
         benchmark_problem("example3")
+    # A preset called with a horizon builds the problem benchmark_problem does.
+    ts = np.linspace(0.0, 2.0, 5)
+    for ident in BenchmarkId:
+        mine, theirs = ident(2.0), benchmark_problem(ident.value, 2.0)
+        assert (mine.label, mine.horizon) == (theirs.label, theirs.horizon) == (ident.value, 2.0)
+        assert mine.boundary(ts).tolist() == theirs.boundary(ts).tolist()
+    assert BenchmarkId.EXAMPLE2().horizon == 1.0
 
 
 def test_factory_validation():
