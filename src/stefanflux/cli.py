@@ -80,6 +80,8 @@ def load_config(path):
 
 
 def _parse_scheme(text, quad):
+    if text is None:
+        return None
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"scheme must be nD,nS,nI, got {text!r}")
@@ -183,9 +185,7 @@ def _case_setup(pick):
     problem = _resolve_problem(pick, float(pick("horizon", 1.0)))
     order = int(pick("order", 12))
     quad = int(pick("quad", 16))
-    scheme_text = pick("scheme", None)
-    scheme = (_parse_scheme(scheme_text, quad) if scheme_text is not None
-              else preset_scheme(order, quad))
+    scheme = _parse_scheme(pick("scheme", None), quad) or preset_scheme(order, quad)
     # beta and seed are checked here, before any command creates its output directory.
     return (problem, order, scheme, check_real(pick("beta", 0.0), "beta"),
             int(pick("samples", 101)), check_seed(pick("seed", 0)),
@@ -243,8 +243,7 @@ def cmd_sweep(pick):
     seeds = _parse_list(pick("seeds", None) or pick("seed", 0), int)
     levels = _parse_list(pick("noise", "0"), float)
     quad = int(pick("quad", 16))
-    scheme_text = pick("scheme", None)
-    scheme = _parse_scheme(scheme_text, quad) if scheme_text is not None else None
+    scheme = _parse_scheme(pick("scheme", None), quad)
     grid = SweepGrid(orders=orders, betas=betas, noise_levels=levels, seeds=seeds,
                      horizons=horizons, benchmark=lambda horizon: _resolve_problem(pick, horizon),
                      scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),

@@ -77,9 +77,8 @@ def _norms(rows):
 class _Horizon:
     """A horizon's problem, each order's scheme (or its preset's DomainError), and one RowTable
     of all its node sets: delta_p's and delta_u's, run_case's flux samples and each scheme's
-    interface nodes.  The table's first fill covers every set up to the lowest order whose
-    scheme was built, so a first group of higher order fills only its own sets past it.  The
-    oracle values of both errors come at the first measured block (a build that raises caches
+    interface nodes, first filled up to the lowest order whose scheme was built.  The oracle
+    values of both errors come at the first measured block (a build that raises caches
     nothing)."""
 
     def __init__(self, problem, orders, scheme=None, quadrature_order=16, flux_samples=None):
@@ -384,8 +383,10 @@ def run_sweep(grid, jobs=1):
     check_integer(jobs, "jobs", 1)
     records = []
     for horizon, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[0]):
-        shared = _Horizon(grid.benchmark(horizon), grid.orders, grid.scheme_override,
-                          grid.quadrature_order)
+        problem = grid.benchmark(horizon)
+        if problem.horizon != horizon:  # its records would carry the grid's horizon
+            raise DomainError(f"benchmark({horizon}) built a problem of horizon {problem.horizon}")
+        shared = _Horizon(problem, grid.orders, grid.scheme_override, grid.quadrature_order)
         for _, group in itertools.groupby(cells, key=lambda cell: cell[1]):
             records.extend(_evaluate_group(grid, shared, list(group)))
     return SweepResult(grid=grid, records=records)

@@ -132,6 +132,9 @@ def test_grid_validation():
             SweepGrid(orders=(8,), **bad)
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), benchmark="example9")
+    # A function whose problem ignores the horizon it is given would mislabel its records.
+    with pytest.raises(DomainError, match=r"^benchmark\(2.0\) built a problem of horizon 1.0$"):
+        run_sweep(SweepGrid(orders=(8,), horizons=(2.0,), benchmark=lambda horizon: example1()))
     with pytest.raises(ValueError, match="noise_mode"):
         SweepGrid(orders=(8,), noise_levels=(0.0, 0.01), noise_mode="bogus")
     # Seeds outside [0, 2**64) used to alias: 2**64 drew seed 0's noise.
