@@ -5,10 +5,11 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tests/make_identity_fixture.py
 
-The fixture holds the records of six sweep grids (the benchmark's two, a grid
+The fixture holds the records of ten sweep grids (the benchmark's two, a grid
 of odd orders and horizons on each benchmark, a grid whose N=400 cells
-overflow, and one whose huge constant noise overflows squares, solves and
-metrics), the reports of 48 run_case calls in the mix of the benchmark's
+overflow, one whose huge constant noise overflows squares, solves and
+metrics, and a linear- and a square-root-family grid in each noise mode),
+the reports of 48 run_case calls in the mix of the benchmark's
 single workload and of the README's solve runs, and the environment they were
 made in.  A change that moves
 values on purpose runs this script again and says in CHANGES.md how many
@@ -24,9 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from stefanflux import (NoiseSpec, NumericalError, SweepGrid, example1, example2,
-                        linear_boundary_problem, run_case, run_sweep)
+                        linear_boundary_problem, run_case, run_sweep, sqrt_boundary_problem)
 
 FIXTURE = Path(__file__).with_name("identity_fixture.json")
+
+# Problems by name: the presets, the README config file's linear family and a square-root
+# family member.
+PROBLEMS = {"example1": example1, "example2": example2,
+            "linear": lambda horizon: linear_boundary_problem(0.4, 0.7, horizon=horizon),
+            "sqrt": lambda horizon: sqrt_boundary_problem(0.6, 0.16, horizon=horizon)}
 
 # The benchmark's grids, copied so that the fixture does not move with the benchmark.
 GRIDS = {
@@ -41,11 +48,11 @@ GRIDS = {
     "orders_8_12_400": SweepGrid(orders=(8, 12, 400), horizons=(1.0, 3.0)),
     "overflow": SweepGrid(orders=(8,), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01, 1e300, 7e307),
                           seeds=range(8), noise_mode="constant"),
+    **{f"{family}_{mode}": SweepGrid(orders=(4, 12, 20), betas=(0.0, 1e-7),
+                                     noise_levels=(0.0, 0.01), seeds=(0, 1), horizons=(0.5, 1.5),
+                                     benchmark=PROBLEMS[family], noise_mode=mode)
+       for family in ("linear", "sqrt") for mode in ("relative", "constant")},
 }
-
-# Problems by name: the presets and the README config file's linear family.
-PROBLEMS = {"example1": example1, "example2": example2,
-            "linear": lambda horizon: linear_boundary_problem(0.4, 0.7, horizon=horizon)}
 
 # The README's solve runs, as (problem, order, horizon, level, seed, beta).
 README_RUNS = [("example1", 12, 1.0, 0.0, 0, 0.0), ("example1", 8, 1.0, 0.01, 7, 1e-5),
