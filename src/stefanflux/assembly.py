@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .basis import RowTable
+from .basis import ORDER_BOUND, RowTable
 from .errors import DomainError, NumericalError, check_integer
 
 __all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
@@ -60,14 +60,14 @@ class CollocationScheme:
 
 
 def preset_scheme(order, quadrature_order=16):
-    """Default partition counts for a given basis order.
+    """Default partition counts for a given basis order, 3 <= order < basis.ORDER_BOUND.
 
     One initial subinterval up to system size 11, two beyond; the remainder
     is split so the temperature count strictly exceeds the energy-balance
     count.  Reproduces the published pairings (6, 5, 2) at order 12 and
     (6, 4, 1) at order 10.
     """
-    size = check_integer(order, "order", 3) + 1  # a preset needs order >= 3
+    size = check_integer(order, "order", 3, ORDER_BOUND) + 1  # a preset needs order >= 3
     n_initial = 1 if size <= 11 else 2
     rem = size - n_initial
     n_stefan = (rem - 1) // 2
@@ -97,9 +97,10 @@ class LinearSystem:
 
 
 def _require_finite(matrix, rhs, family):
-    bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
-    if bad.size:
-        raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
+    if not abs(matrix.sum() + rhs.sum()) < np.inf:  # finite rows may overflow it (errstate)
+        bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
+        if bad.size:
+            raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
 
 
 def panel_sums(weighted, q):
@@ -114,10 +115,12 @@ def stefan_nodes(problem, scheme):
 
 def interface_nodes(problem, scheme):
     """(times, weights, s(times)) of the temperature rows' and of the energy-balance rows'
-    quadrature nodes."""
-    return tuple((t, w, problem.boundary(t)) for t, w in (
+    quadrature nodes, and s at the energy-balance panels' edges."""
+    edges = quadrature.uniform(0.0, problem.horizon, scheme.n_stefan + 1)
+    return (*((t, w, problem.boundary(t)) for t, w in (
         quadrature.subdivided_nodes(0.0, problem.horizon, scheme.n_dirichlet,
-                                    scheme.quadrature_order), stefan_nodes(problem, scheme)))
+                                    scheme.quadrature_order), stefan_nodes(problem, scheme))),
+            problem.boundary(edges))
 
 
 def assemble(problem, basis, scheme, nodes=None, rows=None):
@@ -139,7 +142,7 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
     q = scheme.quadrature_order
 
     with np.errstate(over="ignore", invalid="ignore"):
-        (t_nodes, t_weights, s_nodes), (ts_nodes, ts_weights, ss_nodes) = (
+        (t_nodes, t_weights, s_nodes), (ts_nodes, ts_weights, ss_nodes), s_edges = (
             nodes or interface_nodes(problem, scheme))
         if rows is None:
             table = RowTable((s_nodes, t_nodes, "value"), (ss_nodes, ts_nodes, "dx"))
@@ -152,17 +155,15 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
 
         # Interface energy-balance rows.
         stefan = panel_sums(ts_weights * (-problem.conductivity) * rows(1), q).T
-        edges = np.linspace(0.0, horizon, scheme.n_stefan + 1)
-        s_edges = problem.boundary(edges)
-        stefan_rhs = problem.latent_heat * problem.density * np.diff(s_edges)
+        stefan_rhs = problem.latent_heat * problem.density * (s_edges[1:] - s_edges[:-1])
         _require_finite(stefan, stefan_rhs, "stefan")
 
         # Initial rows; the matrix entries have the closed form
         # (x_j^(n+1) - x_{j-1}^(n+1)) / (n + 1).
-        s0 = float(problem.boundary(0.0))
-        x_edges = np.linspace(0.0, s0, scheme.n_initial + 1)
-        exponents = np.arange(1, size + 1)[:, None]
-        initial = (np.diff(x_edges ** exponents) / exponents).T
+        s0 = float(s_edges[0])
+        x_edges = quadrature.uniform(0.0, s0, scheme.n_initial + 1)
+        powers = x_edges ** (exponents := np.arange(1, size + 1)[:, None])
+        initial = ((powers[:, 1:] - powers[:, :-1]) / exponents).T
         x_nodes, x_weights = quadrature.subdivided_nodes(0.0, s0, scheme.n_initial, q)
         f_vals = problem.initial_profile(x_nodes)
         initial_rhs = panel_sums(x_weights * f_vals, q)

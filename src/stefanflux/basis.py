@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, check_integer
 
 __all__ = ["HeatPolynomialBasis", "RowTable"]
+ORDER_BOUND = 1000  # orders lie below it: order N fills N + 1 rows per node, and nodes grow with N
 
 
 class RowTable:
@@ -47,7 +48,7 @@ class HeatPolynomialBasis:
     diffusivity : float
         Thermal diffusivity a > 0 of the underlying heat equation.
     max_order : int
-        Largest usable order N >= 0.
+        Largest usable order N, 0 <= N < ORDER_BOUND.
 
     Notes
     -----
@@ -63,10 +64,10 @@ class HeatPolynomialBasis:
 
     def __init__(self, diffusivity, max_order):
         diffusivity = float(diffusivity)
-        if not np.isfinite(diffusivity) or diffusivity <= 0.0:
+        if not 0.0 < diffusivity < math.inf:  # nan fails it
             raise DomainError(f"diffusivity must be a positive finite number, got {diffusivity}")
         self.diffusivity = diffusivity
-        self.max_order = check_integer(max_order, "max_order", 0)
+        self.max_order = check_integer(max_order, "max_order", 0, ORDER_BOUND)
 
     def __repr__(self):
         return f"HeatPolynomialBasis(diffusivity={self.diffusivity!r}, max_order={self.max_order})"

@@ -1,12 +1,12 @@
 """Parameter sweeps over order, damping, noise level, seed, and horizon.
 
-A sweep runs one horizon at a time.  Its problem, grid.benchmark(horizon), each
-order's scheme and one RowTable of all its node sets (delta_p's, delta_u's and
-every scheme's interface nodes) are built once.  The table's first fill, at the
-first group's build, runs the recurrence over every set up to the lowest order
-whose scheme was built; a group continues it over the sets it asks for only: its
-temperature rows, its energy-balance rows once those are finite, and delta_p's
-and delta_u's once it measures.  A group, the cells sharing (horizon, order),
+A sweep builds every horizon's problem, grid.benchmark(horizon), before its first cell,
+then runs one horizon at a time: each order's scheme and one RowTable of all its node
+sets (delta_p's, delta_u's and every scheme's interface nodes) are built once.  The
+table's first fill, at the first group's build, runs the recurrence over every set up
+to the lowest order whose scheme was built; a group continues it over the sets it asks
+for only: its temperature rows, its energy-balance rows once those are finite, and
+delta_p's and delta_u's once it measures.  A group, the cells sharing (horizon, order),
 which the grid emits contiguously, builds its clean system and one Factorization
 of its matrix once, its seeds' noise in one block, and each level's right sides
 in one block.  Then, 8 cells at a time, it solves their right sides in one
@@ -35,7 +35,7 @@ import numpy as np
 
 from .assembly import (CollocationScheme, assemble, check_quadrature_order, interface_nodes,
                        panel_sums, preset_scheme)
-from .basis import HeatPolynomialBasis, RowTable
+from .basis import ORDER_BOUND, HeatPolynomialBasis, RowTable
 from .errors import (DomainError, NumericalError, SingularMatrixError, check_integer,
                      check_real)
 from .metrics import _delta_p_grid, _delta_u_grid, _error, _flux_nodes, flux_curve
@@ -96,22 +96,20 @@ class _Horizon:
                     continue
                 if key not in self.nodes:
                     self.nodes[key] = len(sets), interface_nodes(problem, key)
-                    (t, _, s), (ts, _, ss) = self.nodes[key][1]
+                    (t, _, s), (ts, _, ss), _ = self.nodes[key][1]
                     sets += [(s, t, "value"), (ss, ts, "dx")]
         self.table = RowTable(*sets)
 
-    def rows(self, order, *which):
-        with np.errstate(over="ignore", invalid="ignore"):  # rows above an order may overflow
-            if self.table.basis is None:  # first fill: every set, to the lowest built order
-                self.basis.rows(self.table, min(n for n, key in self.schemes.items()
-                                                if not isinstance(key, DomainError)))
-            return self.basis.rows(self.table, order, *which)
+    def rows(self, order, *which):  # callers hold np.errstate: rows above an order may overflow
+        if self.table.basis is None:  # first fill: every set, to the lowest built order
+            self.basis.rows(self.table, min(n for n, key in self.schemes.items()
+                                            if not isinstance(key, DomainError)))
+        return self.basis.rows(self.table, order, *which)
 
     @cached_property
     def oracles(self):
         """The arguments of metrics._error after rows for delta_p and for delta_u."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return tuple(oracle() for _, oracle in self.errors)
+        return tuple(oracle() for _, oracle in self.errors)
 
 
 class _Group:
@@ -141,14 +139,13 @@ class _Group:
         """The energy-balance weights, clean data at the nodes, and the seeds' draws there."""
         ts, weights, _ = self.nodes[1]
         # Draws depend on the seed and the time alone, so every level and beta shares them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return weights, self.problem.interface_flux(ts), standard_draws(self.seeds, ts)
+        return weights, self.problem.interface_flux(ts), standard_draws(self.seeds, ts)
 
     def _rhs_block(self, level):
         """The level's right sides, built at its first cell from all the seeds' panel sums."""
         if level not in self._blocks:
-            weights, clean, draws = self._noise
             with np.errstate(over="ignore", invalid="ignore"):
+                weights, clean, draws = self._noise
                 data = scale_draws(NoiseSpec(level, mode=self.mode), clean, draws,
                                    self.problem.conductivity)
                 sums = panel_sums(weights * data, self.scheme.quadrature_order)
@@ -196,8 +193,9 @@ class _Group:
         """The delta_p and delta_u closures, on the horizon's rows and oracle values from the first
         measured block on."""
         oracles = self.shared.oracles
-        return tuple(_error(self.basis, rows, *oracle)
-                     for rows, oracle in zip(self.shared.rows(self.basis.max_order, 0, 1), oracles))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = self.shared.rows(self.basis.max_order, 0, 1)
+        return tuple(_error(self.basis, r, *oracle) for r, oracle in zip(rows, oracles))
 
     def measure(self, block):
         """Each row's (delta_p, delta_u, error tag); a block that fails is measured row by row."""
@@ -223,8 +221,10 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
         raise outcome
     coeffs, cond, res_norm, rhs = outcome
     (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
-    curve = flux_curve(coeffs, problem, group.basis, flux_samples, shared.rows(order, 2)[0])
-    rhs_norm = float(_norms(rhs[None])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        flux_rows, rhs_norm = shared.rows(order, 2)[0], math.sqrt(rhs @ rhs)
+    curve = flux_curve(coeffs, problem, group.basis, flux_samples, flux_rows)
+    rhs_norm = float(_norms(rhs[None])[0]) if rhs_norm == math.inf else rhs_norm
     return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
                        float(max(row[3] for row in curve)), tuple(curve))
@@ -247,7 +247,7 @@ class SweepGrid:
 
     def __post_init__(self):
         # Orders below 2 cannot carry all three condition families.
-        orders = tuple(check_integer(n, "orders", 2) for n in self.orders)
+        orders = tuple(check_integer(n, "orders", 2, ORDER_BOUND) for n in self.orders)
         object.__setattr__(self, "orders", orders)
         for name, positive in (("betas", False), ("noise_levels", False), ("horizons", True)):
             object.__setattr__(self, name, tuple(check_real(v, name, positive)
@@ -381,12 +381,13 @@ def run_sweep(grid, jobs=1):
     jobs must be an integer in [1, 2**63) and has no effect; it stays for callers that pass it.
     """
     check_integer(jobs, "jobs", 1)
-    records = []
-    for horizon, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[0]):
-        problem = grid.benchmark(horizon)
+    problems = {horizon: grid.benchmark(horizon) for horizon in grid.horizons}  # before any cell
+    for horizon, problem in problems.items():
         if problem.horizon != horizon:  # its records would carry the grid's horizon
             raise DomainError(f"benchmark({horizon}) built a problem of horizon {problem.horizon}")
-        shared = _Horizon(problem, grid.orders, grid.scheme_override, grid.quadrature_order)
+    records = []
+    for h, cells in itertools.groupby(grid.cells(), key=lambda cell: cell[0]):
+        shared = _Horizon(problems[h], grid.orders, grid.scheme_override, grid.quadrature_order)
         for _, group in itertools.groupby(cells, key=lambda cell: cell[1]):
             records.extend(_evaluate_group(grid, shared, list(group)))
     return SweepResult(grid=grid, records=records)

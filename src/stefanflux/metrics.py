@@ -90,10 +90,10 @@ def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
     t_nodes, t_weights = quadrature.panel_nodes(0.0, problem.horizon, quad_points_t)
     s_vals = problem.boundary(t_nodes)
     unit, unit_w = quadrature.panel_nodes(0.0, 1.0, quad_points_x)
-    x_grid = np.outer(s_vals, unit)
+    x_grid = s_vals[:, None] * unit
     t_grid = np.broadcast_to(t_nodes[:, None], x_grid.shape)
     # Jacobian of x = s(t) * xi maps the inner weights onto [0, s(t)].
-    w_grid = np.outer(t_weights * s_vals, unit_w).reshape(-1)
+    w_grid = ((t_weights * s_vals)[:, None] * unit_w).reshape(-1)
 
     def oracle():
         exact = _require_oracle(problem, "exact_solution")
@@ -132,7 +132,8 @@ def delta_u(coeffs, problem, basis, quad_points_t=64, quad_points_x=64):
 
 def _flux_nodes(problem, samples=101):
     """flux_curve's (x, t, deriv) node set: samples uniform times at x = 0, 2 <= samples < 1e5."""
-    return 0.0, np.linspace(0.0, problem.horizon, check_integer(samples, "samples", 2, 10**5)), "dx"
+    samples = check_integer(samples, "samples", 2, 10**5)
+    return 0.0, quadrature.uniform(0.0, problem.horizon, samples), "dx"
 
 
 def flux_curve(coeffs, problem, basis, samples=101, rows=None):

@@ -31,6 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import uniform
 
 __all__ = [
     "BenchmarkId",
@@ -63,7 +64,7 @@ class BenchmarkId(str, Enum):
 
 def _check_material(*values):
     for name, value in zip(("diffusivity", "conductivity", "latent_heat", "density"), values):
-        if not np.isfinite(value) or value <= 0.0:
+        if not 0.0 < value < math.inf:  # nan fails it
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
@@ -93,11 +94,11 @@ class StefanProblem:
 
     def __post_init__(self):
         _check_material(self.diffusivity, self.conductivity, self.latent_heat, self.density)
-        if not np.isfinite(self.horizon) or self.horizon <= 0.0:
+        if not 0.0 < self.horizon < math.inf:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
-        if not np.isfinite(self.melt_temperature):
+        if not -math.inf < self.melt_temperature < math.inf:
             raise DomainError("melt_temperature must be finite")
-        ts = np.linspace(0.0, self.horizon, 101)
+        ts = uniform(0.0, self.horizon, 101)
         # The probes only decide how each callable is called.  Overflow in the
         # probed values (a sqrt family with alpha = 30 has an infinite
         # amplitude) is left to the stages that use the data.
@@ -117,8 +118,8 @@ class StefanProblem:
                     f = np.vectorize(f, otypes=[float])
                     object.__setattr__(self, name, f)
                     values = f(*args) if name == "boundary" else None
-                if name == "boundary" and (not np.all(np.isfinite(values))
-                                           or np.any(values <= 0.0)):
+                if name == "boundary" and not (
+                        (values := np.asarray(values)).min() > 0.0 and values.max() < math.inf):
                     raise DomainError(
                         "boundary s(t) must stay positive and finite on [0, horizon]")
 

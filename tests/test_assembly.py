@@ -21,8 +21,9 @@ from stefanflux import (
     solve_direct,
 )
 from stefanflux import experiments
-from stefanflux.assembly import LinearSystem, panel_sums, stefan_nodes
-from stefanflux.quadrature import subdivided_nodes
+from stefanflux.assembly import (LinearSystem, _require_finite, interface_nodes, panel_sums,
+                                 stefan_nodes)
+from stefanflux.quadrature import subdivided_nodes, uniform
 
 
 def test_preset_scheme_rule():
@@ -147,6 +148,22 @@ def test_initial_rows_match_quadrature(prob):
                 vals[j], rel=1e-13, abs=1e-16)
 
 
+def test_uniform_grids_are_linspace_bit_for_bit():
+    # Every uniform grid of the package (edges, flux samples, the problem's probe) comes from
+    # quadrature.uniform, which must equal np.linspace bit for bit, also where its step
+    # underflows to zero, overflows, or is negative.
+    rng = np.random.default_rng(3)
+    stops = [1.0, 1 / 3, 1.5, 7.0, 1e-300, 5e-324, 1e-322, 1.7e308, math.inf, math.nan]
+    stops += (10.0 ** rng.uniform(-8, 8, 40)).tolist()
+    for lo in (0.0, -0.0, 0.25, -2.0):
+        for hi in stops + [-stop for stop in stops] + [lo]:
+            for num in (2, 3, 6, 17, 101):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    grid, expected = uniform(lo, hi, num), np.linspace(lo, hi, num)
+                assert grid.dtype == np.float64 and grid.shape == (num,)
+                np.testing.assert_array_equal(grid.view(np.uint64), expected.view(np.uint64))
+
+
 def test_dirichlet_reproduction_after_solve():
     # The reconstructed temperature tracks the melt value along the interface.
     prob = example1()
@@ -224,6 +241,39 @@ def test_nonfinite_values_name_the_offending_row(monkeypatch):
                         lambda spec, clean, draws, conductivity: np.full_like(draws, np.inf))
     with pytest.raises(NumericalError, match="stefan row 1"):
         run_case(ok, 4, noise=NoiseSpec(0.01))
+
+
+def test_each_family_names_its_first_non_finite_row():
+    # The finite check is one sum per family, and only a non-finite sum looks for the row.
+    # Order 12 has 6 temperature, 5 energy-balance and 2 initial rows of 16 nodes each.
+    basis, scheme = HeatPolynomialBasis(1.0, 12), preset_scheme(12)
+
+    def problem(boundary=lambda t: 1.0 + 0.5 * t, profile=lambda x: 0.0 * x, **constants):
+        return StefanProblem(**{"diffusivity": 1.0, "conductivity": 1.0, "latent_heat": 1.0,
+                                "density": 1.0, "melt_temperature": 0.0, "horizon": 1.0,
+                                **constants}, boundary=boundary, boundary_rate=lambda t: 0.5,
+                             initial_profile=profile)
+
+    def poisoned(family, node):  # design rows with one nan node in the family's rows
+        nodes = interface_nodes(problem(), scheme)
+        rows = [basis.design(s, t, deriv) for (t, _, s), deriv in zip(nodes, ("value", "dx"))]
+        rows[family][5, node] = np.nan
+        return nodes, lambda k: rows[k]
+
+    cases = [  # (problem, nodes and rows or None, message): matrix-only, then rhs-only
+        (problem(), poisoned(0, 16 + 3), "dirichlet row 2"),
+        (problem(melt_temperature=1.7e308, horizon=7.0), None, "dirichlet row 1"),
+        (problem(), poisoned(1, 2 * 16 + 5), "stefan row 3"),
+        (problem(boundary=lambda t: 1.0 + 1e10 * (t > 0.3), latent_heat=1e300), None,
+         "stefan row 2"),
+        (problem(boundary=lambda t: 1e24 + 0.0 * t), None, "initial row 2"),  # s0**13 = inf
+        (problem(profile=lambda x: np.where(x > 0.6, np.inf, 0.0)), None, "initial row 2")]
+    for prob, hooks, message in cases:
+        with pytest.raises(NumericalError, match=f"^non-finite value while assembling {message}$"):
+            assemble(prob, basis, scheme, *(hooks or ()))
+    # Finite rows whose sum overflows pass.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _require_finite(np.full((2, 3), 1e308), np.array([1e308, -1e308]), "stefan")
 
 
 def test_zero_level_noise_reproduces_clean_system():

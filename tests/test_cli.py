@@ -247,7 +247,9 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
            ["sweep", "--orders", "8", "--quad", "5"],
            # Bounded before anything is allocated; these used to exit 1 with a MemoryError.
            ["solve", "--quad", "1000000"], ["sweep", "--orders", "8", "--quad", "1000000"],
-           ["solve", "--samples", "1000000000000"], ["plotdata", "--samples", "1000000000000"])
+           ["solve", "--samples", "1000000000000"], ["plotdata", "--samples", "1000000000000"],
+           ["solve", "--order", "100000"], ["plotdata", "--order", "100000"],
+           ["sweep", "--orders", "8,100000"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))

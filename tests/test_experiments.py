@@ -35,6 +35,7 @@ from stefanflux import (
 )
 from stefanflux import experiments
 from stefanflux.assembly import check_quadrature_order, panel_sums, stefan_nodes
+from stefanflux.basis import ORDER_BOUND
 from stefanflux.errors import check_integer
 from stefanflux.experiments import _error_tag
 from stefanflux.noise import scale_draws, standard_draws
@@ -112,6 +113,17 @@ def test_cell_emission_order():
     assert cells[16] == (2.0, 4, 0.0, 0.0, 0)
     # Horizon is the outermost axis, seed the innermost.
     assert [c[0] for c in cells] == sorted(c[0] for c in cells)
+
+
+def test_orders_are_bounded_before_anything_is_allocated():
+    # Order N fills N + 1 rows over every node set, whose count grows with N: order
+    # 100,000 used to ask numpy for 1.17 TiB.  N = 400 stays legal.
+    for build in (preset_scheme, lambda n: HeatPolynomialBasis(1.0, n),
+                  lambda n: SweepGrid(orders=(8, n))):
+        build(400), build(ORDER_BOUND - 1)
+        for bad in (ORDER_BOUND, 100000):
+            with pytest.raises(DomainError, match=rf"must be an integer in \[\d, 1000\), got {bad}$"):
+                build(bad)
 
 
 def test_grid_validation():
@@ -365,6 +377,24 @@ def test_group_build_failure_tags_every_cell():
     grid = SweepGrid(orders=(6,), betas=(0.0, 1e-3), benchmark=lambda horizon: dataclasses.replace(
         example1(horizon), exact_solution=None))
     assert [rec.error for rec in run_sweep(grid).records] == ["domain_error"] * 2
+
+
+def test_every_horizon_problem_is_built_before_the_first_group(monkeypatch):
+    # A front s = 0.4 - 0.7 t stays positive at horizon 0.5 but not at 1, and a problem
+    # function that ignores its horizon fails the check at 1: either way the sweep fails
+    # before it builds any group, not after horizon 0.5's cells have run.
+    groups, group = [], experiments._Group
+    monkeypatch.setattr(experiments, "_Group", lambda *args: groups.append(args) or group(*args))
+    grid = SweepGrid(orders=range(4, 21, 4), betas=(0.0, 1e-7), horizons=(0.5, 1.0),
+                     benchmark=lambda horizon: linear_boundary_problem(0.4, -0.7, horizon=horizon))
+    with pytest.raises(DomainError, match="boundary must stay positive over the horizon"):
+        run_sweep(grid)
+    with pytest.raises(DomainError, match=r"^benchmark\(1.0\) built a problem of horizon 0.5$"):
+        run_sweep(dataclasses.replace(grid, benchmark=lambda horizon: example1(0.5)))
+    assert groups == []
+    assert all(rec.error is None for rec in run_sweep(dataclasses.replace(grid, horizons=(0.5,)))
+               .records)
+    assert len(groups) == 5
 
 
 def test_noise_draws_are_shared_across_levels_and_betas(monkeypatch):

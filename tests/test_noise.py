@@ -158,6 +158,22 @@ def test_draws_match_a_pure_python_reference():
     assert standard_draws(ORACLE_SEEDS, []).shape == (len(ORACLE_SEEDS), 0)
 
 
+def test_time_quanta_match_round_at_ties_signs_and_large_times():
+    # tq = round(t / 1e-12) mod 2**64: exact half-quantum quotients round half to even,
+    # negative quanta wrap, and times straddle 2**53 quanta (where quanta stop being spaced
+    # by 1), 2**62 and the int64 and uint64 ends.
+    ties = [t for t in ((k + 0.5) * 1e-12 for k in range(-40, 40)) if t / 1e-12 % 1 == 0.5]
+    assert len(ties) >= 20 and {round(t / 1e-12) % 2 for t in ties} == {0}
+    times = [-1.5, -0.37, -1e-13, -0.0, 2.5e-12, *ties]
+    for quanta in (2 ** 53, 2 ** 62, 2 ** 63, 2 ** 64):
+        edge = quanta * 1e-12
+        times += [sign * t for sign in (1, -1) for t in
+                  (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 1.5 * edge)]
+    block = standard_draws(ORACLE_SEEDS[:4], np.array(times))
+    for seed, row in zip(ORACLE_SEEDS[:4], block):
+        np.testing.assert_array_max_ulp(row, [_reference(seed, t) for t in times], maxulp=4)
+
+
 def test_draws_have_normal_moments_tails_and_no_lag_correlation():
     # 2**20 draws on consecutive seeds and consecutive time quanta, the keys
     # closest together.  Each bound is 5 standard errors of a standard normal
