@@ -97,7 +97,7 @@ class LinearSystem:
 
 
 def _require_finite(matrix, rhs, family):
-    if not abs(matrix.sum() + rhs.sum()) < np.inf:  # finite rows may overflow it (errstate)
+    if not abs(matrix.sum() + rhs.sum()) < np.inf:  # one pass; finite sums may overflow here
         bad = np.flatnonzero(~(np.isfinite(matrix).all(axis=1) & np.isfinite(rhs)))
         if bad.size:
             raise NumericalError(f"non-finite value while assembling {family} row {bad[0] + 1}")
@@ -115,12 +115,10 @@ def stefan_nodes(problem, scheme):
 
 def interface_nodes(problem, scheme):
     """(times, weights, s(times)) of the temperature rows' and of the energy-balance rows'
-    quadrature nodes, and s at the energy-balance panels' edges."""
-    edges = quadrature.uniform(0.0, problem.horizon, scheme.n_stefan + 1)
-    return (*((t, w, problem.boundary(t)) for t, w in (
+    quadrature nodes."""
+    return tuple((t, w, problem.boundary(t)) for t, w in (
         quadrature.subdivided_nodes(0.0, problem.horizon, scheme.n_dirichlet,
-                                    scheme.quadrature_order), stefan_nodes(problem, scheme))),
-            problem.boundary(edges))
+                                    scheme.quadrature_order), stefan_nodes(problem, scheme)))
 
 
 def assemble(problem, basis, scheme, nodes=None, rows=None):
@@ -142,7 +140,7 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
     q = scheme.quadrature_order
 
     with np.errstate(over="ignore", invalid="ignore"):
-        (t_nodes, t_weights, s_nodes), (ts_nodes, ts_weights, ss_nodes), s_edges = (
+        (t_nodes, t_weights, s_nodes), (ts_nodes, ts_weights, ss_nodes) = (
             nodes or interface_nodes(problem, scheme))
         if rows is None:
             table = RowTable((s_nodes, t_nodes, "value"), (ss_nodes, ts_nodes, "dx"))
@@ -155,6 +153,7 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
 
         # Interface energy-balance rows.
         stefan = panel_sums(ts_weights * (-problem.conductivity) * rows(1), q).T
+        s_edges = problem.boundary(quadrature.uniform(0.0, horizon, scheme.n_stefan + 1))
         stefan_rhs = problem.latent_heat * problem.density * (s_edges[1:] - s_edges[:-1])
         _require_finite(stefan, stefan_rhs, "stefan")
 

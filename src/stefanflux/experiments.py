@@ -29,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,7 +97,7 @@ class _Horizon:
                     continue
                 if key not in self.nodes:
                     self.nodes[key] = len(sets), interface_nodes(problem, key)
-                    (t, _, s), (ts, _, ss), _ = self.nodes[key][1]
+                    (t, _, s), (ts, _, ss) = self.nodes[key][1]
                     sets += [(s, t, "value"), (ss, ts, "dx")]
         self.table = RowTable(*sets)
 
@@ -227,7 +228,7 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     rhs_norm = float(_norms(rhs[None])[0]) if rhs_norm == math.inf else rhs_norm
     return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
-                       float(max(row[3] for row in curve)), tuple(curve))
+                       max(curve, key=itemgetter(3))[3], tuple(curve))
 
 
 @dataclass(frozen=True)

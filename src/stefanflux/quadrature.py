@@ -9,10 +9,11 @@ from .errors import DomainError
 
 @lru_cache(maxsize=None)
 def gauss_rule(order):
-    """Nodes and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
+    """Nodes plus 1 and weights of the order-point Gauss-Legendre rule on [-1, 1]."""
     if order < 1:
         raise DomainError(f"quadrature order must be >= 1, got {order}")
     nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes += 1.0
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -28,9 +29,9 @@ def uniform(lo, hi, num):
 
 def panel_nodes(lo, hi, order):
     """Map the reference rule onto the panel [lo, hi]; column bounds give one row per panel."""
-    base, weights = gauss_rule(order)
+    shifted, weights = gauss_rule(order)
     half = 0.5 * (hi - lo)
-    return lo + half * (base + 1.0), half * weights
+    return lo + half * shifted, half * weights
 
 
 def subdivided_nodes(lo, hi, n_panels, order):
