@@ -5,35 +5,50 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tests/make_identity_fixture.py
 
-The fixture holds the records of ten sweep grids (the benchmark's two, a grid
-of odd orders and horizons on each benchmark, a grid whose N=400 cells
+The fixture holds the records of twelve sweep grids (the benchmark's two, a
+grid of odd orders and horizons on each benchmark, a grid whose N=400 cells
 overflow, one whose huge constant noise overflows squares, solves and
-metrics, and a linear- and a square-root-family grid in each noise mode),
-the reports of 48 run_case calls in the mix of the benchmark's
-single workload and of the README's solve runs, and the environment they were
-made in.  A change that moves
-values on purpose runs this script again and says in CHANGES.md how many
+metrics, and a linear-family, a square-root-family and a user-callable grid
+in each noise mode), the reports of 48 run_case calls in the mix of the
+benchmark's single workload and of the README's solve runs, and the
+environment they were made in.  A change that moves values on purpose runs
+this script again and says in CHANGES.md how many
 records moved and by how much.
 """
 
 import hashlib
 import json
+import math
 import platform
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from stefanflux import (NoiseSpec, NumericalError, SweepGrid, example1, example2,
+from stefanflux import (NoiseSpec, NumericalError, StefanProblem, SweepGrid, example1, example2,
                         linear_boundary_problem, run_case, run_sweep, sqrt_boundary_problem)
 
 FIXTURE = Path(__file__).with_name("identity_fixture.json")
 
-# Problems by name: the presets, the README config file's linear family and a square-root
-# family member.
+
+def user_problem(horizon):
+    """The travelling wave u = expm1(0.3 (0.5 + 0.3 t - x)) from user callables of both kinds:
+    scalar-only math ones, which the build wraps in np.vectorize, and array ones, which it
+    probes and keeps."""
+    return StefanProblem(
+        diffusivity=1.0, conductivity=1.0, latent_heat=1.0, density=1.0, melt_temperature=0.0,
+        horizon=horizon, boundary=lambda t: 0.5 + 0.3 * np.asarray(t),
+        boundary_rate=lambda t: 0.3, initial_profile=lambda x: math.expm1(0.3 * (0.5 - x)),
+        exact_solution=lambda x, t: np.expm1(0.3 * (0.5 + 0.3 * np.asarray(t) - x)),
+        exact_flux_gradient=lambda t: -0.3 * math.exp(0.3 * (0.5 + 0.3 * t)), label="user")
+
+
+# Problems by name: the presets, the README config file's linear family, a square-root
+# family member and a problem built from user callables.
 PROBLEMS = {"example1": example1, "example2": example2,
             "linear": lambda horizon: linear_boundary_problem(0.4, 0.7, horizon=horizon),
-            "sqrt": lambda horizon: sqrt_boundary_problem(0.6, 0.16, horizon=horizon)}
+            "sqrt": lambda horizon: sqrt_boundary_problem(0.6, 0.16, horizon=horizon),
+            "user": user_problem}
 
 # The benchmark's grids, copied so that the fixture does not move with the benchmark.
 GRIDS = {
@@ -51,7 +66,7 @@ GRIDS = {
     **{f"{family}_{mode}": SweepGrid(orders=(4, 12, 20), betas=(0.0, 1e-7),
                                      noise_levels=(0.0, 0.01), seeds=(0, 1), horizons=(0.5, 1.5),
                                      benchmark=PROBLEMS[family], noise_mode=mode)
-       for family in ("linear", "sqrt") for mode in ("relative", "constant")},
+       for family in ("linear", "sqrt", "user") for mode in ("relative", "constant")},
 }
 
 # The README's solve runs, as (problem, order, horizon, level, seed, beta).
