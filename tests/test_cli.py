@@ -314,6 +314,19 @@ def test_family_sweep_errors_exit_2_before_writing(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_family_whose_boundary_starts_at_zero_exits_2(tmp_path, capsys):
+    # s(0) = 2 alpha sqrt(t0) underflows to 0 although s(horizon) > 0.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("family = sqrt\nalpha = 5e-324\nt0 = 1e-300\n")
+    out = tmp_path / "out"
+    code, _, err = _run(capsys, "solve", "--config", str(cfg), "--order", "8", "--out", str(out))
+    error = json.loads(err.strip().splitlines()[-1])
+    assert (code, error["error"]) == (2, "config_error")
+    assert error["message"] == ("bad sqrt family parameters: boundary s(t) must stay positive "
+                                "and finite on [0, horizon]")
+    assert not out.exists()
+
+
 def test_custom_family_solve(tmp_path, capsys):
     cfg = tmp_path / "linear.cfg"
     cfg.write_text("family = linear\np0 = 0.4\np1 = 0.7\n")

@@ -174,6 +174,32 @@ def test_time_quanta_match_round_at_ties_signs_and_large_times():
         np.testing.assert_array_max_ulp(row, [_reference(seed, t) for t in times], maxulp=4)
 
 
+def test_quanta_below_2_52_equal_the_per_time_ones_bit_for_bit():
+    # A block whose quanta t / 1e-12 all lie below 2**52 may round them at once; a block with a
+    # time beyond (here 1e5, 1e17 quanta) rounds each alone.  Both must give
+    # round(t / 1e-12) mod 2**64: on both sides of 2**52 quanta, at negative times, and at
+    # half-quantum ties near 0 and near 2**51 quanta, where quotients are spaced by 1/2.
+    edge = 2 ** 52 * 1e-12
+    ties = [t for t in ((k + 0.5) * 1e-12 for k in range(-40, 40)) if t / 1e-12 % 1 == 0.5]
+    ties += [t for t in ((2 ** 51 + k + 0.5) * 1e-12 for k in range(-20, 20))
+             if t / 1e-12 % 1 == 0.5]
+    assert len(ties) >= 40 and {round(t / 1e-12) % 2 for t in ties} == {0}
+    times = [0.0, -0.0, 0.37, -0.37, 1.5e-12, -2.5e-12, *ties]
+    times += [sign * t for sign in (1, -1) for t in
+              (np.nextafter(np.nextafter(edge, 0.0), 0.0), np.nextafter(edge, 0.0), edge,
+               np.nextafter(edge, np.inf), 1.5 * edge)]
+    below = [t for t in times if abs(t / 1e-12) < 2 ** 52]
+    assert 0 < len(below) < len(times)
+    seeds = ORACLE_SEEDS[:4]
+    for block in (times, below):
+        draws = standard_draws(seeds, np.array(block))
+        for t, column in zip(block, draws.T):
+            for each in (standard_draws(seeds, [t])[:, 0], standard_draws(seeds, [t, 1e5])[:, 0]):
+                np.testing.assert_array_equal(_bits(each), _bits(column))
+        for seed, row in zip(seeds, draws):
+            np.testing.assert_array_max_ulp(row, [_reference(seed, t) for t in block], maxulp=4)
+
+
 def test_draws_have_normal_moments_tails_and_no_lag_correlation():
     # 2**20 draws on consecutive seeds and consecutive time quanta, the keys
     # closest together.  Each bound is 5 standard errors of a standard normal
@@ -211,10 +237,16 @@ def test_draws_reject_seeds_outside_uint64_and_non_finite_times():
             standard_draws(seed, [0.1])
         with pytest.raises(DomainError, match="seed"):
             standard_draws([0, seed], [0.1])
-    # nan and inf used to raise a bare ValueError and OverflowError.
-    for bad in (math.nan, math.inf, -math.inf, 1e300):
-        with pytest.raises(DomainError, match="finite"):
-            standard_draws(3, [0.1, bad])
+    # nan and inf used to raise a bare ValueError and OverflowError.  Times whose quotient by
+    # 1e-12 overflows raise as inf does, with no overflow warning (warnings are errors here).
+    infinity = "noise times must be finite: cannot convert float infinity to integer"
+    for bad, message in ((math.nan, "noise times must be finite: cannot convert float NaN to "
+                          "integer"), (math.inf, infinity), (-math.inf, infinity),
+                         (1e300, infinity), (-1e300, infinity)):
+        for times in ([0.1, bad], [bad], np.array([bad, 0.2])):
+            with pytest.raises(DomainError) as caught:
+                standard_draws(3, times)
+            assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("seed", [math.nan, math.inf, -math.inf, 1.5, -1, 2 ** 64, 2 ** 1100])

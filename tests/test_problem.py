@@ -209,6 +209,70 @@ def test_factory_validation():
             boundary_rate=lambda t: 1.0, initial_profile=lambda x: 0.0)
 
 
+_BOUNDARY = "boundary s(t) must stay positive and finite on [0, horizon]"
+_FALLING = "boundary must stay positive over the horizon"
+_P0 = "p0 must be positive so the initial domain is non-empty, got "
+
+
+def _horizon(value):
+    return f"horizon must be positive and finite, got {value}"
+
+
+# Bad family inputs and the DomainError message each raised when a build probed the boundary at
+# 101 times; a family boundary is monotone, so checking its two ends must give the same verdict.
+_BAD_FAMILY_INPUTS = [
+    *[(linear_boundary_problem, (v, 0.7), {}, message) for v, message in (
+        (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, _P0 + "-inf"),
+        (0.0, _P0 + "0.0"), (-1.0, _P0 + "-1.0"))],
+    *[(linear_boundary_problem, (0.4, v), {}, message) for v, message in (
+        (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, _FALLING), (-1.0, _FALLING))],
+    *[(sqrt_boundary_problem, (v, 0.16), {}, message) for v, message in (
+        (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, "alpha must be positive, got -inf"),
+        (0.0, "alpha must be positive, got 0.0"), (-1.0, "alpha must be positive, got -1.0"))],
+    *[(sqrt_boundary_problem, (0.6, v), {}, message) for v, message in (
+        (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, "t0 must be positive, got -inf"),
+        (0.0, "t0 must be positive, got 0.0"), (-1.0, "t0 must be positive, got -1.0"))],
+    # A bad horizon keeps StefanProblem's message, except where the linear family's own check
+    # of s(horizon) comes first.
+    *[(linear_boundary_problem, (0.4, 0.7), {"horizon": v}, message) for v, message in (
+        (math.nan, _horizon(math.nan)), (math.inf, _horizon(math.inf)), (-math.inf, _FALLING),
+        (0.0, _horizon(0.0)), (-1.0, _FALLING))],
+    *[(sqrt_boundary_problem, (0.6, 0.16), {"horizon": v}, _horizon(v))
+      for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
+    # p1 * horizon overflows to inf, s(0) is finite and s(horizon) is not.
+    (linear_boundary_problem, (0.4, 1e300), {"horizon": 1e10}, _BOUNDARY),
+    (linear_boundary_problem, (0.4, -1e300), {"horizon": 1e10}, _FALLING),
+    (sqrt_boundary_problem, (1e308,), {"t0": 0.16}, _BOUNDARY),
+    # s(0) underflows to 0 while s(horizon) is positive.
+    (sqrt_boundary_problem, (5e-324, 1e-300), {}, _BOUNDARY),
+]
+
+
+@pytest.mark.parametrize("family, args, kwargs, message", _BAD_FAMILY_INPUTS)
+def test_bad_family_inputs_keep_their_errors(family, args, kwargs, message):
+    with pytest.raises(DomainError) as caught:
+        family(*args, **kwargs)
+    assert type(caught.value) is DomainError and str(caught.value) == message
+
+
+def test_family_boundary_checks_cover_rebuilt_problems():
+    # A constant boundary builds; a falling one built at a short horizon fails when it is rebuilt
+    # at a longer one, where s(horizon) < 0, and a bad horizon keeps StefanProblem's message.
+    assert linear_boundary_problem(0.4, 0.0).boundary(1.0) == 0.4
+    short = linear_boundary_problem(0.4, -0.7, horizon=0.5)
+    with pytest.raises(DomainError) as caught:
+        dataclasses.replace(short, horizon=1.0)
+    assert str(caught.value) == _BOUNDARY
+    for value in (math.nan, -1.0):
+        with pytest.raises(DomainError) as caught:
+            dataclasses.replace(example2(), horizon=value)
+        assert str(caught.value) == _horizon(value)
+    # A family boundary beside other callables is checked over the problem's horizon too.
+    with pytest.raises(DomainError) as caught:
+        dataclasses.replace(example2(), boundary=short.boundary)
+    assert str(caught.value) == _BOUNDARY
+
+
 def test_scalar_only_callables_are_sampled_pointwise():
     # math-based callables reject arrays and a constant rate returns a
     # scalar; the problem wraps each of them once, so arrays work everywhere.
