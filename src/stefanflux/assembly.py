@@ -16,6 +16,7 @@ N + 1.  Rows are ordered temperature, energy balance, initial.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,6 +59,11 @@ class CollocationScheme:
     def size(self):
         return self.n_dirichlet + self.n_stefan + self.n_initial
 
+    @cached_property
+    def _row_labels(self):  # assemble's, built once per scheme
+        return tuple((family, i + 1) for family in ("dirichlet", "stefan", "initial")
+                     for i in range(getattr(self, "n_" + family)))
+
 
 def preset_scheme(order, quadrature_order=16):
     """Default partition counts for a given basis order, 3 <= order < basis.ORDER_BOUND.
@@ -72,7 +78,10 @@ def preset_scheme(order, quadrature_order=16):
     rem = size - n_initial
     n_stefan = (rem - 1) // 2
     n_dirichlet = rem - n_stefan
-    return CollocationScheme(n_dirichlet, n_stefan, n_initial, quadrature_order)
+    return _preset(n_dirichlet, n_stefan, n_initial, check_quadrature_order(quadrature_order))
+
+
+_preset = lru_cache(maxsize=None)(CollocationScheme)  # on checked counts: one scheme per preset
 
 
 @dataclass(frozen=True)
@@ -163,19 +172,17 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
         x_edges = quadrature.uniform(0.0, s0, scheme.n_initial + 1)
         powers = x_edges ** (exponents := np.arange(1, size + 1)[:, None])
         initial = ((powers[:, 1:] - powers[:, :-1]) / exponents).T
-        x_nodes, x_weights = quadrature.subdivided_nodes(0.0, s0, scheme.n_initial, q)
+        x_nodes, x_weights = (a.ravel() for a in quadrature.panel_nodes(  # subdivided_nodes
+            x_edges[:-1, None], x_edges[1:, None], q))  # on the edges above
         f_vals = problem.initial_profile(x_nodes)
         initial_rhs = panel_sums(x_weights * f_vals, q)
         _require_finite(initial, initial_rhs, "initial")
 
-    counts = {"dirichlet": scheme.n_dirichlet, "stefan": scheme.n_stefan,
-              "initial": scheme.n_initial}
-    labels = tuple((family, i + 1) for family, count in counts.items() for i in range(count))
     # The blocks are transposed views; products with a transposed matrix round
     # differently, so the system keeps C order.
     matrix = np.ascontiguousarray(np.concatenate([dirichlet, stefan, initial]))
     rhs = np.concatenate([dirichlet_rhs, stefan_rhs, initial_rhs])
-    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
+    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=scheme._row_labels)
 
 
 def residual(system, coeffs):

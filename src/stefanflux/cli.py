@@ -14,6 +14,7 @@ carry 17 significant digits, so identical runs write byte-identical files.
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -114,14 +115,9 @@ def _resolve_problem(pick, horizon):
         raise ConfigError("specify either benchmark or family, not both")
     if family is None:
         return benchmark_problem(benchmark if benchmark is not None else "example1", horizon)
-    physical = dict(
-        horizon=horizon,
-        diffusivity=float(pick("diffusivity", 1.0)),
-        conductivity=float(pick("conductivity", 1.0)),
-        latent_heat=float(pick("latent_heat", 1.0)),
-        density=float(pick("density", 1.0)),
-        melt_temperature=float(pick("melt_temperature", 0.0)),
-    )
+    physical = {name: float(pick(name, default)) for name, default in (
+        ("diffusivity", 1.0), ("conductivity", 1.0), ("latent_heat", 1.0), ("density", 1.0),
+        ("melt_temperature", 0.0))} | {"horizon": horizon}
     try:
         if family == "linear":
             return linear_boundary_problem(pick("p0", None), pick("p1", None), **physical)
@@ -209,12 +205,7 @@ def cmd_solve(pick):
         "order": order,
         "beta": beta,
         "horizon": problem.horizon,
-        "scheme": {
-            "n_dirichlet": scheme.n_dirichlet,
-            "n_stefan": scheme.n_stefan,
-            "n_initial": scheme.n_initial,
-            "quadrature_order": scheme.quadrature_order,
-        },
+        "scheme": dataclasses.asdict(scheme),
         "noise": {"level": levels[0], "seed": seed, "mode": mode},
         "coefficients": list(report.coefficients),
         "delta_p": report.delta_p,

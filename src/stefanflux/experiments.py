@@ -122,7 +122,8 @@ class _Group:
 
     def __init__(self, shared, order, seeds=(), mode="relative"):
         self.shared, self.problem = shared, shared.problem
-        self.basis = HeatPolynomialBasis(self.problem.diffusivity, order)
+        self.basis = (shared.basis if order == shared.basis.max_order
+                      else HeatPolynomialBasis(self.problem.diffusivity, order))
         self.scheme = shared.schemes[order]
         if isinstance(self.scheme, DomainError):
             raise self.scheme
@@ -150,7 +151,7 @@ class _Group:
                 data = scale_draws(NoiseSpec(level, mode=self.mode), clean, draws,
                                    self.problem.conductivity)
                 sums = panel_sums(weights * data, self.scheme.quadrature_order)
-            block = np.repeat(self.system.rhs[None], len(sums), axis=0)
+            block = self.system.rhs[None].repeat(len(sums), axis=0)
             block[:, self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = sums
             finite = np.isfinite(sums)
             self._blocks[level] = block, np.where(finite.all(axis=1), 0, finite.argmin(axis=1) + 1)

@@ -50,10 +50,10 @@ class NoiseSpec:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _mix(z):
-    """The SplitMix64 finaliser of a uint64 array, mod 2**64."""
-    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
-    z = (z ^ z >> 27) * 0x94D049BB133111EB
+def _mix(z, m1=np.uint64(0xBF58476D1CE4E5B9), m2=np.uint64(0x94D049BB133111EB)):
+    """The SplitMix64 finaliser of a uint64 array, mod 2**64 (typed multipliers convert once)."""
+    z = (z ^ z >> 30) * m1
+    z = (z ^ z >> 27) * m2
     return z ^ z >> 31
 
 
@@ -62,8 +62,12 @@ def standard_draws(seeds, ts):
     seeds = np.array([check_seed(s) for s in seeds] if np.ndim(seeds) else check_seed(seeds),
                      dtype=np.uint64)
     try:
-        tq = np.array([round(t / T_QUANTUM) & _MASK64 for t in np.ravel(ts).tolist()],
-                      dtype=np.uint64)
+        with np.errstate(over="ignore"):
+            tq = np.ravel(ts) / T_QUANTUM
+        # rint is exact below 2**52 quanta, which nan fails, and rounds half to even as round does.
+        small = tq.dtype == float and np.abs(tq).max(initial=0.0) < 2.0 ** 52
+        tq = np.array(np.rint(tq).astype(np.int64) if small else [
+            round(t / T_QUANTUM) & _MASK64 for t in np.ravel(ts).tolist()], dtype=np.uint64)
     except (ValueError, OverflowError) as exc:  # nan, inf, or |t| beyond 1e-12 * max float
         raise DomainError(f"noise times must be finite: {exc}") from exc
     # Arrays throughout, never numpy scalars: array arithmetic wraps mod 2**64 silently.

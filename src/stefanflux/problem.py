@@ -20,7 +20,8 @@ Problem callables may be scalar-only (math-based, say).  A StefanProblem
 probes each one once, when it is built, on an array of times; a callable
 that rejects the array or returns another shape is wrapped in np.vectorize
 there, so every caller evaluates the stored callables on arrays directly.
-The two families below take arrays, so only their boundary is probed, for its sign.
+The two families below take arrays and are not probed; a family boundary is
+monotone, as are its rounded values, so its ends s(0) and s(horizon) bound it.
 """
 
 import math
@@ -52,6 +53,7 @@ EXAMPLE2_ALPHA = 0.620063
 EXAMPLE2_T0 = 0.162558
 # The closures of the two family constructors below, which take arrays as they are.
 _FAMILIES = ("linear_boundary_problem.<locals>.", "sqrt_boundary_problem.<locals>.")
+_OUT_OF_DOMAIN = "boundary s(t) must stay positive and finite on [0, horizon]"
 
 
 class BenchmarkId(str, Enum):
@@ -98,18 +100,23 @@ class StefanProblem:
             raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
         if not -math.inf < self.melt_temperature < math.inf:
             raise DomainError("melt_temperature must be finite")
-        ts = uniform(0.0, self.horizon, 101)
-        # The probes only decide how each callable is called.  Overflow in the
-        # probed values (a sqrt family with alpha = 30 has an infinite
-        # amplitude) is left to the stages that use the data.
-        with np.errstate(all="ignore"):
-            for name in ("boundary", "boundary_rate", "initial_profile",
-                         "exact_flux_gradient", "exact_solution"):
-                f = getattr(self, name)
-                if f is None or (name != "boundary" and getattr(f, "__module__", "") == __name__
-                                 and getattr(f, "__qualname__", "").startswith(_FAMILIES)):
-                    continue
-                args = (ts, ts) if name == "exact_solution" else (ts,)
+        ts = None
+        for name in ("boundary", "boundary_rate", "initial_profile",
+                     "exact_flux_gradient", "exact_solution"):
+            if (f := getattr(self, name)) is None:
+                continue
+            if (getattr(f, "__module__", "") == __name__
+                    and getattr(f, "__qualname__", "").startswith(_FAMILIES)):
+                if name == "boundary" and not all(0.0 < s < math.inf  # nan fails it
+                                                  for s in (f.at(0.0), f.at(self.horizon))):
+                    raise DomainError(_OUT_OF_DOMAIN)
+                continue
+            ts = uniform(0.0, self.horizon, 101) if ts is None else ts
+            args = (ts, ts) if name == "exact_solution" else (ts,)
+            # The probes only decide how each callable is called.  Overflow in the
+            # probed values (a sqrt family with alpha = 30 has an infinite
+            # amplitude) is left to the stages that use the data.
+            with np.errstate(all="ignore"):
                 try:
                     values = f(*args)
                 except (TypeError, ValueError):
@@ -120,8 +127,7 @@ class StefanProblem:
                     values = f(*args) if name == "boundary" else None
                 if name == "boundary" and not (
                         (values := np.asarray(values)).min() > 0.0 and values.max() < math.inf):
-                    raise DomainError(
-                        "boundary s(t) must stay positive and finite on [0, horizon]")
+                    raise DomainError(_OUT_OF_DOMAIN)
 
     def interface_flux(self, t):
         """Clean interface energy-balance data latent_heat * density * s'(t)."""
@@ -150,6 +156,7 @@ def linear_boundary_problem(p0, p1, *, horizon=1.0, diffusivity=1.0, conductivit
 
     def boundary(t):
         return p0 + p1 * np.asarray(t, dtype=float)
+    boundary.at = lambda t: p0 + p1 * t  # the same expression on a float
 
     def boundary_rate(t):
         return np.full_like(np.asarray(t, dtype=float), p1)
@@ -235,6 +242,7 @@ def sqrt_boundary_problem(alpha, t0, *, horizon=1.0, diffusivity=1.0, conductivi
 
     def boundary(t):
         return 2.0 * alpha * np.sqrt(np.asarray(t, dtype=float) + t0)
+    boundary.at = lambda t: 2.0 * alpha * math.sqrt(t + t0)  # the same expression on a float
 
     def boundary_rate(t):
         return alpha / np.sqrt(np.asarray(t, dtype=float) + t0)
