@@ -115,9 +115,14 @@ def _resolve_problem(pick, horizon):
         raise ConfigError("specify either benchmark or family, not both")
     if family is None:
         return benchmark_problem(benchmark if benchmark is not None else "example1", horizon)
-    physical = {name: float(pick(name, default)) for name, default in (
-        ("diffusivity", 1.0), ("conductivity", 1.0), ("latent_heat", 1.0), ("density", 1.0),
-        ("melt_temperature", 0.0))} | {"horizon": horizon}
+    physical = dict(
+        horizon=horizon,
+        diffusivity=float(pick("diffusivity", 1.0)),
+        conductivity=float(pick("conductivity", 1.0)),
+        latent_heat=float(pick("latent_heat", 1.0)),
+        density=float(pick("density", 1.0)),
+        melt_temperature=float(pick("melt_temperature", 0.0)),
+    )
     try:
         if family == "linear":
             return linear_boundary_problem(pick("p0", None), pick("p1", None), **physical)

@@ -20,8 +20,7 @@ Problem callables may be scalar-only (math-based, say).  A StefanProblem
 probes each one once, when it is built, on an array of times; a callable
 that rejects the array or returns another shape is wrapped in np.vectorize
 there, so every caller evaluates the stored callables on arrays directly.
-The two families below take arrays and are not probed; a family boundary is
-monotone, as are its rounded values, so its ends s(0) and s(horizon) bound it.
+The two families below take arrays, and their boundaries round monotonically: ends bound them.
 """
 
 import math
@@ -107,7 +106,7 @@ class StefanProblem:
                 continue
             if (getattr(f, "__module__", "") == __name__
                     and getattr(f, "__qualname__", "").startswith(_FAMILIES)):
-                if name == "boundary" and not all(0.0 < s < math.inf  # nan fails it
+                if name == "boundary" and not all(0.0 < s < math.inf  # s(0), s(T); nan fails
                                                   for s in (f.at(0.0), f.at(self.horizon))):
                     raise DomainError(_OUT_OF_DOMAIN)
                 continue
