@@ -188,6 +188,9 @@ def test_quanta_below_2_52_equal_the_per_time_ones_bit_for_bit():
     times += [sign * t for sign in (1, -1) for t in
               (np.nextafter(np.nextafter(edge, 0.0), 0.0), np.nextafter(edge, 0.0), edge,
                np.nextafter(edge, np.inf), 1.5 * edge)]
+    # Alone, times at the int64 and uint64 ends of the quanta must still wrap as round's do.
+    times += [sign * t for quanta in (2 ** 62, 2 ** 63, 2 ** 64) for sign in (1, -1)
+              for t in (np.nextafter(quanta * 1e-12, 0.0), np.nextafter(quanta * 1e-12, np.inf))]
     below = [t for t in times if abs(t / 1e-12) < 2 ** 52]
     assert 0 < len(below) < len(times)
     seeds = ORACLE_SEEDS[:4]
@@ -198,6 +201,10 @@ def test_quanta_below_2_52_equal_the_per_time_ones_bit_for_bit():
                 np.testing.assert_array_equal(_bits(each), _bits(column))
         for seed, row in zip(seeds, draws):
             np.testing.assert_array_max_ulp(row, [_reference(seed, t) for t in block], maxulp=4)
+    # float32 and integer times are quantised from their float64 values.
+    for times in (np.float32(below[:20]), np.arange(-3, 4)):
+        np.testing.assert_array_equal(_bits(standard_draws(seeds, times)),
+                                      _bits(standard_draws(seeds, times.astype(float).tolist())))
 
 
 def test_draws_have_normal_moments_tails_and_no_lag_correlation():
