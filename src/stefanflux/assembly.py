@@ -172,8 +172,8 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
         x_edges = quadrature.uniform(0.0, s0, scheme.n_initial + 1)
         powers = x_edges ** (exponents := np.arange(1, size + 1)[:, None])
         initial = ((powers[:, 1:] - powers[:, :-1]) / exponents).T
-        x_nodes, x_weights = (a.ravel() for a in quadrature.panel_nodes(  # subdivided_nodes
-            x_edges[:-1, None], x_edges[1:, None], q))  # on the edges above
+        x_nodes, x_weights = (a.ravel() for a in quadrature.panel_nodes(  # subdivided_nodes'
+            x_edges[:-1, None], x_edges[1:, None], q))  # rule, on the edges just built
         f_vals = problem.initial_profile(x_nodes)
         initial_rhs = panel_sums(x_weights * f_vals, q)
         _require_finite(initial, initial_rhs, "initial")

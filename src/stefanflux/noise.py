@@ -64,7 +64,7 @@ def standard_draws(seeds, ts):
     try:
         with np.errstate(over="ignore"):
             tq = np.ravel(ts) / T_QUANTUM
-        # rint is exact below 2**52 quanta, which nan fails, and rounds half to even as round does.
+        # Below 2**52 quanta, a bound nan fails, one rint rounds half to even as round does.
         small = tq.dtype == float and np.abs(tq).max(initial=0.0) < 2.0 ** 52
         tq = np.array(np.rint(tq).astype(np.int64) if small else [
             round(t / T_QUANTUM) & _MASK64 for t in np.ravel(ts).tolist()], dtype=np.uint64)

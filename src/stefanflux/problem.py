@@ -20,7 +20,7 @@ Problem callables may be scalar-only (math-based, say).  A StefanProblem
 probes each one once, when it is built, on an array of times; a callable
 that rejects the array or returns another shape is wrapped in np.vectorize
 there, so every caller evaluates the stored callables on arrays directly.
-The two families below take arrays, and their boundaries round monotonically: ends bound them.
+Family callables take arrays; their boundaries, monotone even when rounded, are checked at ends.
 """
 
 import math
