@@ -62,12 +62,11 @@ def standard_draws(seeds, ts):
     seeds = np.array([check_seed(s) for s in seeds] if np.ndim(seeds) else check_seed(seeds),
                      dtype=np.uint64)
     try:
-        with np.errstate(over="ignore"):
-            tq = np.ravel(ts) / T_QUANTUM
         # Below 2**52 quanta, a bound nan fails, one rint rounds half to even as round does.
-        small = tq.dtype == float and np.abs(tq).max(initial=0.0) < 2.0 ** 52
-        tq = np.array(np.rint(tq).astype(np.int64) if small else [
-            round(t / T_QUANTUM) & _MASK64 for t in np.ravel(ts).tolist()], dtype=np.uint64)
+        ts = np.ravel(ts)
+        tq = np.array(np.rint(ts / T_QUANTUM).astype(np.int64)
+                      if ts.dtype == float and np.abs(ts).max(initial=0.0) < 2.0 ** 52 * T_QUANTUM
+                      else [round(t / T_QUANTUM) & _MASK64 for t in ts.tolist()], dtype=np.uint64)
     except (ValueError, OverflowError) as exc:  # nan, inf, or |t| beyond 1e-12 * max float
         raise DomainError(f"noise times must be finite: {exc}") from exc
     # Arrays throughout, never numpy scalars: array arithmetic wraps mod 2**64 silently.
