@@ -218,8 +218,8 @@ def _horizon(value):
     return f"horizon must be positive and finite, got {value}"
 
 
-# Bad family inputs and the DomainError message each raised when a build probed the boundary at
-# 101 times; a family boundary is monotone, so checking its two ends must give the same verdict.
+# Bad family inputs and the DomainError message each raises.  A family boundary is monotone, and
+# so are its rounded values, so its two ends must decide its check as a probe at 101 times would.
 _BAD_FAMILY_INPUTS = [
     *[(linear_boundary_problem, (v, 0.7), {}, message) for v, message in (
         (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, _P0 + "-inf"),
