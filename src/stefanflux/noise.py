@@ -50,10 +50,10 @@ class NoiseSpec:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _mix(z, m1=np.uint64(0xBF58476D1CE4E5B9), m2=np.uint64(0x94D049BB133111EB)):
-    """The SplitMix64 finaliser of a uint64 array, mod 2**64 (typed multipliers convert once)."""
-    z = (z ^ z >> 30) * m1
-    z = (z ^ z >> 27) * m2
+def _mix(z):
+    """The SplitMix64 finaliser of a uint64 array, mod 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9
+    z = (z ^ z >> 27) * 0x94D049BB133111EB
     return z ^ z >> 31
 
 

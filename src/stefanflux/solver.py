@@ -72,7 +72,7 @@ class Factorization:
     def _equilibrated(self):
         """U, sigma, V^T of A D, the column norms 1/D (van der Sluis scaling) and the numerical
         rank, the count of singular values above PIVOT_RTOL times the largest."""
-        norms = np.sqrt(np.add.reduce(self.matrix * self.matrix, axis=0))  # np.linalg.norm's sum
+        norms = np.linalg.norm(self.matrix, axis=0)
         norms[norms == 0.0] = 1.0  # a zero column stays zero and fails the rank test
         u, sigma, vt = np.linalg.svd(self.matrix / norms)
         return u, sigma, vt, norms, int(np.count_nonzero(sigma > PIVOT_RTOL * sigma[0]))

@@ -263,6 +263,10 @@ def test_family_boundary_checks_cover_rebuilt_problems():
     with pytest.raises(DomainError) as caught:
         dataclasses.replace(short, horizon=1.0)
     assert str(caught.value) == _BOUNDARY
+    # A numpy-scalar horizon whose boundary overflows there: the typed error and no warning.
+    with pytest.raises(DomainError) as caught:
+        dataclasses.replace(linear_boundary_problem(0.4, 1e300), horizon=np.float64(1e10))
+    assert str(caught.value) == _BOUNDARY
     for value in (math.nan, -1.0):
         with pytest.raises(DomainError) as caught:
             dataclasses.replace(example2(), horizon=value)
