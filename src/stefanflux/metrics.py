@@ -56,7 +56,8 @@ def _error(basis, rows, factor, ref, squares, denom, what):
                 d = diffs(np.asarray(block)[huge])
                 scale = np.abs(d).max(axis=1)
                 values[huge] = scale * np.sqrt(squares(d / scale[:, None]) / denom)
-        return _require_finite(values, what).tolist()
+                _require_finite(values, what)  # finite values pass the test above
+        return values.tolist()
 
     return error
 
@@ -91,7 +92,7 @@ def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
     s_vals = problem.boundary(t_nodes)
     unit, unit_w = quadrature.panel_nodes(0.0, 1.0, quad_points_x)
     x_grid = s_vals[:, None] * unit
-    t_grid = np.broadcast_to(t_nodes[:, None], x_grid.shape)
+    t_grid = t_nodes[:, None].repeat(quad_points_x, axis=1)
     # Jacobian of x = s(t) * xi maps the inner weights onto [0, s(t)].
     w_grid = ((t_weights * s_vals)[:, None] * unit_w).reshape(-1)
 

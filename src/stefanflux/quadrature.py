@@ -22,7 +22,9 @@ def gauss_rule(order):
 def uniform(lo, hi, num):
     """np.linspace(lo, hi, num), num >= 2, bit for bit in fewer calls: k * step + lo, hi last."""
     step = (hi - lo) / (num - 1)
-    y = np.arange(num, dtype=float) * step + lo if step else np.linspace(lo, hi, num)
+    y = np.arange(num, dtype=float) * step if step else np.linspace(lo, hi, num)
+    if step and (lo or step < 0.0):  # adding lo = 0.0 would change only a -0.0 first point
+        y += lo
     y[-1] = hi
     return y
 
