@@ -99,10 +99,9 @@ class StefanProblem:
         if not -math.inf < self.melt_temperature < math.inf:
             raise DomainError("melt_temperature must be finite")
         ts = None
-        # The probes only decide how each callable is called.  Overflow in the
-        # probed values (a sqrt family with alpha = 30 has an infinite
-        # amplitude) is left to the stages that use the data.  A family
-        # boundary is monotone, its rounded values too, so its ends bound it.
+        # The probes only decide how each callable is called.  Overflow in the probed values
+        # (a sqrt family with alpha = 30 has an infinite amplitude) is left to the stages that
+        # use the data.  A family boundary is monotone, its rounded values too: its ends bound it.
         with np.errstate(all="ignore"):
             for name in ("boundary", "boundary_rate", "initial_profile",
                          "exact_flux_gradient", "exact_solution"):
