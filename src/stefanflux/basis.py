@@ -31,12 +31,12 @@ class RowTable:
     filled[i] is the highest order filled in set i, -1 before its first fill."""
 
     def __init__(self, *sets):
-        grids = [np.broadcast(x, t) for x, t, _ in sets]
-        ends = list(itertools.accumulate(grid.size for grid in grids))
+        shapes = [np.broadcast(x, t).shape for x, t, _ in sets]
+        ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         self.bounds, self.derivs = list(zip([0] + ends[:-1], ends)), [d for *_, d in sets]
         self.x, self.t = np.empty(ends[-1]), np.empty(ends[-1])
-        for (x, t, _), (a, b), grid in zip(sets, self.bounds, grids):
-            self.x[a:b].reshape(grid.shape)[...], self.t[a:b].reshape(grid.shape)[...] = x, t
+        for (x, t, _), (a, b), shape in zip(sets, self.bounds, shapes):
+            self.x[a:b].reshape(shape)[...], self.t[a:b].reshape(shape)[...] = x, t
         self.filled, self.basis, self.buffer = [-1] * len(sets), None, None
 
 
