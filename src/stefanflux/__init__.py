@@ -7,7 +7,7 @@ optionally with ridge-style damping.  The fitted combination's boundary
 gradient recovers the unknown heating flux at x = 0.
 """
 
-from .assembly import CollocationScheme, LinearSystem, assemble, preset_scheme, residual
+from .assembly import CollocationScheme, LinearSystem, assemble, preset_scheme
 from .basis import HeatPolynomialBasis
 from .errors import DomainError, NumericalError, SingularMatrixError
 from .experiments import (AggregateRow, CellRecord, SolveReport, SweepGrid, SweepResult,
@@ -26,6 +26,6 @@ __all__ = [
     "SingularMatrixError", "SolveReport", "StefanProblem", "SweepGrid", "SweepResult",
     "assemble", "benchmark_problem", "condition_number", "delta_p", "delta_u",
     "example1", "example2", "flux_curve", "linear_boundary_problem",
-    "neumann_consistency", "penalty_weights", "preset_scheme", "residual", "run_case",
-    "run_sweep", "solve", "solve_direct", "solve_tikhonov", "sqrt_boundary_problem",
+    "neumann_consistency", "penalty_weights", "preset_scheme", "run_case", "run_sweep",
+    "solve", "solve_direct", "solve_tikhonov", "sqrt_boundary_problem",
 ]

@@ -11,12 +11,12 @@ equal subintervals:
   * initial rows, j = 1..n_initial over [0, s(0)]:
       int x^n dx = int f(x) dx
 
-which yields an (N+1) x (N+1) linear system when the three counts sum to
-N + 1.  Rows are ordered temperature, energy balance, initial.
+which yields an (N+1) x (N+1) LinearSystem, a matrix and its rhs with rows ordered
+temperature, energy balance, initial, when the three counts sum to N + 1.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from . import quadrature
 from .basis import ORDER_BOUND, RowTable
 from .errors import DomainError, NumericalError, check_integer
 
-__all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "residual",
-           "stefan_nodes", "interface_nodes", "panel_sums"]
+__all__ = ["CollocationScheme", "LinearSystem", "preset_scheme", "assemble", "stefan_nodes",
+           "interface_nodes", "panel_sums"]
 
 
 def check_quadrature_order(order):
@@ -59,11 +59,6 @@ class CollocationScheme:
     def size(self):
         return self.n_dirichlet + self.n_stefan + self.n_initial
 
-    @cached_property
-    def _row_labels(self):  # assemble's, built once per scheme
-        return tuple((family, i + 1) for family in ("dirichlet", "stefan", "initial")
-                     for i in range(getattr(self, "n_" + family)))
-
 
 def preset_scheme(order, quadrature_order=16):
     """Default partition counts for a given basis order, 3 <= order < basis.ORDER_BOUND.
@@ -86,19 +81,16 @@ _preset = lru_cache(maxsize=None)(CollocationScheme)  # on checked counts: one s
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Assembled square system with per-row provenance labels."""
+    """Assembled square system: rows temperature, energy balance, initial."""
 
     matrix: np.ndarray
     rhs: np.ndarray
-    row_labels: tuple
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise DomainError(f"matrix must be square, got shape {self.matrix.shape}")
         if self.rhs.shape != (self.matrix.shape[0],):
             raise DomainError("rhs length must match matrix size")
-        if len(self.row_labels) != self.matrix.shape[0]:
-            raise DomainError("row_labels length must match matrix size")
 
     @property
     def size(self):
@@ -172,8 +164,7 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
         x_edges = quadrature.uniform(0.0, s0, scheme.n_initial + 1)
         powers = x_edges ** (exponents := np.arange(1, size + 1)[:, None])
         initial = ((powers[:, 1:] - powers[:, :-1]) / exponents).T
-        x_nodes, x_weights = (a.ravel() for a in quadrature.panel_nodes(  # subdivided_nodes'
-            x_edges[:-1, None], x_edges[1:, None], q))  # rule, on the edges just built
+        x_nodes, x_weights = quadrature.subdivided_nodes(0.0, s0, scheme.n_initial, q)
         f_vals = problem.initial_profile(x_nodes)
         initial_rhs = panel_sums(x_weights * f_vals, q)
         _require_finite(initial, initial_rhs, "initial")
@@ -182,12 +173,4 @@ def assemble(problem, basis, scheme, nodes=None, rows=None):
     # differently, so the system keeps C order.
     matrix = np.ascontiguousarray(np.concatenate([dirichlet, stefan, initial]))
     rhs = np.concatenate([dirichlet_rhs, stefan_rhs, initial_rhs])
-    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=scheme._row_labels)
-
-
-def residual(system, coeffs):
-    """Row residuals A c - b of a candidate coefficient vector."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (system.size,):
-        raise DomainError(f"expected {system.size} coefficients, got shape {coeffs.shape}")
-    return system.matrix @ coeffs - system.rhs
+    return LinearSystem(matrix=matrix, rhs=rhs)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and its integer and real checks."""
+"""Exception types shared across the package, and its integer, real and finite checks."""
 
 import sys
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -40,3 +42,10 @@ def check_real(value, name, positive=False):
     if not (0.0 < value if positive else 0.0 <= value) or not value <= sys.float_info.max:
         raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
     return float(value)
+
+
+def check_finite(values, message):
+    """values; NumericalError(message) unless every entry is finite."""
+    if not np.isfinite(values).all():
+        raise NumericalError(message)
+    return values

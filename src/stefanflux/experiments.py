@@ -122,8 +122,7 @@ class _Group:
 
     def __init__(self, shared, order, seeds=(), mode="relative"):
         self.shared, self.problem = shared, shared.problem
-        self.basis = (shared.basis if order == shared.basis.max_order
-                      else HeatPolynomialBasis(self.problem.diffusivity, order))
+        self.basis = HeatPolynomialBasis(self.problem.diffusivity, order)
         self.scheme = shared.schemes[order]
         if isinstance(self.scheme, DomainError):
             raise self.scheme

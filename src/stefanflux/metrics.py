@@ -7,8 +7,8 @@ delta_p compares boundary fluxes in a relative L2 sense over [0, T]:
 
 delta_u does the same for the temperature over the curvilinear domain
 0 <= x <= s(t), 0 <= t <= T.  Both need the problem's exact oracles; an oracle,
-difference or result that is not finite raises NumericalError, while a row whose
-squares alone overflow is summed again scaled by its largest difference.
+difference or result that is not finite raises NumericalError (errors.check_finite), while a
+row whose squares alone overflow is summed again scaled by its largest difference.
 
 _delta_p_grid and _delta_u_grid give a functional's node set and a function that
 evaluates its oracle once.  _error maps an (h, K) block of coefficients to h values
@@ -19,7 +19,7 @@ _delta_u_on pair the two on rows of their own, and delta_p and delta_u are a blo
 import numpy as np
 
 from . import quadrature
-from .errors import DomainError, NumericalError, check_integer
+from .errors import DomainError, check_finite, check_integer
 
 __all__ = ["delta_p", "delta_u", "flux_curve"]
 
@@ -29,12 +29,6 @@ def _require_oracle(problem, attr):
     if f is None:
         raise DomainError(f"problem has no {attr} oracle; errors are undefined without it")
     return f
-
-
-def _require_finite(value, what):
-    if not np.isfinite(value).all():
-        raise NumericalError(f"{what} is not finite")
-    return value
 
 
 def _error(basis, rows, factor, ref, squares, denom, what):
@@ -56,7 +50,7 @@ def _error(basis, rows, factor, ref, squares, denom, what):
                 d = diffs(np.asarray(block)[huge])
                 scale = np.abs(d).max(axis=1)
                 values[huge] = scale * np.sqrt(squares(d / scale[:, None]) / denom)
-                _require_finite(values, what)  # finite values pass the test above
+                check_finite(values, f"{what} is not finite")  # finite values pass the test above
         return values.tolist()
 
     return error
@@ -74,7 +68,7 @@ def _delta_p_grid(problem, quad_points=256):
         with np.errstate(over="ignore", invalid="ignore"):
             ref = -lam * exact_ux0(nodes)
             # The weights are positive, so the norm is finite only if ref is.
-            denom = _require_finite(float(weights @ (ref * ref)), "exact flux norm")
+            denom = check_finite(float(weights @ (ref * ref)), "exact flux norm is not finite")
         if denom == 0.0:
             raise DomainError("exact flux is identically zero on the quadrature grid")
         return (-lam, ref, lambda d: (np.square(d, out=d)[:, None, :] @ weights)[:, 0], denom,
@@ -100,7 +94,8 @@ def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
         exact = _require_oracle(problem, "exact_solution")
         with np.errstate(over="ignore", invalid="ignore"):
             ref = exact(x_grid, t_grid).reshape(-1)
-            denom = _require_finite(float(np.sum(w_grid * ref * ref)), "exact solution norm")
+            denom = check_finite(float(np.sum(w_grid * ref * ref)),
+                                 "exact solution norm is not finite")
         if denom == 0.0:
             raise DomainError("exact solution is identically zero on the quadrature grid")
         return (None, ref, lambda d: np.multiply(np.square(d, out=d), w_grid, out=d).sum(axis=1),
@@ -150,7 +145,7 @@ def flux_curve(coeffs, problem, basis, samples=101, rows=None):
         rec = basis.combine(coeffs, basis.design(*nodes) if rows is None else rows)
         if problem.exact_flux_gradient is not None:
             ref = np.asarray(problem.exact_flux_gradient(ts), dtype=float)
-            err = _require_finite(np.abs(rec - ref), "flux error")
+            err = check_finite(np.abs(rec - ref), "flux error is not finite")
         else:
             ref = np.full_like(ts, np.nan)
             err = np.full_like(ts, np.nan)

@@ -24,6 +24,7 @@ Family callables take arrays; their boundaries, monotone even when rounded, are 
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -68,6 +69,11 @@ def _check_material(*values):
             raise DomainError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_horizon(horizon):  # compared, as in errors.check_real: float() overflows past 1e308
+    if not 0.0 < horizon <= sys.float_info.max:
+        raise DomainError(f"horizon must be positive and finite, got {horizon}")
+
+
 @dataclass(frozen=True)
 class StefanProblem:
     """Problem data plus optional exact oracles for error reporting.
@@ -94,8 +100,7 @@ class StefanProblem:
 
     def __post_init__(self):
         _check_material(self.diffusivity, self.conductivity, self.latent_heat, self.density)
-        if not 0.0 < self.horizon < math.inf:
-            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
+        _check_horizon(self.horizon)
         if not -math.inf < self.melt_temperature < math.inf:
             raise DomainError("melt_temperature must be finite")
         ts = None
@@ -147,6 +152,7 @@ def linear_boundary_problem(p0, p1, *, horizon=1.0, diffusivity=1.0, conductivit
     p0, p1 = float(p0), float(p1)
     if p0 <= 0.0:
         raise DomainError(f"p0 must be positive so the initial domain is non-empty, got {p0}")
+    _check_horizon(horizon)  # before it scales p1
     if p0 + p1 * horizon <= 0.0:
         raise DomainError("boundary must stay positive over the horizon")
     a2 = diffusivity * diffusivity

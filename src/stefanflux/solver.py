@@ -1,20 +1,20 @@
 """Direct and Tikhonov solves and condition numbers from at most three SVDs per matrix.
 
-A Factorization checks its matrix once and computes each SVD at its first
-use: that of the column-equilibrated A for the beta = 0 rank test and solve,
-that of B = A diag(1/n!) for every beta > 0 solve and condition number, and
-the singular values of A for the beta = 0 condition number.  solve_rows solves a
-block of right sides, a beta per row, in one stacked product per kind of beta with
-a gemv per row, so each row equals its solve alone.  The functions below factor
-their system's matrix for one use; a sweep group keeps one Factorization for all
-its cells, since noisy data changes only the right side.
+A Factorization checks once that its matrix is finite (errors.check_finite, as each block of
+right sides and solutions is) and computes each SVD at its first use: that of the
+column-equilibrated A for the beta = 0 rank test and solve, that of B = A diag(1/n!) for every
+beta > 0 solve and condition number, and the singular values of A for the beta = 0 condition
+number.  solve_rows solves a block of right sides, a beta per row, in one stacked product per
+kind of beta with a gemv per row, so each row equals its solve alone.  The functions below
+factor their system's matrix for one use; a sweep group keeps one Factorization for all its
+cells, since noisy data changes only the right side.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, SingularMatrixError, check_real
+from .errors import DomainError, SingularMatrixError, check_finite, check_real
 
 __all__ = [
     "Factorization",
@@ -33,12 +33,6 @@ PIVOT_RTOL = 1e-14
 def _gemvs(matrix, rows):
     """matrix @ row for a row or each row of a block: a gemv per row (a gemm rounds differently)."""
     return matrix @ rows if rows.ndim == 1 else (matrix @ rows[:, :, None])[:, :, 0]
-
-
-def _check_finite(values, name="matrix"):
-    if not np.isfinite(values).all():
-        raise NumericalError(f"{name} contains non-finite entries")
-    return values
 
 
 def penalty_weights(size):
@@ -64,7 +58,7 @@ class Factorization:
         shape = np.shape(matrix)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DomainError(f"matrix must be square, got shape {shape}")
-        _check_finite(matrix)
+        check_finite(matrix, "matrix contains non-finite entries")
         self.matrix = matrix
         self._conds = {}  # beta -> condition number: a sweep group's records share one float
 
@@ -107,7 +101,7 @@ class Factorization:
                 or not all(0.0 <= beta < np.inf for beta in listed)):
             raise DomainError(f"expected an (h, {len(self.matrix)}) block of right sides and h "
                               f"finite betas >= 0, got shape {rhs.shape} and {listed}")
-        _check_finite(rhs, "right-hand side")
+        check_finite(rhs, "right-hand side contains non-finite entries")
         if 0.0 in listed and any(listed):  # both kinds: each on its own factors
             coeffs, damped = np.empty((len(rhs), self.matrix.shape[1])), betas > 0.0
             for kind in (~damped, damped):
@@ -124,7 +118,8 @@ class Factorization:
                     raise SingularMatrixError(rank, f"{subject} numerically singular at pivot "
                                                     f"{rank} (rank {rank} of {sigma.size})")
                 coeffs = _gemvs(vt.T, _gemvs(u.T, b) / sigma) / norms
-        return _check_finite(coeffs, "solution").reshape(len(rhs), self.matrix.shape[1])
+        return check_finite(coeffs, "solution contains non-finite entries").reshape(
+            len(rhs), self.matrix.shape[1])
 
     def condition_number(self, beta=0.0):
         """sigma_max / sigma_min of A at beta = 0; at beta > 0 the condition

@@ -4,6 +4,12 @@ test_identity.py compares bit for bit.
 Run from the root of a checkout:
 
     PYTHONPATH=src python tests/make_identity_fixture.py
+    PYTHONPATH=src python tests/make_identity_fixture.py --compare
+
+The second form writes nothing: it rebuilds every record and report in memory and
+prints, per section (each sweep grid, the cases and the README runs), how many
+records moved against the fixture and the largest relative change of any value in
+them; it exits 1 if a cell, error tag or message differs.
 
 The fixture holds the records of twelve sweep grids (the benchmark's two, a
 grid of odd orders and horizons on each benchmark, a grid whose N=400 cells
@@ -12,14 +18,17 @@ metrics, and a linear-family, a square-root-family and a user-callable grid
 in each noise mode), the reports of 48 run_case calls in the mix of the
 benchmark's single workload and of the README's solve runs, and the
 environment they were made in.  A change that moves values on purpose runs
-this script again and says in CHANGES.md how many
-records moved and by how much.
+the compare mode first and says in CHANGES.md how many records moved and by how
+much, then runs this script again.
 """
 
+import argparse
 import hashlib
 import json
 import math
 import platform
+import re
+import sys
 from itertools import product
 from pathlib import Path
 
@@ -122,6 +131,54 @@ def collect():
             "readme": [case_report(*run) for run in README_RUNS]}
 
 
+def differing_environment(fixture, current):
+    """The sorted environment fields in which current differs from the fixture."""
+    return sorted(key for key, value in fixture["environment"].items()
+                  if current["environment"].get(key) != value)
+
+
+# A number in a repr of values; not a run of digits inside a word or a quoted digest.
+NUMBER = re.compile(r"(?<![\w.'])-?(?:nan|inf|\d+(?:\.\d*)?(?:e[-+]?\d+)?)(?![\w.])")
+
+
+def relative_change(now, then):
+    """The largest |a - b| / max(|a|, |b|) over the numbers of two value reprs in turn: 0 for two
+    nans, inf where one of a pair is not finite or the reprs hold different counts of numbers."""
+    pairs = [[float(x) for x in NUMBER.findall(text or "")] for text in (now, then)]
+    if len(pairs[0]) != len(pairs[1]):
+        return math.inf
+    return max((0.0 if a == b or math.isnan(a) and math.isnan(b)
+                else abs(a - b) / max(abs(a), abs(b)) if math.isfinite(a) and math.isfinite(b)
+                else math.inf for a, b in zip(*pairs)), default=0.0)
+
+
+def compare(fixture, current):
+    """Print per section how many records moved and their largest relative change; 1 if a
+    section, cell, error tag or message differs from the fixture's, else 0."""
+    then, now = ({**data["sweeps"], "cases": data["cases"], "readme": data["readme"]}
+                 for data in (fixture, current))
+    if differing := differing_environment(fixture, current):
+        print(f"environment differs in {', '.join(differing)}: last bits may move")
+    if now.keys() != then.keys():
+        print(f"sections differ: {sorted(now.keys() ^ then.keys())}")
+        return 1
+    status = 0
+    for name, records in then.items():
+        tags = abs(len(now[name]) - len(records)) + sum(
+            a[:2] != b[:2] for a, b in zip(now[name], records))
+        moved = [(a[2], b[2]) for a, b in zip(now[name], records) if a[2] != b[2]]
+        largest = max((relative_change(*pair) for pair in moved), default=0.0)
+        print(f"{name}: {len(moved)} of {len(records)} records moved, largest relative change "
+              f"{largest:.3g}" + (f"; {tags} cells, tags or messages differ" if tags else ""))
+        status |= bool(tags)
+    return status
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="compare with the fixture in memory and write nothing")
+    if parser.parse_args().compare:
+        sys.exit(compare(json.loads(FIXTURE.read_text()), collect()))
     FIXTURE.write_text(json.dumps(collect(), indent=0) + "\n")
     print(f"wrote {FIXTURE}")

@@ -16,7 +16,6 @@ from stefanflux import (
     example1,
     example2,
     preset_scheme,
-    residual,
     run_case,
     solve_direct,
 )
@@ -72,11 +71,9 @@ def test_non_finite_counts_raise_domain_error(build, bad):
 
 def test_linear_system_validation():
     with pytest.raises(ValueError):
-        LinearSystem(np.ones((2, 3)), np.ones(2), (("dirichlet", 1),) * 2)
+        LinearSystem(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
-        LinearSystem(np.eye(2), np.ones(3), (("dirichlet", 1),) * 2)
-    with pytest.raises(ValueError):
-        LinearSystem(np.eye(2), np.ones(2), (("dirichlet", 1),))
+        LinearSystem(np.eye(2), np.ones(3))
 
 
 def test_pinned_entries_example1():
@@ -95,7 +92,6 @@ def test_pinned_entries_example1():
     basis12 = HeatPolynomialBasis(1.0, 12)
     system = assemble(prob, basis12, preset_scheme(12))
     stefan_row = 6
-    assert system.row_labels[stefan_row] == ("stefan", 1)
     assert system.matrix[stefan_row, 1] == pytest.approx(-0.2, abs=1e-14)
     assert system.rhs[stefan_row] == pytest.approx(0.2 / math.sqrt(2.0), rel=1e-12)
 
@@ -103,20 +99,8 @@ def test_pinned_entries_example1():
     # holds s0^3 / 3.
     basis10 = HeatPolynomialBasis(1.0, 10)
     system = assemble(prob, basis10, preset_scheme(10))
-    assert system.row_labels[10] == ("initial", 1)
     assert system.matrix[10, 2] == pytest.approx(s0 ** 3 / 3.0, rel=1e-13)
     assert system.matrix[10, 2] == pytest.approx(0.023689270, rel=1e-7)
-
-
-def test_row_label_ordering():
-    prob = example1()
-    basis = HeatPolynomialBasis(1.0, 12)
-    system = assemble(prob, basis, preset_scheme(12))
-    labels = system.row_labels
-    assert labels[:6] == tuple(("dirichlet", i + 1) for i in range(6))
-    assert labels[6:11] == tuple(("stefan", i + 1) for i in range(5))
-    assert labels[11:] == (("initial", 1), ("initial", 2))
-    assert system.size == 13
 
 
 @pytest.mark.parametrize("prob", [example1(), example2()], ids=["example1", "example2"])
@@ -206,11 +190,9 @@ def test_residual_small_after_direct_solve():
     basis = HeatPolynomialBasis(1.0, 12)
     system = assemble(prob, basis, preset_scheme(12))
     coeffs = solve_direct(system)
-    res = residual(system, coeffs)
+    assert system.size == 13
+    res = system.matrix @ coeffs - system.rhs
     assert np.max(np.abs(res)) <= 1e-8 * np.max(np.abs(system.rhs))
-    np.testing.assert_array_equal(residual(system, np.zeros(13)), -system.rhs)
-    with pytest.raises(ValueError):
-        residual(system, np.zeros(12))
 
 
 def test_size_mismatch_rejected():
@@ -289,7 +271,7 @@ def test_zero_level_noise_reproduces_clean_system():
     rhs = clean.rhs.copy()
     rhs[scheme.n_dirichlet:scheme.n_dirichlet + scheme.n_stefan] = panel_sums(
         t_weights * data, scheme.quadrature_order)
-    noisy = LinearSystem(clean.matrix, rhs, clean.row_labels)
+    noisy = LinearSystem(clean.matrix, rhs)
     np.testing.assert_array_equal(noisy.matrix, clean.matrix)
     # Clean data integrates through the closed form, the zero-level path
     # through quadrature; they agree to quadrature accuracy.

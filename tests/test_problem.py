@@ -218,6 +218,12 @@ def _horizon(value):
     return f"horizon must be positive and finite, got {value}"
 
 
+def _user(horizon):  # a problem of user callables
+    return StefanProblem(diffusivity=1.0, conductivity=1.0, latent_heat=1.0, density=1.0,
+                         melt_temperature=0.0, horizon=horizon, boundary=lambda t: 1.0 + t,
+                         boundary_rate=lambda t: 1.0, initial_profile=lambda x: 0.0)
+
+
 # Bad family inputs and the DomainError message each raises.  A family boundary is monotone, and
 # so are its rounded values, so its two ends must decide its check as a probe at 101 times would.
 _BAD_FAMILY_INPUTS = [
@@ -232,11 +238,9 @@ _BAD_FAMILY_INPUTS = [
     *[(sqrt_boundary_problem, (0.6, v), {}, message) for v, message in (
         (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, "t0 must be positive, got -inf"),
         (0.0, "t0 must be positive, got 0.0"), (-1.0, "t0 must be positive, got -1.0"))],
-    # A bad horizon keeps StefanProblem's message, except where the linear family's own check
-    # of s(horizon) comes first.
-    *[(linear_boundary_problem, (0.4, 0.7), {"horizon": v}, message) for v, message in (
-        (math.nan, _horizon(math.nan)), (math.inf, _horizon(math.inf)), (-math.inf, _FALLING),
-        (0.0, _horizon(0.0)), (-1.0, _FALLING))],
+    # A bad horizon gets StefanProblem's message: the linear family checks it before s(horizon).
+    *[(linear_boundary_problem, (0.4, 0.7), {"horizon": v}, _horizon(v))
+      for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
     *[(sqrt_boundary_problem, (0.6, 0.16), {"horizon": v}, _horizon(v))
       for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
     # p1 * horizon overflows to inf, s(0) is finite and s(horizon) is not.
@@ -245,6 +249,9 @@ _BAD_FAMILY_INPUTS = [
     (sqrt_boundary_problem, (1e308,), {"t0": 0.16}, _BOUNDARY),
     # s(0) underflows to 0 while s(horizon) is positive.
     (sqrt_boundary_problem, (5e-324, 1e-300), {}, _BOUNDARY),
+    # An integer horizon beyond the float range, which float() cannot convert.
+    *[pytest.param(build, (10 ** 400,), {}, _horizon(10 ** 400), id=f"huge_horizon-{build.__name__}")
+      for build in (example1, example2, _user)],
 ]
 
 
@@ -267,7 +274,7 @@ def test_family_boundary_checks_cover_rebuilt_problems():
     with pytest.raises(DomainError) as caught:
         dataclasses.replace(linear_boundary_problem(0.4, 1e300), horizon=np.float64(1e10))
     assert str(caught.value) == _BOUNDARY
-    for value in (math.nan, -1.0):
+    for value in (math.nan, -1.0, 10 ** 400):
         with pytest.raises(DomainError) as caught:
             dataclasses.replace(example2(), horizon=value)
         assert str(caught.value) == _horizon(value)

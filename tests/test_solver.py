@@ -31,8 +31,7 @@ from stefanflux.solver import Factorization
 def _system(matrix, rhs):
     matrix = np.asarray(matrix, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    labels = tuple(("dirichlet", i + 1) for i in range(matrix.shape[0]))
-    return LinearSystem(matrix=matrix, rhs=rhs, row_labels=labels)
+    return LinearSystem(matrix=matrix, rhs=rhs)
 
 
 def _example1_system(order):
@@ -211,8 +210,7 @@ def test_non_square_matrix_rejected_at_construction():
 def test_nonfinite_matrix_rejected():
     matrix = np.eye(2)
     matrix[0, 1] = np.inf
-    system = LinearSystem(matrix=matrix, rhs=np.zeros(2),
-                          row_labels=(("dirichlet", 1), ("dirichlet", 2)))
+    system = LinearSystem(matrix=matrix, rhs=np.zeros(2))
     with pytest.raises(NumericalError):
         solve_direct(system)
     with pytest.raises(NumericalError):
