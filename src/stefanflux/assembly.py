@@ -79,6 +79,14 @@ def preset_scheme(order, quadrature_order=16):
 _preset = lru_cache(maxsize=None)(CollocationScheme)  # on checked counts: one scheme per preset
 
 
+def check_scheme_size(scheme, size):
+    """scheme; DomainError unless its rows number size, the basis size N + 1."""
+    if scheme.size != size:
+        raise DomainError(f"scheme rows ({scheme.size}) must equal basis size ({size}); "
+                          f"adjust the partition counts to sum to max_order + 1")
+    return scheme
+
+
 @dataclass(frozen=True)
 class LinearSystem:
     """Assembled square system: rows temperature, energy balance, initial."""
@@ -125,35 +133,30 @@ def interface_nodes(problem, scheme):
 def assemble(problem, basis, scheme, nodes=None, rows=None):
     """Build the collocation system for the given problem and basis from clean data.
 
-    nodes, the interface_nodes, and rows, which maps 0 to the value rows at the temperature
-    nodes and 1 to the dx rows at the energy-balance nodes (the latter only once the former are
-    finite), are evaluated here unless a caller has them.  The
+    nodes, the interface_nodes, and rows, the pair (value rows at the temperature nodes, dx rows
+    at the energy-balance nodes), are evaluated here unless a caller has them.  The
     energy-balance right side uses the closed form latent_heat * density * (s(t_i) - s(t_{i-1})).
     Measured or noisy data, sampled at stefan_nodes, replaces it by the panel_sums of the
     weighted data.
     """
     size = basis.size
-    if scheme.size != size:
-        raise DomainError(
-            f"scheme rows ({scheme.size}) must equal basis size ({size}); "
-            f"adjust the partition counts to sum to max_order + 1")
+    check_scheme_size(scheme, size)
     horizon = problem.horizon
     q = scheme.quadrature_order
 
     with np.errstate(over="ignore", invalid="ignore"):
         (t_nodes, t_weights, s_nodes), (ts_nodes, ts_weights, ss_nodes) = (
             nodes or interface_nodes(problem, scheme))
-        if rows is None:
-            table = RowTable((s_nodes, t_nodes, "value"), (ss_nodes, ts_nodes, "dx"))
-            rows = lambda family: basis.rows(table, basis.max_order, family)[0]
+        sets = (s_nodes, t_nodes, "value"), (ss_nodes, ts_nodes, "dx")
+        value_rows, dx_rows = rows or basis.rows(RowTable(*sets), basis.max_order, 0, 1)
         # Interface temperature rows.
-        dirichlet = panel_sums(t_weights * rows(0), q).T
+        dirichlet = panel_sums(t_weights * value_rows, q).T
         dirichlet_rhs = np.full(scheme.n_dirichlet,
                                 problem.melt_temperature * (horizon / scheme.n_dirichlet))
         _require_finite(dirichlet, dirichlet_rhs, "dirichlet")
 
         # Interface energy-balance rows.
-        stefan = panel_sums(ts_weights * (-problem.conductivity) * rows(1), q).T
+        stefan = panel_sums(ts_weights * (-problem.conductivity) * dx_rows, q).T
         s_edges = problem.boundary(quadrature.uniform(0.0, horizon, scheme.n_stefan + 1))
         stefan_rhs = problem.latent_heat * problem.density * (s_edges[1:] - s_edges[:-1])
         _require_finite(stefan, stefan_rhs, "stefan")

@@ -27,8 +27,7 @@ ORDER_BOUND = 1000  # orders lie below it: order N fills N + 1 rows per node, an
 
 
 class RowTable:
-    """(x, t, deriv) node sets on one point axis and the basis rows filled there so far;
-    filled[i] is the highest order filled in set i, -1 before its first fill."""
+    """(x, t, deriv) node sets on one point axis and, once filled, the basis rows there."""
 
     def __init__(self, *sets):
         shapes = [np.broadcast(x, t).shape for x, t, _ in sets]
@@ -37,7 +36,7 @@ class RowTable:
         self.x, self.t = np.empty(ends[-1]), np.empty(ends[-1])
         for (x, t, _), (a, b), shape in zip(sets, self.bounds, shapes):
             self.x[a:b].reshape(shape)[...], self.t[a:b].reshape(shape)[...] = x, t
-        self.filled, self.basis, self.buffer = [-1] * len(sets), None, None
+        self.basis = self.buffer = None
 
 
 class HeatPolynomialBasis:
@@ -100,34 +99,22 @@ class HeatPolynomialBasis:
     def rows(self, table, order, *which):
         """Rows 0 .. order of the named sets of a RowTable, each (order + 1, points): value rows
         are views of the table, dx and dt rows new arrays from the ladder identities (orders as
-        floats: the same bits).  Sets short of order are filled first, in one recurrence over
-        the points from the first to the last of them that continues from the rows there; a
-        table's first fill covers every set.  Row n + 1 is x v_n + 2 a^2 n t v_{n-1}, from rows
-        n and n - 1 alone, so rows do not depend on N and rows given out stay valid."""
-        order, first_fill = self._check_order(order), table.basis is None
-        if first_fill:
+        floats: the same bits).  The first call fills the table, one recurrence over all its
+        points up to max_order; row n + 1 is x v_n + 2 a^2 n t v_{n-1}, from rows n and n - 1
+        alone, so rows do not depend on N."""
+        order = self._check_order(order)
+        if table.basis is None:
             table.basis, table.buffer = self, np.empty((max(self.size, 2), table.x.size))
-            table.st = (2.0 * self.diffusivity * self.diffusivity) * table.t
+            rows, xs, term = table.buffer, table.x, np.empty_like(table.x)
+            st = (2.0 * self.diffusivity * self.diffusivity) * table.t
+            rows[0], rows[1] = 1.0, xs
+            for n in range(1, self.max_order):
+                np.multiply(st, rows[n - 1], term)
+                term *= n
+                np.multiply(xs, rows[n], rows[n + 1])
+                rows[n + 1] += term
         elif table.basis is not self:
             raise DomainError("a RowTable is filled by the basis that filled it first")
-        late = [i for i in (range(len(table.bounds)) if first_fill else which)
-                if table.filled[i] < order]
-        if late:
-            span = range(min(late), max(late) + 1)
-            first, (a, _), (_, b) = (min(table.filled[i] for i in span), table.bounds[span[0]],
-                                     table.bounds[span[-1]])
-            # rows[k] is row lo + k - 1 for the first order lo that the loop computes from.
-            lo, xs, st = max(first, 1), table.x[a:b], table.st[a:b]
-            rows, term = list(table.buffer[lo - 1:max(order, 1) + 1, a:b]), np.empty_like(xs)
-            if first < 1:
-                rows[0][...], rows[1][...] = 1.0, xs
-            for k, n in enumerate(range(lo, order), 1):
-                np.multiply(st, rows[k - 1], term)
-                term *= n
-                np.multiply(xs, rows[k], rows[k + 1])
-                rows[k + 1] += term
-            for i in span:
-                table.filled[i] = max(table.filled[i], order)
         return [self._ladder(table, i, order) for i in which]
 
     def _ladder(self, table, i, order):

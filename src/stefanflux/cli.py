@@ -144,7 +144,6 @@ def _common_flags(sub):
     sub.add_argument("--noise-mode", dest="noise_mode", choices=list(MODES))
     sub.add_argument("--seed", type=int, help="noise seed (default 0)")
     sub.add_argument("--horizon", type=float, help="time horizon T (default 1.0)")
-    sub.add_argument("--samples", type=int, help="flux curve sample count (default 101)")
     sub.add_argument("--out", help="output directory (default .)")
 
 
@@ -156,7 +155,6 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="single reconstruction")
-    _common_flags(solve)
 
     sweep = subs.add_parser("sweep", help="grid of reconstructions")
     _common_flags(sweep)
@@ -167,7 +165,9 @@ def build_parser():
     sweep.add_argument("--jobs", type=int, help="no effect, sweeps run in process; 1 <= N < 2**63")
 
     plotdata = subs.add_parser("plotdata", help="flux curves per noise level")
-    _common_flags(plotdata)
+    for sub in (solve, plotdata):
+        _common_flags(sub)
+        sub.add_argument("--samples", type=int, help="flux curve sample count (default 101)")
 
     return parser
 

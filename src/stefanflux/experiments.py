@@ -2,14 +2,11 @@
 
 A sweep builds every horizon's problem, grid.benchmark(horizon), before its first cell,
 then runs one horizon at a time: each order's scheme and one RowTable of all its node
-sets (delta_p's, delta_u's and every scheme's interface nodes) are built once.  The
-table's first fill, at the first group's build, runs the recurrence over every set up
-to the lowest order whose scheme was built; a group continues it over the sets it asks
-for only: its temperature rows, its energy-balance rows once those are finite, and
-delta_p's and delta_u's once it measures.  A group, the cells sharing (horizon, order),
-which the grid emits contiguously, builds its clean system and one Factorization
-of its matrix once, its seeds' noise in one block, and each level's right sides
-in one block.  Then, 8 cells at a time, it solves their right sides in one
+sets (delta_p's, delta_u's and every scheme's interface nodes) are built once, and the
+first group's build fills the table up to the largest order.  A group, the cells sharing
+(horizon, order), which the grid emits contiguously, builds its clean system and one
+Factorization of its matrix once, its seeds' noise in one block, and each level's right
+sides in one block.  Then, 8 cells at a time, it solves their right sides in one
 Factorization.solve_rows call (a gemv per row, so each cell's bits are its own),
 takes their residual norms as stacked dots, and measures the solved ones as one
 block.  Memory holds one horizon's table and one group; run_case is a horizon of
@@ -34,8 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import (CollocationScheme, assemble, check_quadrature_order, interface_nodes,
-                       panel_sums, preset_scheme)
+from .assembly import (CollocationScheme, assemble, check_quadrature_order, check_scheme_size,
+                       interface_nodes, panel_sums, preset_scheme)
 from .basis import ORDER_BOUND, HeatPolynomialBasis, RowTable
 from .errors import (DomainError, NumericalError, SingularMatrixError, check_integer,
                      check_real)
@@ -76,11 +73,10 @@ def _norms(rows):
 
 
 class _Horizon:
-    """A horizon's problem, each order's scheme (or its preset's DomainError), and one RowTable
-    of all its node sets: delta_p's and delta_u's, run_case's flux samples and each scheme's
-    interface nodes, first filled up to the lowest order whose scheme was built.  The oracle
-    values of both errors come at the first measured block (a build that raises caches
-    nothing)."""
+    """A horizon's problem, each order's scheme (or the DomainError of its preset or size), and
+    one RowTable of all its node sets: delta_p's and delta_u's, run_case's flux samples and
+    each scheme's interface nodes.  The oracle values of both errors come at the first
+    measured block (a build that raises caches nothing)."""
 
     def __init__(self, problem, orders, scheme=None, quadrature_order=16, flux_samples=None):
         self.problem, self.basis = problem, HeatPolynomialBasis(problem.diffusivity, max(orders))
@@ -91,7 +87,8 @@ class _Horizon:
             sets += [] if flux_samples is None else [_flux_nodes(problem, flux_samples)]
             for order in orders:
                 try:
-                    self.schemes[order] = key = scheme or preset_scheme(order, quadrature_order)
+                    self.schemes[order] = key = check_scheme_size(
+                        scheme or preset_scheme(order, quadrature_order), order + 1)
                 except DomainError as exc:
                     self.schemes[order] = exc
                     continue
@@ -100,12 +97,6 @@ class _Horizon:
                     (t, _, s), (ts, _, ss) = self.nodes[key][1]
                     sets += [(s, t, "value"), (ss, ts, "dx")]
         self.table = RowTable(*sets)
-
-    def rows(self, order, *which):  # callers hold np.errstate: rows above an order may overflow
-        if self.table.basis is None:  # first fill: every set, to the lowest built order
-            self.basis.rows(self.table, min(n for n, key in self.schemes.items()
-                                            if not isinstance(key, DomainError)))
-        return self.basis.rows(self.table, order, *which)
 
     @cached_property
     def oracles(self):
@@ -127,8 +118,9 @@ class _Group:
         if isinstance(self.scheme, DomainError):
             raise self.scheme
         first, self.nodes = shared.nodes[self.scheme]
-        self.system = assemble(self.problem, self.basis, self.scheme, self.nodes,
-                               lambda family: shared.rows(order, first + family)[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # rows above order may overflow
+            rows = shared.basis.rows(shared.table, order, first, first + 1)
+        self.system = assemble(self.problem, self.basis, self.scheme, self.nodes, rows)
         self.factors = Factorization(self.system.matrix)
         self.seeds, self.mode = seeds, mode
         self._rows = {seed: row for row, seed in enumerate(seeds)}
@@ -195,7 +187,7 @@ class _Group:
         measured block on."""
         oracles = self.shared.oracles
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = self.shared.rows(self.basis.max_order, 0, 1)
+            rows = self.shared.basis.rows(self.shared.table, self.basis.max_order, 0, 1)
         return tuple(_error(self.basis, r, *oracle) for r, oracle in zip(rows, oracles))
 
     def measure(self, block):
@@ -223,7 +215,7 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     coeffs, cond, res_norm, rhs = outcome
     (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
     with np.errstate(over="ignore", invalid="ignore"):
-        flux_rows, rhs_norm = shared.rows(order, 2)[0], math.sqrt(rhs @ rhs)
+        flux_rows, rhs_norm = shared.basis.rows(shared.table, order, 2)[0], math.sqrt(rhs @ rhs)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples, flux_rows)
     rhs_norm = float(_norms(rhs[None])[0]) if rhs_norm == math.inf else rhs_norm
     return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
@@ -258,8 +250,11 @@ class SweepGrid:
             object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):
-            if not getattr(self, name):
+            if not (values := getattr(self, name)):
                 raise DomainError(f"{name} must be non-empty")
+            for i, value in enumerate(values):  # a repeat would run its cells twice
+                if value in values[:i]:
+                    raise DomainError(f"{name} must hold distinct values, {value!r} repeats")
         if self.noise_mode not in MODES:
             raise DomainError(f"noise_mode must be one of {MODES}, got {self.noise_mode!r}")
 

@@ -240,7 +240,7 @@ def test_each_family_names_its_first_non_finite_row():
         nodes = interface_nodes(problem(), scheme)
         rows = [basis.design(s, t, deriv) for (t, _, s), deriv in zip(nodes, ("value", "dx"))]
         rows[family][5, node] = np.nan
-        return nodes, lambda k: rows[k]
+        return nodes, rows
 
     cases = [  # (problem, nodes and rows or None, message): matrix-only, then rhs-only
         (problem(), poisoned(0, 16 + 3), "dirichlet row 2"),

@@ -210,9 +210,9 @@ def test_rows_do_not_depend_on_max_order():
 
 
 def test_row_table_fills_on_demand_bit_for_bit():
-    # Several node sets on one point axis, filled to increasing orders and in
-    # any order of requests, give each set's design rows bit for bit; the rows
-    # a table gave out earlier stay valid as it fills further.
+    # Several node sets on one point axis, asked for at any orders and in any
+    # order of requests, give each set's design rows bit for bit; the rows a
+    # table gave out earlier stay valid.
     from stefanflux.basis import RowTable
 
     rng = np.random.default_rng(5)
@@ -223,37 +223,15 @@ def test_row_table_fills_on_demand_bit_for_bit():
     designs = [basis.design(x, t, deriv).reshape(21, -1) for x, t, deriv in sets]
     table = RowTable(*sets)
     early = basis.rows(table, 5, 3)[0]
-    assert table.filled == [5, 5, 5, 5]  # the first fill covers every set
     for order, which in ((9, (1, 2)), (7, (0,)), (16, (3,)), (20, (0, 1, 2, 3)), (3, (2,))):
         got = basis.rows(table, order, *which)
         for i, rows in zip(which, got):
             assert np.array_equal(rows, designs[i][:order + 1])
-    assert table.filled == [20] * 4
     assert np.array_equal(early, designs[3][:6])
     with pytest.raises(DomainError, match="filled by the basis"):
         HeatPolynomialBasis(1.3, 20).rows(table, 3, 0)
     with pytest.raises(DomainError, match="order"):
         basis.rows(RowTable(*sets), 21, 0)
-
-
-def test_table_fills_only_the_span_it_is_asked_for():
-    # After the first fill, a request fills its sets (and any between them)
-    # from their lowest filled order, and leaves the other sets as they were.
-    from stefanflux.basis import RowTable
-
-    xs = np.linspace(0.1, 1.0, 5)
-    basis = HeatPolynomialBasis(1.0, 12)
-    table = RowTable(*[(xs, xs, "value")] * 4)
-    basis.rows(table, 2, 0)
-    basis.rows(table, 6, 1)
-    basis.rows(table, 9, 3)
-    assert table.filled == [2, 6, 2, 9]
-    basis.rows(table, 8, 1, 3)
-    assert table.filled == [2, 8, 2, 9]
-    basis.rows(table, 10, 1, 3)
-    assert table.filled == [2, 10, 10, 10]
-    for rows in basis.rows(table, 12, 0, 1, 2, 3):
-        assert np.array_equal(rows, basis.design(xs, xs))
 
 
 @pytest.mark.parametrize("a", [1.0, 1.3])

@@ -211,6 +211,8 @@ def test_flag_errors_exit_2(tmp_path, capsys):
                 "--out", out)[0] == 2
     assert _run(capsys, "sweep", "--config", str(cfg), "--benchmark", "example1",
                 "--out", out)[0] == 2
+    # Only solve and plotdata draw a flux curve; sweep used to accept --samples and ignore it.
+    assert _run(capsys, "sweep", "--orders", "8", "--samples", "5", "--out", out)[0] == 2
     incomplete = tmp_path / "incomplete.cfg"
     incomplete.write_text("family = linear\n")
     assert _run(capsys, "solve", "--config", str(incomplete), "--out", out)[0] == 2
@@ -249,7 +251,10 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
            ["solve", "--quad", "1000000"], ["sweep", "--orders", "8", "--quad", "1000000"],
            ["solve", "--samples", "1000000000000"], ["plotdata", "--samples", "1000000000000"],
            ["solve", "--order", "100000"], ["plotdata", "--order", "100000"],
-           ["sweep", "--orders", "8,100000"])
+           ["sweep", "--orders", "8,100000"],
+           # A repeated axis value used to run its cells twice.
+           ["sweep", "--orders", "8,8"], ["sweep", "--orders", "8", "--seeds", "3,3"],
+           ["sweep", "--orders", "8", "--horizons", "1,1"])
     for i, argv in enumerate(bad):
         out = tmp_path / f"out{i}"
         code, _, err = _run(capsys, *argv, "--out", str(out))

@@ -154,6 +154,12 @@ def test_grid_validation():
         with pytest.raises(DomainError, match="seed"):
             SweepGrid(orders=(8,), noise_levels=(0.01,), seeds=(0, seed))
     assert SweepGrid(orders=(8,), seeds=(2 ** 64 - 1,)).seeds == (2 ** 64 - 1,)
+    # A repeated value used to run its cells twice and count one seed as two.
+    for name, values, repeated in (("orders", (8, 12, 8), "8"), ("betas", (0.0, -0.0), "-0.0"),
+                                   ("noise_levels", (0.01, 0.01), "0.01"),
+                                   ("seeds", (3, 3), "3"), ("horizons", (1, 1.0), "1.0")):
+        with pytest.raises(DomainError, match=fr"^{name} must hold distinct values, {repeated} "):
+            SweepGrid(**{"orders": (8,), name: values})
     # Checked as CollocationScheme checks it; a bad order used to fail every group.
     for quad in (5, 16.5, math.nan, HUGE):
         with pytest.raises(DomainError, match="quadrature_order"):
@@ -258,28 +264,39 @@ def test_grouped_sweep_matches_per_cell_run_case(problem_id, mode):
             assert {rec.benchmark for rec in records} == {problem_id}
 
 
-def _count_tables(monkeypatch):
-    """The RowTables HeatPolynomialBasis.rows fills, in first-use order, each once."""
-    tables, rows = {}, HeatPolynomialBasis.rows
-    monkeypatch.setattr(HeatPolynomialBasis, "rows", lambda basis, table, order, *which: (
-        tables.setdefault(id(table), table), rows(basis, table, order, *which))[1])
-    return tables
+def _count_fills(monkeypatch):
+    """(table, order) of each recurrence HeatPolynomialBasis.rows runs over a RowTable, in order:
+    one, up to the basis's max_order, at a table's first request.  The rows are then read-only,
+    so a later request that filled them again, in place or in a new buffer, would fail here."""
+    fills, rows = [], HeatPolynomialBasis.rows
+
+    def counted(basis, table, order, *which):
+        buffer = table.buffer
+        if buffer is None:
+            fills.append((table, basis.max_order))
+        got = rows(basis, table, order, *which)
+        assert buffer is None or table.buffer is buffer
+        table.buffer.flags.writeable = False
+        return got
+
+    monkeypatch.setattr(HeatPolynomialBasis, "rows", counted)
+    return fills
 
 
 def test_problem_and_error_grids_are_built_once_per_horizon(monkeypatch):
     # A horizon's order groups share its problem, the oracle values of delta_p and
     # delta_u, and one row table of all its node sets (delta_p's, delta_u's and
-    # every group's interface nodes), so the recurrence runs once per horizon.
-    # run_case is a horizon of one order whose table also holds the flux samples,
-    # and a horizon whose groups all fail to build fills no table and builds no
-    # oracle values.
+    # every group's interface nodes), so the recurrence runs once per horizon, up
+    # to its largest order.  run_case is a horizon of one order whose table also
+    # holds the flux samples, and a horizon whose groups all fail to build fills
+    # no table and builds no oracle values.
     builds, problems = [], []
     for name in ("_delta_p_grid", "_delta_u_grid"):
         def counted(problem, name=name, build=getattr(experiments, name)):
             nodes, oracle = build(problem)
             return nodes, lambda: builds.append(name) or oracle()
         monkeypatch.setattr(experiments, name, counted)
-    tables = _count_tables(monkeypatch)
+    fills = _count_fills(monkeypatch)
     grid = SweepGrid(orders=(4, 12, 8), betas=(0.0, 1e-7), noise_levels=(0.0, 0.01),
                      horizons=(0.5, 1.5),
                      benchmark=lambda horizon: problems.append(horizon) or example1(horizon))
@@ -287,39 +304,34 @@ def test_problem_and_error_grids_are_built_once_per_horizon(monkeypatch):
     assert (builds, problems) == (["_delta_p_grid", "_delta_u_grid"] * 2, [0.5, 1.5])
     # Per horizon: delta_p's and delta_u's sets, then each order's temperature and
     # energy-balance sets.
-    assert [table.filled for table in tables.values()] == [[12, 12, 4, 4, 12, 12, 8, 8]] * 2
+    assert [(len(table.bounds), order) for table, order in fills] == [(8, 12)] * 2
+    assert fills[0][0] is not fills[1][0]
     builds.clear()
-    tables.clear()
+    fills.clear()
     run_case(example1(), 8)
     assert builds == ["_delta_p_grid", "_delta_u_grid"]
-    assert [table.filled for table in tables.values()] == [[8] * 5]
+    assert [(len(table.bounds), order) for table, order in fills] == [(5, 8)]
     builds.clear()
-    tables.clear()
+    fills.clear()
     grid = SweepGrid(orders=(6, 8), horizons=(0.5, 1.5), scheme_override=preset_scheme(12))
     assert {rec.error for rec in run_sweep(grid).records} == {"domain_error"}
-    assert (builds, tables) == ([], {})
+    assert (builds, fills) == ([], [])
 
 
-def test_rows_are_filled_only_to_the_orders_that_use_them(monkeypatch):
-    # The N=400 groups fail in assembly on their temperature rows, filled to
-    # 400, so their energy-balance rows stop at 8, the first fill; delta_p's
-    # and delta_u's rows, which only a group that solves asks for, stop at 12.
-    # The first fill, of every set, stops at the lowest order even when N=400
-    # comes first, so both orders of the grid fill alike and give equal records.
-    tables, fills, records = _count_tables(monkeypatch), [], []
+def test_rows_are_filled_once_to_the_largest_order(monkeypatch):
+    # Each horizon's table runs the recurrence once, up to N=400, whichever order
+    # comes first.  The N=400 groups fail in assembly on their temperature rows,
+    # and both orders of the grid give equal records.
+    fills, records = _count_fills(monkeypatch), []
     for orders in ((8, 12, 400), (400, 8, 12)):
-        tables.clear()
+        fills.clear()
         grid = SweepGrid(orders=orders, horizons=(1.0, 3.0))
         result = run_sweep(grid).records
         assert [rec.error for rec in result] == [None if cell[1] < 400 else "numerical_error"
                                                  for cell in grid.cells()]
         records.append(dict(map(_record_key, result)))
-        sets = ["delta_p", "delta_u"] + [(n, rows) for n in orders for rows in ("value", "dx")]
-        fills.append([dict(zip(sets, table.filled, strict=True)) for table in tables.values()])
+        assert [(len(table.bounds), order) for table, order in fills] == [(8, 400)] * 2
     assert records[0] == records[1]
-    assert fills[0] == fills[1] == [{"delta_p": 12, "delta_u": 12, (8, "value"): 8, (8, "dx"): 8,
-                                     (12, "value"): 12, (12, "dx"): 12, (400, "value"): 400,
-                                     (400, "dx"): 8}] * 2
 
 
 def test_rows_above_a_group_order_may_overflow():
