@@ -30,6 +30,11 @@ class RowTable:
     """(x, t, deriv) node sets on one point axis and, once filled, the basis rows there."""
 
     def __init__(self, *sets):
+        if not sets:
+            raise DomainError("a RowTable needs at least one node set")
+        for *_, deriv in sets:
+            if deriv not in ("value", "dx", "dt"):
+                raise DomainError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
         shapes = [np.broadcast(x, t).shape for x, t, _ in sets]
         ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
         self.bounds, self.derivs = list(zip([0] + ends[:-1], ends)), [d for *_, d in sets]
@@ -123,8 +128,6 @@ class HeatPolynomialBasis:
         rows, deriv = table.buffer[:order + 1, slice(*table.bounds[i])], table.derivs[i]
         if deriv == "value":
             return rows
-        if deriv not in ("dx", "dt"):
-            raise DomainError(f"deriv must be 'value', 'dx' or 'dt', got {deriv!r}")
         lag, out = 1 + (deriv == "dt"), np.empty(rows.shape)
         n, out[:lag] = np.arange(float(len(rows)))[lag:, None], 0.0
         np.multiply(n if lag == 1 else self.diffusivity * self.diffusivity * n * (n - 1.0),

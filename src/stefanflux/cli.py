@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .assembly import CollocationScheme, preset_scheme
-from .errors import NumericalError, SingularMatrixError, check_real
+from .errors import DomainError, NumericalError, SingularMatrixError, check_real
 from .experiments import SweepGrid, run_case, run_sweep
 from .noise import MODES, NoiseSpec, check_seed
 from .problem import benchmark_problem, linear_boundary_problem, sqrt_boundary_problem
@@ -37,10 +37,6 @@ CONFIG_KEYS = {
     "noise_mode": str, "seed": int, "seeds": str, "horizon": float, "horizons": str,
     "samples": int, "out": str, "jobs": int,
 }
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _fmt(value):
@@ -63,20 +59,20 @@ def load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+        raise DomainError(f"cannot read config file {path}: {exc.strerror}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise DomainError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             entries[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+            raise DomainError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return entries
 
 
@@ -85,11 +81,11 @@ def _parse_scheme(text, quad):
         return None
     parts = text.split(",")
     if len(parts) != 3:
-        raise ConfigError(f"scheme must be nD,nS,nI, got {text!r}")
+        raise DomainError(f"scheme must be nD,nS,nI, got {text!r}")
     try:
         counts = [int(p) for p in parts]
     except ValueError as exc:
-        raise ConfigError(f"scheme must contain integers: {exc}") from exc
+        raise DomainError(f"scheme must contain integers: {exc}") from exc
     return CollocationScheme(*counts, quadrature_order=quad)
 
 
@@ -97,7 +93,7 @@ def _parse_list(text, kind):
     try:
         return tuple(kind(p) for p in str(text).split(",") if p.strip() != "")
     except ValueError as exc:
-        raise ConfigError(f"bad list {text!r}: {exc}") from exc
+        raise DomainError(f"bad list {text!r}: {exc}") from exc
 
 
 def _merged(args, config):
@@ -112,7 +108,7 @@ def _resolve_problem(pick, horizon):
     """The benchmark or family problem that the flags and config file name, at horizon."""
     benchmark, family = pick("benchmark", None), pick("family", None)
     if benchmark is not None and family is not None:
-        raise ConfigError("specify either benchmark or family, not both")
+        raise DomainError("specify either benchmark or family, not both")
     if family is None:
         return benchmark_problem(benchmark if benchmark is not None else "example1", horizon)
     physical = dict(
@@ -129,8 +125,8 @@ def _resolve_problem(pick, horizon):
         if family == "sqrt":
             return sqrt_boundary_problem(pick("alpha", None), pick("t0", None), **physical)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {family} family parameters: {exc}") from exc
-    raise ConfigError(f"family must be 'linear' or 'sqrt', got {family!r}")
+        raise DomainError(f"bad {family} family parameters: {exc}") from exc
+    raise DomainError(f"family must be 'linear' or 'sqrt', got {family!r}")
 
 
 def _common_flags(sub):
@@ -177,7 +173,7 @@ def _out_dir(pick):
     out = Path(pick("out", "."))
     existing = next((p for p in (out, *out.parents) if p.exists()), out)
     if not existing.is_dir():
-        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
+        raise DomainError(f"--out {out}: {existing} exists and is not a directory")
     return out
 
 
@@ -196,7 +192,7 @@ def _case_setup(pick):
 def cmd_solve(pick):
     problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
     if len(levels) != 1:
-        raise ConfigError("solve takes a single noise level")
+        raise DomainError("solve takes a single noise level")
     noise = NoiseSpec(levels[0], seed, mode)
     out = _out_dir(pick)
     report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
@@ -273,10 +269,10 @@ def cmd_sweep(pick):
 def cmd_plotdata(pick):
     problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
     if not levels:
-        raise ConfigError("plotdata needs at least one noise level")
+        raise DomainError("plotdata needs at least one noise level")
     tokens = [format(level, "g") for level in levels]
     if len(set(tokens)) != len(tokens):
-        raise ConfigError(f"noise levels {list(levels)} would share file names {tokens}")
+        raise DomainError(f"noise levels {list(levels)} would share file names {tokens}")
     noises = [NoiseSpec(level, seed, mode) for level in levels]
     out = _out_dir(pick)
     reports = [run_case(problem, order, beta=beta, scheme=scheme, noise=noise,

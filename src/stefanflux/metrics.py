@@ -12,8 +12,8 @@ row whose squares alone overflow is summed again scaled by its largest differenc
 
 _delta_p_grid and _delta_u_grid give a functional's node set and a function that
 evaluates its oracle once.  _error maps an (h, K) block of coefficients to h values
-on the K design rows at those nodes, each rounded as its row alone; _delta_p_on and
-_delta_u_on pair the two on rows of their own, and delta_p and delta_u are a block of one.
+on the K design rows at those nodes, each rounded as its row alone; delta_p and delta_u
+are a block of one on design rows of their own.
 """
 
 import numpy as np
@@ -57,11 +57,10 @@ def _error(basis, rows, factor, ref, squares, denom, what):
 
 
 def _delta_p_grid(problem, quad_points=256):
-    """delta_p's (x, t, deriv) node set, and a function of no arguments that gives the arguments
-    of _error after rows there from the flux oracle."""
-    if quad_points < 1:
-        raise DomainError(f"quad_points must be >= 1, got {quad_points}")
-    nodes, weights = quadrature.composite_nodes(0.0, problem.horizon, quad_points)
+    """delta_p's (x, t, deriv) node set, ceil(quad_points / 16) panels of 16 nodes, and a function
+    of no arguments that gives the arguments of _error after rows there from the flux oracle."""
+    quad_points = check_integer(quad_points, "quad_points", 1)
+    nodes, weights = quadrature.subdivided_nodes(0.0, problem.horizon, -(-quad_points // 16), 16)
 
     def oracle():
         lam, exact_ux0 = problem.conductivity, _require_oracle(problem, "exact_flux_gradient")
@@ -80,8 +79,8 @@ def _delta_p_grid(problem, quad_points=256):
 def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
     """delta_u's (x, t, deriv) node set over 0 <= x <= s(t), and a function of no arguments that
     gives the arguments of _error after rows there from the temperature oracle."""
-    if quad_points_t < 1 or quad_points_x < 1:
-        raise DomainError("quadrature point counts must be >= 1")
+    quad_points_t = check_integer(quad_points_t, "quad_points_t", 1)
+    quad_points_x = check_integer(quad_points_x, "quad_points_x", 1)
     t_nodes, t_weights = quadrature.panel_nodes(0.0, problem.horizon, quad_points_t)
     s_vals = problem.boundary(t_nodes)
     unit, unit_w = quadrature.panel_nodes(0.0, 1.0, quad_points_x)
@@ -104,26 +103,19 @@ def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
     return (x_grid, t_grid, "value"), oracle
 
 
-def _delta_p_on(problem, basis, quad_points=256):
-    """delta_p of each row of an (h, K) block of coefficients, its grid built once."""
-    nodes, oracle = _delta_p_grid(problem, quad_points)
-    return _error(basis, basis.design(*nodes), *oracle())
-
-
-def _delta_u_on(problem, basis, quad_points_t=64, quad_points_x=64):
-    """delta_u of each row of an (h, K) block of coefficients, its grid built once."""
-    nodes, oracle = _delta_u_grid(problem, quad_points_t, quad_points_x)
-    return _error(basis, basis.design(*nodes), *oracle())
+def _measure(coeffs, basis, nodes, oracle):
+    """The error of one coefficient vector on a (nodes, oracle) grid, on design rows of its own."""
+    return _error(basis, basis.design(*nodes), *oracle())([coeffs])[0]
 
 
 def delta_p(coeffs, problem, basis, quad_points=256):
     """Relative L2 flux error against the exact boundary gradient oracle."""
-    return _delta_p_on(problem, basis, quad_points)([coeffs])[0]
+    return _measure(coeffs, basis, *_delta_p_grid(problem, quad_points))
 
 
 def delta_u(coeffs, problem, basis, quad_points_t=64, quad_points_x=64):
     """Relative L2 temperature error over the curvilinear domain."""
-    return _delta_u_on(problem, basis, quad_points_t, quad_points_x)([coeffs])[0]
+    return _measure(coeffs, basis, *_delta_u_grid(problem, quad_points_t, quad_points_x))
 
 
 def _flux_nodes(problem, samples=101):

@@ -46,9 +46,3 @@ def subdivided_nodes(lo, hi, n_panels, order):
     edges = uniform(lo, hi, n_panels + 1)
     xs, ws = panel_nodes(edges[:-1, None], edges[1:, None], order)
     return xs.ravel(), ws.ravel()
-
-
-def composite_nodes(lo, hi, total_points, panel_order=16):
-    """Composite rule with at least total_points nodes in panels of panel_order."""
-    n_panels = max(1, -(-int(total_points) // panel_order))
-    return subdivided_nodes(lo, hi, n_panels, panel_order)

@@ -234,6 +234,17 @@ def test_row_table_fills_on_demand_bit_for_bit():
         basis.rows(RowTable(*sets), 21, 0)
 
 
+def test_row_table_checks_its_sets_when_built():
+    # An unknown tag or an empty table is refused by the constructor, so no
+    # table, and no buffer, exists; a bad tag is not left for its first read.
+    from stefanflux.basis import RowTable
+
+    with pytest.raises(DomainError, match="deriv must be 'value', 'dx' or 'dt', got 'bogus'"):
+        RowTable((np.ones(3), 0.5, "value"), (0.0, np.ones(4), "bogus"))
+    with pytest.raises(DomainError, match="at least one node set"):
+        RowTable()
+
+
 @pytest.mark.parametrize("a", [1.0, 1.3])
 def test_design_against_exact_rational_sums(a):
     # Reference: the monomial sum in exact rationals at the float inputs, with

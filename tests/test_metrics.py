@@ -23,8 +23,14 @@ from stefanflux import (
     solve_direct,
     solve_tikhonov,
 )
-from stefanflux.metrics import _delta_p_on, _delta_u_on
-from stefanflux.quadrature import composite_nodes, panel_nodes
+from stefanflux.metrics import _delta_p_grid, _delta_u_grid, _error
+from stefanflux.quadrature import panel_nodes, subdivided_nodes
+
+
+def _block_errors(prob, basis):
+    """delta_p's and delta_u's (h, K) block closures on design rows of their own."""
+    return [_error(basis, basis.design(*nodes), *oracle())
+            for nodes, oracle in (_delta_p_grid(prob), _delta_u_grid(prob))]
 
 
 def _fit_exact_solution(prob, order, nt=40, nx=12):
@@ -71,7 +77,7 @@ def test_constant_gradient_offset_identity():
         offset / math.sqrt(denom_sq), rel=1e-3)
 
     # The closed form itself cross-checks the quadrature of the denominator.
-    nodes, weights = composite_nodes(0.0, prob.horizon, 256)
+    nodes, weights = subdivided_nodes(0.0, prob.horizon, 16, 16)
     flux = np.array([-prob.conductivity * prob.exact_flux_gradient(float(t))
                      for t in nodes])
     assert float(weights @ (flux * flux)) == pytest.approx(denom_sq, rel=1e-12)
@@ -152,6 +158,17 @@ def test_missing_oracles_are_reported():
         delta_p(coeffs, zero_flux, basis)
 
 
+@pytest.mark.parametrize("name", ["quad_points", "quad_points_t", "quad_points_x"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan, math.inf, "16"])
+def test_quadrature_counts_must_be_positive_integers(name, bad):
+    # A count that is not an integer >= 1 is refused by name: not floored, not
+    # an overflow, and not an error from inside numpy.
+    prob, basis, coeffs = _order12_solution()
+    measure = delta_p if name == "quad_points" else delta_u
+    with pytest.raises(DomainError, match=f"^{name} must be an integer"):
+        measure(coeffs, prob, basis, **{name: bad})
+
+
 def test_published_temperature_error_window():
     # Order 8 on the square-root benchmark lands near the reference 9.6e-3.
     prob = example2()
@@ -171,7 +188,7 @@ def test_blocks_equal_rows_alone_and_the_one_row_formulas(name, order):
     coeffs = solve_tikhonov(assemble(prob, basis, preset_scheme(order)), 1e-7)
     noise = np.random.default_rng(order).standard_normal((17, order + 1))
     block = coeffs * (1.0 + 1e-3 * noise)
-    nodes, weights = composite_nodes(0.0, prob.horizon, 256)
+    nodes, weights = subdivided_nodes(0.0, prob.horizon, 16, 16)
     lam = prob.conductivity
     rows_p = basis.design(0.0, nodes, "dx")
     ref_p = -lam * prob.exact_flux_gradient(nodes)
@@ -184,7 +201,7 @@ def test_blocks_equal_rows_alone_and_the_one_row_formulas(name, order):
     rows_u = basis.design(x_grid, t_grid).reshape(order + 1, -1)
     ref_u = prob.exact_solution(x_grid, t_grid).reshape(-1)
     denom_p, denom_u = float(weights @ (ref_p * ref_p)), float(np.sum(w * ref_u * ref_u))
-    dp_on, du_on = _delta_p_on(prob, basis), _delta_u_on(prob, basis)
+    dp_on, du_on = _block_errors(prob, basis)
     alone_p = [dp_on(c[None])[0] for c in block]
     alone_u = [du_on(c[None])[0] for c in block]
     for c, dp, du in zip(block, alone_p, alone_u):
@@ -226,7 +243,7 @@ def test_errors_whose_squares_alone_overflow_are_rescaled():
     prob, basis = example1(), HeatPolynomialBasis(1.0, 8)
     healthy = solve_direct(assemble(prob, basis, preset_scheme(8)))
     huge = np.array(reports[1e155].coefficients)
-    for error in (_delta_p_on(prob, basis), _delta_u_on(prob, basis)):
+    for error in _block_errors(prob, basis):
         alone = error(healthy[None])[0]
         assert error(np.array([healthy, huge, healthy])) == [alone, error(huge[None])[0], alone]
         overflowing = healthy.copy()
