@@ -39,9 +39,12 @@ def check_integer(value, name, low, high=1 << 63):
 def check_real(value, name, positive=False):
     """value as a float; DomainError unless it is finite and >= 0, or > 0 if positive."""
     # Comparisons, not float(value), which overflows on an integer beyond 1e308; nan fails them.
-    if not (0.0 < value if positive else 0.0 <= value) or not value <= sys.float_info.max:
-        raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
-    return float(value)
+    try:
+        if (0.0 < value if positive else 0.0 <= value) and value <= sys.float_info.max:
+            return float(value)
+    except (TypeError, ValueError):  # a string or None; an array's truth value is ambiguous
+        pass
+    raise DomainError(f"{name} must be finite and {'>' if positive else '>='} 0, got {value!r}")
 
 
 def check_finite(values, message):

@@ -6,19 +6,20 @@ sets (delta_p's, delta_u's and every scheme's interface nodes) are built once, a
 first group's build fills the table up to the largest order.  A group, the cells sharing
 (horizon, order), which the grid emits contiguously, builds its clean system and one
 Factorization of its matrix once, its seeds' noise in one block, and each level's right
-sides in one block.  Then, 8 cells at a time, it solves their right sides in one
-Factorization.solve_rows call (a gemv per row, so each cell's bits are its own),
-takes their residual norms as stacked dots, and measures the solved ones as one
-block.  Memory holds one horizon's table and one group; run_case is a horizon of
-one order, whose table also holds the flux samples, and a group of one cell.
+sides in one block.  Then, 8 cells at a time, _Group.run takes one try: it copies
+their right sides into one block, solves it in one Factorization.solve_rows call (a
+gemv per row, so each cell's bits are its own), checks their residual norms, taken
+as stacked dots, and measures the block.  Memory holds one horizon's table and one
+group; run_case is a horizon of one order, whose table also holds the flux samples,
+and a group of one cell run as a block of one.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell, as when its seed's row, solution,
-residual norm or error is not finite (a block that fails goes again cell by
-cell); a group whose draws fail tags its noisy cells only.  wall_time is a
-cell's share of its group's build plus an equal share of its block's solve and
-measure time.  Groups run one after another, and cells come in a fixed order,
-so reruns give identical results.
+residual norm or error is not finite (a block whose try fails runs again cell
+by cell, the one retry); a group whose draws fail tags its noisy cells only.
+wall_time is a cell's share of its group's build plus an equal share of its
+block's solve and measure time.  Groups run one after another, and cells come
+in a fixed order, so reruns give identical results.
 """
 
 import itertools
@@ -134,8 +135,9 @@ class _Group:
         # Draws depend on the seed and the time alone, so every level and beta shares them.
         return weights, self.problem.interface_flux(ts), standard_draws(self.seeds, ts)
 
-    def _rhs_block(self, level):
-        """The level's right sides, built at its first cell from all the seeds' panel sums."""
+    def _rhs(self, level, seed):
+        """A cell's right side.  Its level's block, one row per seed, is built at the level's first
+        cell from all the seeds' panel sums; a seed whose sums are not finite raises at each cell."""
         if level not in self._blocks:
             with np.errstate(over="ignore", invalid="ignore"):
                 weights, clean, draws = self._noise
@@ -146,40 +148,11 @@ class _Group:
             block[:, self.scheme.n_dirichlet:self.scheme.n_dirichlet + self.scheme.n_stefan] = sums
             finite = np.isfinite(sums)
             self._blocks[level] = block, np.where(finite.all(axis=1), 0, finite.argmin(axis=1) + 1)
-        return self._blocks[level]
-
-    def solve(self, cells):
-        """Each (beta, level, seed) cell's coefficients, condition number, residual norm and
-        right side, or its typed error: one stacked solve on the shared factors, and cell by
-        cell if that fails, so that a rank-deficient matrix fails its beta = 0 cells only."""
-        outcomes, solvable = list(cells), []
-        for i, (beta, level, seed) in enumerate(cells):
-            try:
-                block, bad = self._rhs_block(level)
-                row = self._rows[seed] if level else 0
-                if bad[row]:
-                    raise NumericalError(f"non-finite value while assembling stefan row {bad[row]}")
-                solvable.append((i, beta, block[row]))
-            except _CELL_ERRORS as exc:
-                outcomes[i] = exc
-        if not solvable:
-            return outcomes
-        index, betas, rows = zip(*solvable)
-        rhs = np.array(rows)
-        try:
-            coeffs = self.factors.solve_rows(rhs, betas)
-        except _CELL_ERRORS as exc:  # then cell by cell, so that only failing cells fail
-            return [self.solve([cell])[0] for cell in cells] if len(cells) > 1 else [exc]
-        with np.errstate(over="ignore", invalid="ignore"):
-            if len(rhs) == 1:  # one cell, run_case's path: vectors have less overhead
-                norm = math.sqrt((d := self.system.matrix @ coeffs[0] - rhs[0]) @ d)
-                norms = [norm] if norm != math.inf else _norms(d[None]).tolist()
-            else:
-                norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
-        for i, beta, c, norm, b in zip(index, betas, coeffs, norms, rhs):
-            outcomes[i] = ((c, self.factors.condition_number(beta), norm, b) if math.isfinite(norm)
-                           else NumericalError("residual norm is not finite"))
-        return outcomes
+        block, bad = self._blocks[level]
+        row = self._rows[seed] if level else 0
+        if bad[row]:
+            raise NumericalError(f"non-finite value while assembling stefan row {bad[row]}")
+        return block[row]
 
     @cached_property
     def _errors(self):
@@ -190,14 +163,29 @@ class _Group:
             rows = self.shared.basis.rows(self.shared.table, self.basis.max_order, 0, 1)
         return tuple(_error(self.basis, r, *oracle) for r, oracle in zip(rows, oracles))
 
-    def measure(self, block):
-        """Each row's (delta_p, delta_u, error tag); a block that fails is measured row by row."""
+    def run(self, cells):
+        """Each (beta, level, seed) cell's coefficients, condition number, residual norm, right
+        side, delta_p and delta_u, or its typed error.  One try builds the block's right sides,
+        solves them on the shared factors, checks their residual norms and measures the block;
+        if it fails, each cell goes alone, so that only failing cells fail (a rank-deficient
+        matrix fails its beta = 0 cells only)."""
+        betas = [beta for beta, _, _ in cells]
         try:
-            return list(zip(*(error(block) for error in self._errors), [None] * len(block)))
+            rhs = np.array([self._rhs(level, seed) for _, level, seed in cells])
+            coeffs = self.factors.solve_rows(rhs, betas)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if len(rhs) == 1:  # one cell, run_case's path: vectors have less overhead
+                    norm = math.sqrt((d := self.system.matrix @ coeffs[0] - rhs[0]) @ d)
+                    norms = [norm] if norm != math.inf else _norms(d[None]).tolist()
+                else:
+                    norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
+            if not all(map(math.isfinite, norms)):
+                raise NumericalError("residual norm is not finite")
+            deltas_p, deltas_u = (error(coeffs) for error in self._errors)
         except _CELL_ERRORS as exc:
-            if len(block) == 1:
-                return [(None, None, _error_tag(exc))]
-            return [outcome for row in block for outcome in self.measure(row[None])]
+            return [exc] if len(cells) == 1 else [self.run([cell])[0] for cell in cells]
+        return [(c, self.factors.condition_number(beta), norm, b, dp, du)
+                for beta, c, norm, b, dp, du in zip(betas, coeffs, norms, rhs, deltas_p, deltas_u)]
 
 
 def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
@@ -209,11 +197,10 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
     level, seed, mode = (noise.level, noise.seed, noise.mode) if noise else (0.0, 0, "relative")
     shared = _Horizon(problem, (order,), scheme, flux_samples=flux_samples)
     group = _Group(shared, order, seeds=(seed,), mode=mode)
-    (outcome,) = group.solve([(check_real(beta, "beta"), level, seed)])
+    (outcome,) = group.run([(check_real(beta, "beta"), level, seed)])
     if not isinstance(outcome, tuple):
         raise outcome
-    coeffs, cond, res_norm, rhs = outcome
-    (dp,), (du,) = (error(coeffs[None]) for error in group._errors)
+    coeffs, cond, res_norm, rhs, dp, du = outcome
     with np.errstate(over="ignore", invalid="ignore"):
         flux_rows, rhs_norm = shared.basis.rows(shared.table, order, 2)[0], math.sqrt(rhs @ rhs)
     curve = flux_curve(coeffs, problem, group.basis, flux_samples, flux_rows)
@@ -308,7 +295,7 @@ def _error_tag(exc):
 _CELL_ERRORS = (DomainError, NumericalError, FloatingPointError, OverflowError)
 
 
-# Cells solved, then measured as one block: delta_u's block holds 8 x 4,096 floats.
+# Cells solved and measured as one block: delta_u's block holds 8 x 4,096 floats.
 _BLOCK = 8
 
 
@@ -323,15 +310,13 @@ def _evaluate_group(grid, shared, cells):
     share = (time.perf_counter() - start) / len(cells)
     for first in range(0, len(cells), _BLOCK):
         block, start = cells[first:first + _BLOCK], time.perf_counter()
-        outcomes = group.solve([cell[2:] for cell in block]) if group else [failure] * len(block)
-        solved = [out for out in outcomes if type(out) is tuple]
-        measured = iter(group.measure(np.array([out[0] for out in solved])) if solved else ())
+        outcomes = group.run([cell[2:] for cell in block]) if group else [failure] * len(block)
         seconds = share + (time.perf_counter() - start) / len(block)
         for cell, out in zip(block, outcomes):
-            dp, du, error = next(measured) if type(out) is tuple else (None, None, _error_tag(out))
-            values = (dp, du, *out[1:3]) if error is None else [math.nan] * 4
+            solved = type(out) is tuple
+            values = (*out[4:], *out[1:3]) if solved else [math.nan] * 4
             yield CellRecord(shared.problem.label, order, *cell[2:], horizon, *values, seconds,
-                             error)
+                             None if solved else _error_tag(out))
 
 
 @dataclass

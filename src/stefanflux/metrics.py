@@ -58,8 +58,9 @@ def _error(basis, rows, factor, ref, squares, denom, what):
 
 def _delta_p_grid(problem, quad_points=256):
     """delta_p's (x, t, deriv) node set, ceil(quad_points / 16) panels of 16 nodes, and a function
-    of no arguments that gives the arguments of _error after rows there from the flux oracle."""
-    quad_points = check_integer(quad_points, "quad_points", 1)
+    of no arguments that gives the arguments of _error after rows there from the flux oracle.
+    1 <= quad_points < 1e5, as flux_curve's samples."""
+    quad_points = check_integer(quad_points, "quad_points", 1, 10**5)
     nodes, weights = quadrature.subdivided_nodes(0.0, problem.horizon, -(-quad_points // 16), 16)
 
     def oracle():
@@ -78,9 +79,10 @@ def _delta_p_grid(problem, quad_points=256):
 
 def _delta_u_grid(problem, quad_points_t=64, quad_points_x=64):
     """delta_u's (x, t, deriv) node set over 0 <= x <= s(t), and a function of no arguments that
-    gives the arguments of _error after rows there from the temperature oracle."""
-    quad_points_t = check_integer(quad_points_t, "quad_points_t", 1)
-    quad_points_x = check_integer(quad_points_x, "quad_points_x", 1)
+    gives the arguments of _error after rows there from the temperature oracle.  Each count lies
+    in [1, 1000), as a scheme's quadrature order does."""
+    quad_points_t = check_integer(quad_points_t, "quad_points_t", 1, 1000)
+    quad_points_x = check_integer(quad_points_x, "quad_points_x", 1, 1000)
     t_nodes, t_weights = quadrature.panel_nodes(0.0, problem.horizon, quad_points_t)
     s_vals = problem.boundary(t_nodes)
     unit, unit_w = quadrature.panel_nodes(0.0, 1.0, quad_points_x)

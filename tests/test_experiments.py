@@ -137,10 +137,12 @@ def test_grid_validation():
         SweepGrid(orders=(8,), noise_levels=(-0.01,))
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), horizons=(0.0,))
+    # Strings and None raised a bare TypeError.
     for bad in ({"betas": (math.nan,)}, {"noise_levels": (0.01, math.nan)},
                 {"horizons": (math.nan,)}, {"horizons": (math.inf,)}, {"betas": (0.0, HUGE)},
-                {"noise_levels": (0.01, HUGE)}, {"horizons": (1.0, HUGE)}):
-        with pytest.raises(ValueError):
+                {"noise_levels": (0.01, HUGE)}, {"horizons": (1.0, HUGE)}, {"betas": ("1e-7",)},
+                {"horizons": (None,)}, {"noise_levels": (0.01, "1")}):
+        with pytest.raises(DomainError, match=f"^{next(iter(bad))} must be finite"):
             SweepGrid(orders=(8,), **bad)
     with pytest.raises(ValueError):
         SweepGrid(orders=(8,), benchmark="example9")
@@ -487,7 +489,7 @@ def test_overflowing_seeds_fail_only_their_own_cells():
              (1e-7, 7e307, 4), (1e-7, 0.01, 5), (0.0, 0.0, 6), (1e-7, 7e307, 7)]
     group = experiments._Group(experiments._Horizon(prob, (8,)), 8, seeds=tuple(grid.seeds),
                                mode="constant")
-    outcomes = group.solve(cells)
+    outcomes = group.run(cells)
     expected = []
     for beta, level, seed in cells:
         try:
@@ -503,9 +505,10 @@ def test_overflowing_seeds_fail_only_their_own_cells():
         if isinstance(want, Exception):
             assert (type(out), str(out)) == (type(want), str(want))
         else:
-            coeffs, cond, res_norm, _ = out
-            assert (tuple(coeffs.tolist()), cond, res_norm) == (
-                want.coefficients, want.condition_number, want.residual_norm)
+            coeffs, cond, res_norm, _, dp, du = out
+            assert (tuple(coeffs.tolist()), cond, res_norm, dp, du) == (
+                want.coefficients, want.condition_number, want.residual_norm, want.delta_p,
+                want.delta_u)
 
 
 def test_overflowing_solves_are_numerical_errors_without_errstate():
@@ -529,7 +532,7 @@ def test_overflowing_solves_are_numerical_errors_without_errstate():
         report = run_case(example1(), 8, beta, noise=NoiseSpec(1e300, seed, "constant"))
         assert all(math.isfinite(value) for value in (
             report.residual_norm, report.relative_residual, report.delta_p, report.delta_u))
-        d = group.system.matrix @ np.array(report.coefficients) - group._rhs_block(1e300)[0][seed]
+        d = group.system.matrix @ np.array(report.coefficients) - group._rhs(1e300, seed)
         with np.errstate(over="ignore"):
             assert math.isinf(d @ d)
         scale = np.abs(d).max()
@@ -537,66 +540,78 @@ def test_overflowing_solves_are_numerical_errors_without_errstate():
 
 
 def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
-    # A group measures up to eight solved cells at once; a cell whose solve
-    # fails is left out of its block, and the records equal run_case's.  Each
-    # group's 18 cells make blocks of 8, 8 and 2 cells, the last two unsolved.
-    # At N=6, seed 1's beta = 0 cell at 7e307 solves and fails in the metrics:
-    # its first block of 7 rows fails and is measured again row by row.
-    shapes = []
-    measure = experiments._Group.measure
-    monkeypatch.setattr(experiments._Group, "measure",
-                        lambda group, block: shapes.append(block.shape) or measure(group, block))
+    # A group solves, checks and measures up to eight cells in one try, and a
+    # block that fails goes again cell by cell; the records equal run_case's.
+    # Each group's 18 cells make blocks of 8, 8 and 2 cells, and the 7e307
+    # cells fail every block here.  At N=6 each block reaches one
+    # Factorization.solve_rows call (the second mixes betas, so it solves its
+    # beta = 0 row on its own factors first, height 1, and fails there), then
+    # a height-1 call per cell.  At N=8 seed 0's right side is not finite at
+    # 7e307, so the first two blocks fail before their solve, and only the
+    # seven cells of each with a finite right side reach a call of their own.
+    heights = []
+    solve_rows = experiments.Factorization.solve_rows
+    monkeypatch.setattr(experiments.Factorization, "solve_rows",
+                        lambda factors, rhs, *args: heights.append(len(rhs))
+                        or solve_rows(factors, rhs, *args))
     grid = SweepGrid(orders=(6, 8), betas=(0.0, 1e-7), noise_levels=(0.01, 0.05, 7e307),
                      seeds=range(3), noise_mode="constant")
     records = run_sweep(grid).records
     solved = [rec.error is None for rec in records]
     assert solved == ([True] * 6 + [False] * 3) * 4
-    assert shapes == [(7, 7)] + [(1, 7)] * 7 + [(6, 7), (6, 9), (6, 9)]
+    assert heights == ([8] + [1] * 8 + [8, 1] + [1] * 8 + [2] + [1] * 2
+                       + [1] * 7 + [1] * 7 + [2] + [1] * 2)
     assert [_record_key(rec) for rec in records] == [_case_key(grid, cell)
                                                      for cell in grid.cells()]
 
 
 def test_one_bad_row_fails_only_its_own_cell(monkeypatch):
-    # Finite coefficients whose differences overflow in delta_p (a huge c_3,
+    # Finite coefficients whose differences overflow in delta_p (c_3 = 4e307,
     # whose flux 6 t c_3 overflows) or in delta_u alone (a huge c_2, whose flux
-    # at x = 0 vanishes): the block that holds them raises, and each row is
-    # measured alone, so only those cells fail.  (A huge c_1 whose squares alone
+    # at x = 0 vanishes), each with a finite residual norm, or whose residual
+    # overflows (c_3 = 1e308): the block that holds them raises, and each cell
+    # goes alone, so only those cells fail.  (A huge c_1 whose squares alone
     # overflow is measured finite: test_metrics.)
     grid = SweepGrid(orders=(8,), betas=(0.0,), noise_levels=(0.01,), seeds=range(10))
     clean = run_sweep(grid).records
-    group_solve = experiments._Group.solve
+    group = experiments._Group(experiments._Horizon(example1(), (8,)), 8, seeds=tuple(grid.seeds))
+    rhs = np.array([group._rhs(0.01, seed) for seed in grid.seeds])
+    seeds = {b.tobytes(): seed for seed, b in zip(grid.seeds, rhs)}
+    huge = {2: (3, 4e307), 5: (2, 1e308), 7: (3, 1e308), 9: (2, 1e308)}  # seed: (column, value)
+    solve_rows = experiments.Factorization.solve_rows
 
-    def solve(group, cells):
-        outcomes = group_solve(group, cells)
-        for k, (_, _, seed) in enumerate(cells):
-            if seed in (2, 5, 9):
-                coeffs, *rest = outcomes[k]
-                coeffs = coeffs.copy()
-                coeffs[3 if seed == 2 else 2] = 1e308
-                outcomes[k] = (coeffs, *rest)
-        return outcomes
+    def injected(factors, block, *args):
+        coeffs = solve_rows(factors, block, *args)
+        for c, b in zip(coeffs, block):
+            if (seed := seeds[b.tobytes()]) in huge:
+                column, value = huge[seed]
+                c[column] = value
+        return coeffs
 
-    monkeypatch.setattr(experiments._Group, "solve", solve)
+    monkeypatch.setattr(experiments.Factorization, "solve_rows", injected)
     records = run_sweep(grid).records
     for rec, expected in zip(records, clean):
-        if rec.seed in (2, 5, 9):
+        if rec.seed in huge:
             assert rec.error == "numerical_error"
             assert all(math.isnan(v) for v in (rec.delta_p, rec.delta_u,
                                                rec.condition_number, rec.residual_norm))
         else:
             assert _record_key(rec) == _record_key(expected)
-    group = experiments._Group(experiments._Horizon(example1(), (8,)), 8, seeds=tuple(grid.seeds))
-    block = np.array([out[0] for out in solve(group, [(0.0, 0.01, seed) for seed in grid.seeds])])
+    block = group.factors.solve_rows(rhs, [0.0] * len(rhs))
     delta_p_on, delta_u_on = group._errors
     with pytest.raises(NumericalError, match="^delta_p is not finite$"):
         delta_p_on(block)
     with pytest.raises(NumericalError, match="^delta_u is not finite$"):
         delta_u_on(block[5:6])
-    outcomes = group.measure(block)
-    assert [error for _, _, error in outcomes] == [
-        "numerical_error" if seed in (2, 5, 9) else None for seed in grid.seeds]
-    assert [(dp, du) for dp, du, error in outcomes if error is None] == [
-        (rec.delta_p, rec.delta_u) for rec in clean if rec.seed not in (2, 5, 9)]
+    outcomes = group.run([(0.0, 0.01, seed) for seed in grid.seeds])
+    failures = {seed: (_error_tag(out), str(out))
+                for seed, out in zip(grid.seeds, outcomes) if type(out) is not tuple}
+    assert failures == {2: ("numerical_error", "delta_p is not finite"),
+                        5: ("numerical_error", "delta_u is not finite"),
+                        7: ("numerical_error", "residual norm is not finite"),
+                        9: ("numerical_error", "delta_u is not finite")}
+    assert [out[4:] for out in outcomes if type(out) is tuple] == [
+        (rec.delta_p, rec.delta_u) for rec in clean if rec.seed not in huge]
 
 
 def test_group_records_share_one_condition_number():

@@ -159,10 +159,11 @@ def test_missing_oracles_are_reported():
 
 
 @pytest.mark.parametrize("name", ["quad_points", "quad_points_t", "quad_points_x"])
-@pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan, math.inf, "16"])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, math.nan, math.inf, "16", 10**12])
 def test_quadrature_counts_must_be_positive_integers(name, bad):
     # A count that is not an integer >= 1 is refused by name: not floored, not
-    # an overflow, and not an error from inside numpy.
+    # an overflow, and not an error from inside numpy.  Nor is one past its
+    # upper bound, which used to raise numpy's MemoryError.
     prob, basis, coeffs = _order12_solution()
     measure = delta_p if name == "quad_points" else delta_u
     with pytest.raises(DomainError, match=f"^{name} must be an integer"):

@@ -9,6 +9,7 @@ import pytest
 from stefanflux import (
     DomainError,
     HeatPolynomialBasis,
+    NoiseSpec,
     NumericalError,
     SingularMatrixError,
     assemble,
@@ -259,7 +260,8 @@ def test_block_solve_equals_rows_alone(name, order):
     # A block of right sides solves as one stacked product per kind of beta, a
     # gemv per row, so each row equals its own solve and the one-row formulas
     # bit for bit, at any height and any mix of betas; so do a sweep group's
-    # stacked residual norms and np.linalg.norm.
+    # stacked residual norms and np.linalg.norm, and its coefficients and
+    # deltas equal run_case's.
     prob = benchmark_problem(name)
     system = assemble(prob, HeatPolynomialBasis(prob.diffusivity, order), preset_scheme(order))
     factors = Factorization(system.matrix)
@@ -280,12 +282,15 @@ def test_block_solve_equals_rows_alone(name, order):
                 assert (row == alone).all()
     group = experiments._Group(experiments._Horizon(prob, (order,)), order, seeds=tuple(range(9)))
     cells = [(beta, 0.01, seed) for seed in range(9) for beta in (0.0, 1e-7)]
-    outcomes = group.solve(cells)
+    outcomes = group.run(cells)
     assert len(outcomes) == len(cells)
-    for (beta, _, _), (coeffs, cond, res_norm, b) in zip(cells, outcomes):
+    for (beta, level, seed), (coeffs, cond, res_norm, b, dp, du) in zip(cells, outcomes):
         assert (coeffs == factors.solve(b, beta)).all()
         assert res_norm == float(np.linalg.norm(system.matrix @ coeffs - b))
         assert cond == factors.condition_number(beta)
+        report = run_case(prob, order, beta, noise=NoiseSpec(level, seed))
+        assert (tuple(coeffs.tolist()), dp, du) == (report.coefficients, report.delta_p,
+                                                    report.delta_u)
     for bad_rhs, bad_betas in ((rhs[0], [0.0]), (rhs[:2], [0.0]), (rhs[:2, :-1], [0.0, 0.0]),
                                (rhs[:2], [[0.0, 0.0]]), (rhs[:1], 0.0), (rhs[None, :2], [0.0])):
         with pytest.raises(DomainError, match="block"):
