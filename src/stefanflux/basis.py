@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_integer
+from .errors import DomainError, check_integer, check_real
 
 __all__ = ["HeatPolynomialBasis", "RowTable"]
 ORDER_BOUND = 1000  # orders lie below it: order N fills N + 1 rows per node, and nodes grow with N
@@ -67,10 +67,7 @@ class HeatPolynomialBasis:
     """
 
     def __init__(self, diffusivity, max_order):
-        diffusivity = float(diffusivity)
-        if not 0.0 < diffusivity < math.inf:  # nan fails it
-            raise DomainError(f"diffusivity must be a positive finite number, got {diffusivity}")
-        self.diffusivity = diffusivity
+        self.diffusivity = check_real(diffusivity, "diffusivity", positive=True)
         self.max_order = check_integer(max_order, "max_order", 0, ORDER_BOUND)
 
     def __repr__(self):

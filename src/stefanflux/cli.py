@@ -8,8 +8,8 @@ Subcommands:
 
 Each command runs --benchmark or a config file's family, a sweep one problem
 per horizon.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-Flags override the entries of an optional key = value config file.  CSV floats
-carry 17 significant digits, so identical runs write byte-identical files.
+A flag beats a key = value config file, which beats the command's default.  CSV
+floats carry 17 significant digits, so identical runs write byte-identical files.
 """
 
 import argparse
@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from .assembly import CollocationScheme, preset_scheme
-from .errors import DomainError, NumericalError, SingularMatrixError, check_real
-from .experiments import SweepGrid, run_case, run_sweep
+from .errors import DomainError, NumericalError, check_real
+from .experiments import SweepGrid, _error_tag, run_case, run_sweep
 from .noise import MODES, NoiseSpec, check_seed
 from .problem import benchmark_problem, linear_boundary_problem, sqrt_boundary_problem
 
@@ -96,37 +96,32 @@ def _parse_list(text, kind):
         raise DomainError(f"bad list {text!r}: {exc}") from exc
 
 
-def _merged(args, config):
-    """Flag value if given, else config file value, else the supplied default."""
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        return flag if flag is not None else config.get(name, default)
-    return pick
+# Each family's factory and the parameters a config file must set, in the factory's order.
+FAMILIES = {"linear": (linear_boundary_problem, ("p0", "p1")),
+            "sqrt": (sqrt_boundary_problem, ("alpha", "t0"))}
+MATERIAL_KEYS = ("diffusivity", "conductivity", "latent_heat", "density", "melt_temperature")
 
 
-def _resolve_problem(pick, horizon):
-    """The benchmark or family problem that the flags and config file name, at horizon."""
-    benchmark, family = pick("benchmark", None), pick("family", None)
-    if benchmark is not None and family is not None:
-        raise DomainError("specify either benchmark or family, not both")
+def _resolve_problem(options, horizon):
+    """The benchmark or family problem that the options name, at horizon; a family's
+    factory supplies each material constant that the config file does not set."""
+    family = options.get("family")
     if family is None:
-        return benchmark_problem(benchmark if benchmark is not None else "example1", horizon)
-    physical = dict(
-        horizon=horizon,
-        diffusivity=float(pick("diffusivity", 1.0)),
-        conductivity=float(pick("conductivity", 1.0)),
-        latent_heat=float(pick("latent_heat", 1.0)),
-        density=float(pick("density", 1.0)),
-        melt_temperature=float(pick("melt_temperature", 0.0)),
-    )
+        return benchmark_problem(options.get("benchmark", "example1"), horizon)
+    if "benchmark" in options:
+        raise DomainError("specify either benchmark or family, not both")
+    if family not in FAMILIES:
+        raise DomainError(f"family must be 'linear' or 'sqrt', got {family!r}")
+    factory, names = FAMILIES[family]
+    missing = [name for name in names if name not in options]
+    if missing:
+        raise DomainError(f"the {family} family needs {' and '.join(names)}; "
+                          f"missing {' and '.join(missing)}")
+    material = {key: options[key] for key in MATERIAL_KEYS if key in options}
     try:
-        if family == "linear":
-            return linear_boundary_problem(pick("p0", None), pick("p1", None), **physical)
-        if family == "sqrt":
-            return sqrt_boundary_problem(pick("alpha", None), pick("t0", None), **physical)
-    except (TypeError, ValueError) as exc:
+        return factory(*(options[name] for name in names), horizon=horizon, **material)
+    except ValueError as exc:
         raise DomainError(f"bad {family} family parameters: {exc}") from exc
-    raise DomainError(f"family must be 'linear' or 'sqrt', got {family!r}")
 
 
 def _common_flags(sub):
@@ -168,33 +163,33 @@ def build_parser():
     return parser
 
 
-def _out_dir(pick):
+def _out_dir(options):
     """--out as a Path; a file there or in its way is rejected before any case runs."""
-    out = Path(pick("out", "."))
+    out = Path(options.get("out", "."))
     existing = next((p for p in (out, *out.parents) if p.exists()), out)
     if not existing.is_dir():
         raise DomainError(f"--out {out}: {existing} exists and is not a directory")
     return out
 
 
-def _case_setup(pick):
+def _case_setup(options):
     """Problem, order, scheme, beta, samples, seed, noise mode and levels of a case."""
-    problem = _resolve_problem(pick, float(pick("horizon", 1.0)))
-    order = int(pick("order", 12))
-    quad = int(pick("quad", 16))
-    scheme = _parse_scheme(pick("scheme", None), quad) or preset_scheme(order, quad)
+    problem = _resolve_problem(options, options.get("horizon", 1.0))
+    order = options.get("order", 12)
+    quad = options.get("quad", 16)
+    scheme = _parse_scheme(options.get("scheme"), quad) or preset_scheme(order, quad)
     # beta and seed are checked here, before any command creates its output directory.
-    return (problem, order, scheme, check_real(pick("beta", 0.0), "beta"),
-            int(pick("samples", 101)), check_seed(pick("seed", 0)),
-            pick("noise_mode", "relative"), _parse_list(pick("noise", "0"), float))
+    return (problem, order, scheme, check_real(options.get("beta", 0.0), "beta"),
+            options.get("samples", 101), check_seed(options.get("seed", 0)),
+            options.get("noise_mode", "relative"), _parse_list(options.get("noise", "0"), float))
 
 
-def cmd_solve(pick):
-    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
+def cmd_solve(options):
+    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(options)
     if len(levels) != 1:
         raise DomainError("solve takes a single noise level")
     noise = NoiseSpec(levels[0], seed, mode)
-    out = _out_dir(pick)
+    out = _out_dir(options)
     report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
                       flux_samples=samples)
     # run_case validates the samples and scheme; --out is made after it.
@@ -228,21 +223,21 @@ def cmd_solve(pick):
     return 0
 
 
-def cmd_sweep(pick):
-    orders = _parse_list(pick("orders", None) or pick("order", 12), int)
-    betas = _parse_list(pick("betas", None) or pick("beta", 0.0), float)
-    horizons = _parse_list(pick("horizons", None) or pick("horizon", 1.0), float)
-    seeds = _parse_list(pick("seeds", None) or pick("seed", 0), int)
-    levels = _parse_list(pick("noise", "0"), float)
-    quad = int(pick("quad", 16))
-    scheme = _parse_scheme(pick("scheme", None), quad)
+def cmd_sweep(options):
+    orders = _parse_list(options.get("orders") or options.get("order", 12), int)
+    betas = _parse_list(options.get("betas") or options.get("beta", 0.0), float)
+    horizons = _parse_list(options.get("horizons") or options.get("horizon", 1.0), float)
+    seeds = _parse_list(options.get("seeds") or options.get("seed", 0), int)
+    levels = _parse_list(options.get("noise", "0"), float)
+    quad = options.get("quad", 16)
     grid = SweepGrid(orders=orders, betas=betas, noise_levels=levels, seeds=seeds,
-                     horizons=horizons, benchmark=lambda horizon: _resolve_problem(pick, horizon),
-                     scheme_override=scheme, noise_mode=pick("noise_mode", "relative"),
-                     quadrature_order=quad)
-    out = _out_dir(pick)
+                     horizons=horizons,
+                     benchmark=lambda horizon: _resolve_problem(options, horizon),
+                     scheme_override=_parse_scheme(options.get("scheme"), quad),
+                     noise_mode=options.get("noise_mode", "relative"), quadrature_order=quad)
+    out = _out_dir(options)
     # run_sweep validates jobs, then builds each horizon's problem; --out is made after it.
-    result = run_sweep(grid, jobs=int(pick("jobs", 1)))
+    result = run_sweep(grid, jobs=options.get("jobs", 1))
     out.mkdir(parents=True, exist_ok=True)
     rows = result.aggregate()
     _write_csv(out / "sweep.csv",
@@ -266,15 +261,15 @@ def cmd_sweep(pick):
     return 0
 
 
-def cmd_plotdata(pick):
-    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(pick)
+def cmd_plotdata(options):
+    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(options)
     if not levels:
         raise DomainError("plotdata needs at least one noise level")
     tokens = [format(level, "g") for level in levels]
     if len(set(tokens)) != len(tokens):
         raise DomainError(f"noise levels {list(levels)} would share file names {tokens}")
     noises = [NoiseSpec(level, seed, mode) for level in levels]
-    out = _out_dir(pick)
+    out = _out_dir(options)
     reports = [run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
                         flux_samples=samples) for noise in noises]
     out.mkdir(parents=True, exist_ok=True)
@@ -300,17 +295,12 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         config = load_config(args.config) if args.config else {}
-        pick = _merged(args, config)
-        return COMMANDS[args.command](pick)
-    except ValueError as exc:
-        print(json.dumps({"error": "config_error", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except SingularMatrixError as exc:
-        print(json.dumps({"error": "singular_matrix", "message": str(exc)}), file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(json.dumps({"error": "numerical_error", "message": str(exc)}), file=sys.stderr)
-        return 3
+        options = config | {k: v for k, v in vars(args).items() if v is not None}
+        return COMMANDS[args.command](options)
+    except (ValueError, NumericalError) as exc:
+        tag = _error_tag(exc) if isinstance(exc, NumericalError) else "config_error"
+        print(json.dumps({"error": tag, "message": str(exc)}), file=sys.stderr)
+        return 2 if tag == "config_error" else 3
 
 
 if __name__ == "__main__":

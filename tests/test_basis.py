@@ -179,8 +179,10 @@ def test_combination_broadcasts_like_pointwise_loop():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        HeatPolynomialBasis(0.0, 4)
+    # None used to raise a bare TypeError and 10**400 a bare OverflowError.
+    for diffusivity in (0.0, None, 10 ** 400):
+        with pytest.raises(ValueError):
+            HeatPolynomialBasis(diffusivity, 4)
     with pytest.raises(ValueError):
         HeatPolynomialBasis(1.0, -1)
     basis = HeatPolynomialBasis(1.0, 4)

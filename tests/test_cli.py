@@ -213,9 +213,16 @@ def test_flag_errors_exit_2(tmp_path, capsys):
                 "--out", out)[0] == 2
     # Only solve and plotdata draw a flux curve; sweep used to accept --samples and ignore it.
     assert _run(capsys, "sweep", "--orders", "8", "--samples", "5", "--out", out)[0] == 2
+    # A missing family parameter is named; it used to get float()'s message about None.
     incomplete = tmp_path / "incomplete.cfg"
-    incomplete.write_text("family = linear\n")
-    assert _run(capsys, "solve", "--config", str(incomplete), "--out", out)[0] == 2
+    for text, message in (("family = linear\n",
+                           "the linear family needs p0 and p1; missing p0 and p1"),
+                          ("family = sqrt\nalpha = 0.6\n",
+                           "the sqrt family needs alpha and t0; missing t0")):
+        incomplete.write_text(text)
+        code, _, err = _run(capsys, "solve", "--config", str(incomplete), "--out", out)
+        error = json.loads(err.strip().splitlines()[-1])
+        assert (code, error["error"], error["message"]) == (2, "config_error", message)
     unknown = tmp_path / "unknown_family.cfg"
     unknown.write_text("family = cubic\n")
     assert _run(capsys, "solve", "--config", str(unknown), "--out", out)[0] == 2
@@ -432,6 +439,27 @@ def test_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out == "1.72e-07 3.69e-08\n"
+
+
+def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
+    # The README's run.cfg and each of its command lines, run through main in one directory.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    (tmp_path / "run.cfg").write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+    script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [line.split()[3:] for line in script.splitlines()
+                if line.startswith("python3 -m stefanflux ")]
+    assert [argv[0] for argv in commands] == ["solve", "solve", "sweep", "sweep", "plotdata"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    written = ["run1/report.json", "run1/flux_curve.csv", "report.json", "flux_curve.csv",
+               "sweep.csv", "table1_style.csv", "linear_sweep/sweep.csv",
+               "linear_sweep/table1_style.csv"]
+    written += [f"{kind}_eps_{level}.csv" for kind in ("flux", "abs_error")
+                for level in ("0", "0.01", "0.05")]
+    assert [name for name in written if not (tmp_path / name).is_file()] == []
 
 
 def test_public_names_resolve_once():

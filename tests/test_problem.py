@@ -195,13 +195,20 @@ def test_factory_validation():
         sqrt_boundary_problem(0.5, 0.0)
     with pytest.raises(DomainError):
         example1(horizon=0.0)
-    # The factories divide by these; zero used to raise ZeroDivisionError or warn.
+    # The factories divide by these; zero used to raise ZeroDivisionError or warn, and the
+    # others a bare TypeError, "truth value is ambiguous" ValueError or OverflowError.
     for name in ("diffusivity", "conductivity", "latent_heat", "density"):
-        for value in (0.0, -1.0, math.nan):
+        for value in (0.0, -1.0, math.nan, None, "1", np.ones(2), 10 ** 400):
             with pytest.raises(DomainError, match=name):
                 linear_boundary_problem(0.4, 0.7, **{name: value})
             with pytest.raises(DomainError, match=name):
                 sqrt_boundary_problem(0.6, 0.16, **{name: value})
+    # None used to raise a bare TypeError, and 10**400 passed the check.
+    for value in (math.inf, None, 10 ** 400):
+        with pytest.raises(DomainError, match="melt_temperature must be finite"):
+            linear_boundary_problem(0.4, 0.7, melt_temperature=value)
+        with pytest.raises(DomainError, match="melt_temperature must be finite"):
+            sqrt_boundary_problem(0.6, 0.16, melt_temperature=value)
     with pytest.raises(DomainError):
         StefanProblem(
             diffusivity=1.0, conductivity=-1.0, latent_heat=1.0, density=1.0,
@@ -274,7 +281,7 @@ def test_family_boundary_checks_cover_rebuilt_problems():
     with pytest.raises(DomainError) as caught:
         dataclasses.replace(linear_boundary_problem(0.4, 1e300), horizon=np.float64(1e10))
     assert str(caught.value) == _BOUNDARY
-    for value in (math.nan, -1.0, 10 ** 400):
+    for value in (math.nan, -1.0, 10 ** 400, None, "1"):
         with pytest.raises(DomainError) as caught:
             dataclasses.replace(example2(), horizon=value)
         assert str(caught.value) == _horizon(value)
