@@ -80,7 +80,10 @@ _preset = lru_cache(maxsize=None)(CollocationScheme)  # on checked counts: one s
 
 
 def check_scheme_size(scheme, size):
-    """scheme; DomainError unless its rows number size, the basis size N + 1."""
+    """scheme; DomainError unless it is a CollocationScheme whose rows number size, the basis
+    size N + 1."""
+    if not isinstance(scheme, CollocationScheme):
+        raise DomainError(f"scheme must be a CollocationScheme, got {scheme!r}")
     if scheme.size != size:
         raise DomainError(f"scheme rows ({scheme.size}) must equal basis size ({size}); "
                           f"adjust the partition counts to sum to max_order + 1")

@@ -63,8 +63,9 @@ class SolveReport:
 
 
 def _norms(rows):
-    """The 2-norm of each row as a stacked dot, which rounds as np.linalg.norm does, and of a row
-    whose squares alone overflow as scale * norm(row / scale), scale = max |row|."""
+    """The 2-norm of each row of an (h, n) block, h = 1 included, as a stacked dot, which rounds
+    as np.linalg.norm does, and of a row whose squares alone overflow as scale * norm(row / scale),
+    scale = max |row|."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
         for i in np.flatnonzero(np.isinf(norms)):  # a non-finite row comes out nan
@@ -89,7 +90,8 @@ class _Horizon:
             for order in orders:
                 try:
                     self.schemes[order] = key = check_scheme_size(
-                        scheme or preset_scheme(order, quadrature_order), order + 1)
+                        preset_scheme(order, quadrature_order) if scheme is None else scheme,
+                        order + 1)
                 except DomainError as exc:
                     self.schemes[order] = exc
                     continue
@@ -174,11 +176,7 @@ class _Group:
             rhs = np.array([self._rhs(level, seed) for _, level, seed in cells])
             coeffs = self.factors.solve_rows(rhs, betas)
             with np.errstate(over="ignore", invalid="ignore"):
-                if len(rhs) == 1:  # one cell, run_case's path: vectors have less overhead
-                    norm = math.sqrt((d := self.system.matrix @ coeffs[0] - rhs[0]) @ d)
-                    norms = [norm] if norm != math.inf else _norms(d[None]).tolist()
-                else:
-                    norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
+                norms = _norms(_gemvs(self.system.matrix, coeffs) - rhs).tolist()
             if not all(map(math.isfinite, norms)):
                 raise NumericalError("residual norm is not finite")
             deltas_p, deltas_u = (error(coeffs) for error in self._errors)
@@ -191,9 +189,11 @@ class _Group:
 def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101):
     """Assemble, solve, and measure one reconstruction: a sweep group of one cell.
 
-    noise is an optional NoiseSpec; beta = 0 selects the direct solve and
+    noise is None or a NoiseSpec; beta = 0 selects the direct solve and
     beta > 0 the Tikhonov-damped solve on normalized coefficients.
     """
+    if not isinstance(noise, (NoiseSpec, type(None))):
+        raise DomainError(f"noise must be a NoiseSpec or None, got {noise!r}")
     level, seed, mode = (noise.level, noise.seed, noise.mode) if noise else (0.0, 0, "relative")
     shared = _Horizon(problem, (order,), scheme, flux_samples=flux_samples)
     group = _Group(shared, order, seeds=(seed,), mode=mode)
@@ -202,9 +202,9 @@ def run_case(problem, order, beta=0.0, scheme=None, noise=None, flux_samples=101
         raise outcome
     coeffs, cond, res_norm, rhs, dp, du = outcome
     with np.errstate(over="ignore", invalid="ignore"):
-        flux_rows, rhs_norm = shared.basis.rows(shared.table, order, 2)[0], math.sqrt(rhs @ rhs)
+        flux_rows = shared.basis.rows(shared.table, order, 2)[0]
     curve = flux_curve(coeffs, problem, group.basis, flux_samples, flux_rows)
-    rhs_norm = float(_norms(rhs[None])[0]) if rhs_norm == math.inf else rhs_norm
+    rhs_norm = float(_norms(rhs[None])[0])
     return SolveReport(tuple(coeffs.tolist()), group.scheme, float(beta), cond, res_norm,
                        res_norm / rhs_norm if rhs_norm else float("inf"), dp, du,
                        max(curve, key=itemgetter(3))[3], tuple(curve))
@@ -236,6 +236,9 @@ class SweepGrid:
         if not callable(self.benchmark):
             object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))
+        if not isinstance(self.scheme_override, (CollocationScheme, type(None))):
+            raise DomainError(f"scheme_override must be a CollocationScheme or None, "
+                              f"got {self.scheme_override!r}")
         for name in ("orders", "betas", "noise_levels", "seeds", "horizons"):
             if not (values := getattr(self, name)):
                 raise DomainError(f"{name} must be non-empty")

@@ -4,17 +4,17 @@ A Factorization checks once that its matrix is finite (errors.check_finite, as e
 right sides and solutions is) and computes each SVD at its first use: that of the
 column-equilibrated A for the beta = 0 rank test and solve, that of B = A diag(1/n!) for every
 beta > 0 solve and condition number, and the singular values of A for the beta = 0 condition
-number.  solve_rows solves a block of right sides, a beta per row, in one stacked product per
-kind of beta with a gemv per row, so each row equals its solve alone.  The functions below
-factor their system's matrix for one use; a sweep group keeps one Factorization for all its
-cells, since noisy data changes only the right side.
+number.  solve_rows solves a block of right sides of any height, a beta per row, in one stacked
+product per kind of beta with a gemv per row, so each row equals its solve, a block of one.
+The functions below factor their system's matrix for one use; a sweep group keeps one
+Factorization for all its cells, since noisy data changes only the right side.
 """
 
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SingularMatrixError, check_finite, check_real
+from .errors import DomainError, SingularMatrixError, check_finite, check_integer, check_real
 
 __all__ = [
     "Factorization",
@@ -31,8 +31,8 @@ PIVOT_RTOL = 1e-14
 
 
 def _gemvs(matrix, rows):
-    """matrix @ row for a row or each row of a block: a gemv per row (a gemm rounds differently)."""
-    return matrix @ rows if rows.ndim == 1 else (matrix @ rows[:, :, None])[:, :, 0]
+    """matrix @ row for each row of an (h, n) block: a gemv per row (a gemm rounds differently)."""
+    return (matrix @ rows[:, :, None])[:, :, 0]
 
 
 def penalty_weights(size):
@@ -44,6 +44,7 @@ def penalty_weights(size):
     n!), so that a single beta acts evenly across orders.  Weights are built
     multiplicatively; no factorial overflow for sizes up to 31.
     """
+    size = check_integer(size, "size", 1)
     weights = np.empty(size)
     weights[0] = 1.0
     for n in range(1, size):
@@ -52,12 +53,14 @@ def penalty_weights(size):
 
 
 class Factorization:
-    """The SVDs of one finite square matrix A that solves and condition numbers need."""
+    """The SVDs of one finite, square, non-empty matrix A that solves and condition numbers need."""
 
     def __init__(self, matrix):
         shape = np.shape(matrix)
         if len(shape) != 2 or shape[0] != shape[1]:
             raise DomainError(f"matrix must be square, got shape {shape}")
+        if not shape[0]:  # its SVDs have no largest or smallest singular value
+            raise DomainError(f"matrix must have at least one row, got shape {shape}")
         check_finite(matrix, "matrix contains non-finite entries")
         self.matrix = matrix
         self._conds = {}  # beta -> condition number: a sweep group's records share one float
@@ -92,8 +95,8 @@ class Factorization:
         norms; a loss of rank raises SingularMatrixError with the count of scaled singular
         values above PIVOT_RTOL times the largest.  At beta > 0, y = n! c = V diag(sigma /
         (sigma^2 + beta)) U^T b for the SVD of B minimizes ||A c - b||^2 + beta ||y||^2.
-        Each mat-vec is a gemv per row, so a row rounds as it does alone (one row runs as
-        vectors: less overhead).  A non-finite right side or solution raises NumericalError.
+        Each mat-vec is a gemv per row, so a row rounds as it does alone, at any height h.  A
+        non-finite right side or solution raises NumericalError.
         """
         rhs, betas = np.asarray(rhs, dtype=float), np.asarray(betas, dtype=float)
         listed = betas.tolist()
@@ -107,19 +110,18 @@ class Factorization:
             for kind in (~damped, damped):
                 coeffs[kind] = self.solve_rows(rhs[kind], betas[kind], subject)
             return coeffs
-        b, beta = (rhs[0], listed[0]) if len(rhs) == 1 else (rhs, betas[:, None])
         with np.errstate(over="ignore", invalid="ignore"):
             if any(listed):
                 u, sigma, vt, weights = self._normalized
-                coeffs = _gemvs(vt.T, _gemvs(u.T, b) * (sigma / (sigma * sigma + beta))) * weights
+                filters = sigma / (sigma * sigma + betas[:, None])
+                coeffs = _gemvs(vt.T, _gemvs(u.T, rhs) * filters) * weights
             else:
                 u, sigma, vt, norms, rank = self._equilibrated
                 if rank < sigma.size:
                     raise SingularMatrixError(rank, f"{subject} numerically singular at pivot "
                                                     f"{rank} (rank {rank} of {sigma.size})")
-                coeffs = _gemvs(vt.T, _gemvs(u.T, b) / sigma) / norms
-        return check_finite(coeffs, "solution contains non-finite entries").reshape(
-            len(rhs), self.matrix.shape[1])
+                coeffs = _gemvs(vt.T, _gemvs(u.T, rhs) / sigma) / norms
+        return check_finite(coeffs, "solution contains non-finite entries")
 
     def condition_number(self, beta=0.0):
         """sigma_max / sigma_min of A at beta = 0; at beta > 0 the condition

@@ -1,6 +1,7 @@
 """Collocation assembly: pinned entries, quadrature stability, invariances."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,13 @@ def test_size_mismatch_rejected():
     basis = HeatPolynomialBasis(1.0, 8)
     with pytest.raises(ValueError, match="sum to max_order"):
         assemble(prob, basis, preset_scheme(12))
+    # A tuple raised a bare AttributeError; run_case took an empty one for no scheme.
+    for bad in ((5, 3, 1), ()):
+        message = rf"^scheme must be a CollocationScheme, got {re.escape(repr(bad))}$"
+        with pytest.raises(DomainError, match=message):
+            assemble(prob, basis, bad)
+        with pytest.raises(DomainError, match=message):
+            run_case(prob, 8, scheme=bad)
 
 
 def _flat_interface_problem(initial_profile):

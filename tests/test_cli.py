@@ -359,6 +359,13 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert code == 3
     payload = json.loads(err.strip().splitlines()[-1])
     assert payload["error"] == "numerical_error"
+    # At N=32 the smallest scaled singular value of example1's matrix, 7.8e-16, is 13x below
+    # PIVOT_RTOL; the rank it reports has only a 2x margin, so it is not asserted.
+    code, _, err = _run(capsys, "solve", "--order", "32", "--out", str(tmp_path / "n32"))
+    assert code == 3
+    payload = json.loads(err.strip().splitlines()[-1])
+    assert payload["error"] == "singular_matrix"
+    assert payload["message"].startswith("matrix is numerically singular at pivot ")
 
 
 def test_argparse_paths(capsys):

@@ -151,6 +151,10 @@ def test_grid_validation():
         run_sweep(SweepGrid(orders=(8,), horizons=(2.0,), benchmark=lambda horizon: example1()))
     with pytest.raises(ValueError, match="noise_mode"):
         SweepGrid(orders=(8,), noise_levels=(0.0, 0.01), noise_mode="bogus")
+    # A tuple failed in run_sweep with a bare AttributeError, which _Horizon did not catch.
+    with pytest.raises(DomainError, match=r"^scheme_override must be a CollocationScheme or "
+                                          r"None, got \(5, 3, 1\)$"):
+        SweepGrid(orders=(8,), scheme_override=(5, 3, 1))
     # Seeds outside [0, 2**64) used to alias: 2**64 drew seed 0's noise.
     for seed in (-1, 2 ** 64, 0.5):
         with pytest.raises(DomainError, match="seed"):

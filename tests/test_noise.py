@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stefanflux import (DomainError, NoiseSpec, SweepGrid, benchmark_problem, example1,
-                        example2, preset_scheme)
+                        example2, preset_scheme, run_case)
 from stefanflux import noise
 from stefanflux.assembly import stefan_nodes
 from stefanflux.noise import check_seed, scale_draws, standard_draws
@@ -128,6 +128,10 @@ def test_spec_validation():
         with pytest.raises(DomainError, match="seed"):
             NoiseSpec(0.01, seed=seed)
     assert NoiseSpec(0.01, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    # A bare level raised "AttributeError: 'float' object has no attribute 'level'".
+    for bad in (0.01, (0.01, 3)):
+        with pytest.raises(DomainError, match=r"^noise must be a NoiseSpec or None, got "):
+            run_case(example1(), 8, noise=bad)
 
 
 def test_draws_match_a_pure_python_reference():

@@ -171,6 +171,11 @@ def test_penalty_weights_are_inverse_factorials():
     weights = penalty_weights(31)
     for n in range(31):
         assert weights[n] == pytest.approx(1.0 / math.factorial(n), rel=1e-13)
+    # 0 raised a bare IndexError, -1 numpy's ValueError and 2.5 a TypeError.
+    for bad in (0, -1, 2.5):
+        with pytest.raises(DomainError,
+                           match=rf"^size must be an integer in \[1, 2\*\*63\), got {bad}$"):
+            penalty_weights(bad)
 
 
 def test_solve_dispatch_and_validation():
@@ -206,6 +211,14 @@ def test_non_square_matrix_rejected_at_construction():
             Factorization(rng.standard_normal(shape))
     with pytest.raises(DomainError, match="square"):
         Factorization(rng.standard_normal((20, 8))).solve(np.ones(20), 1e-3)
+    # A 0 x 0 system raised a bare IndexError at sigma[0] or sigma[-1].
+    empty = _system(np.zeros((0, 0)), np.zeros(0))
+    for call in (lambda: Factorization(empty.matrix), lambda: solve_direct(empty),
+                 lambda: solve_tikhonov(empty, 1e-3), lambda: condition_number(empty),
+                 lambda: condition_number(empty, 1e-3)):
+        with pytest.raises(DomainError,
+                           match=r"^matrix must have at least one row, got shape \(0, 0\)$"):
+            call()
 
 
 def test_nonfinite_matrix_rejected():
@@ -258,10 +271,11 @@ def test_overflowing_solution_raises_numerical_error():
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_block_solve_equals_rows_alone(name, order):
     # A block of right sides solves as one stacked product per kind of beta, a
-    # gemv per row, so each row equals its own solve and the one-row formulas
-    # bit for bit, at any height and any mix of betas; so do a sweep group's
-    # stacked residual norms and np.linalg.norm, and its coefficients and
-    # deltas equal run_case's.
+    # gemv per row, so each row equals its own solve and the one-row vector
+    # formulas (the test's reference; the package has no one-row path) bit for
+    # bit, at any height, one included, and any mix of betas; so do a sweep group's stacked
+    # residual norms and np.linalg.norm, and its coefficients, condition
+    # numbers, residual norms and deltas equal run_case's, a block of one.
     prob = benchmark_problem(name)
     system = assemble(prob, HeatPolynomialBasis(prob.diffusivity, order), preset_scheme(order))
     factors = Factorization(system.matrix)
@@ -289,8 +303,9 @@ def test_block_solve_equals_rows_alone(name, order):
         assert res_norm == float(np.linalg.norm(system.matrix @ coeffs - b))
         assert cond == factors.condition_number(beta)
         report = run_case(prob, order, beta, noise=NoiseSpec(level, seed))
-        assert (tuple(coeffs.tolist()), dp, du) == (report.coefficients, report.delta_p,
-                                                    report.delta_u)
+        assert (tuple(coeffs.tolist()), cond, res_norm, dp, du) == (
+            report.coefficients, report.condition_number, report.residual_norm,
+            report.delta_p, report.delta_u)
     for bad_rhs, bad_betas in ((rhs[0], [0.0]), (rhs[:2], [0.0]), (rhs[:2, :-1], [0.0, 0.0]),
                                (rhs[:2], [[0.0, 0.0]]), (rhs[:1], 0.0), (rhs[None, :2], [0.0])):
         with pytest.raises(DomainError, match="block"):
