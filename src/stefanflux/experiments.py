@@ -6,12 +6,12 @@ sets (delta_p's, delta_u's and every scheme's interface nodes) are built once, a
 first group's build fills the table up to the largest order.  A group, the cells sharing
 (horizon, order), which the grid emits contiguously, builds its clean system and one
 Factorization of its matrix once, its seeds' noise in one block, and each level's right
-sides in one block.  Then, 8 cells at a time, _Group.run takes one try: it copies
+sides in one block.  Then, 32 cells at a time, _Group.run takes one try: it copies
 their right sides into one block, solves it in one Factorization.solve_rows call (a
 gemv per row, so each cell's bits are its own), checks their residual norms, taken
-as stacked dots, and measures the block.  Memory holds one horizon's table and one
-group; run_case is a horizon of one order, whose table also holds the flux samples,
-and a group of one cell run as a block of one.
+as stacked dots, measures the block and takes each distinct beta's condition number once.
+Memory holds one horizon's table and one group; run_case is a horizon of one order, whose
+table also holds the flux samples, and a group of one cell run as a block of one.
 
 Failures become records with an error tag and nan metrics: all cells of a
 group that fails to build, or one cell, as when its seed's row, solution,
@@ -182,7 +182,8 @@ class _Group:
             deltas_p, deltas_u = (error(coeffs) for error in self._errors)
         except _CELL_ERRORS as exc:
             return [exc] if len(cells) == 1 else [self.run([cell])[0] for cell in cells]
-        return [(c, self.factors.condition_number(beta), norm, b, dp, du)
+        conds = {beta: self.factors.condition_number(beta) for beta in dict.fromkeys(betas)}
+        return [(c, conds[beta], norm, b, dp, du)
                 for beta, c, norm, b, dp, du in zip(betas, coeffs, norms, rhs, deltas_p, deltas_u)]
 
 
@@ -298,8 +299,8 @@ def _error_tag(exc):
 _CELL_ERRORS = (DomainError, NumericalError, FloatingPointError, OverflowError)
 
 
-# Cells solved and measured as one block: delta_u's block holds 8 x 4,096 floats.
-_BLOCK = 8
+# Cells solved and measured as one block: delta_u's block holds 32 x 4,096 floats (1 MB).
+_BLOCK = 32
 
 
 def _evaluate_group(grid, shared, cells):

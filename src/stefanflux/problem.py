@@ -61,6 +61,10 @@ class BenchmarkId(str, Enum):
     def __call__(self, horizon=1.0):
         return (example1 if self is BenchmarkId.EXAMPLE1 else example2)(horizon)
 
+    @classmethod
+    def _missing_(cls, value):  # in place of Enum's plain ValueError
+        raise DomainError(f"benchmark must be 'example1' or 'example2', got {value!r}")
+
 
 def _check_material(*values):
     for name, value in zip(("diffusivity", "conductivity", "latent_heat", "density"), values):

@@ -4,8 +4,8 @@ A Factorization checks once that its matrix is finite (errors.check_finite, as e
 right sides and solutions is) and computes each SVD at its first use: that of the
 column-equilibrated A for the beta = 0 rank test and solve, that of B = A diag(1/n!) for every
 beta > 0 solve and condition number, and the singular values of A for the beta = 0 condition
-number.  solve_rows solves a block of right sides of any height, a beta per row, in one stacked
-product per kind of beta with a gemv per row, so each row equals its solve, a block of one.
+number.  solve_rows solves a block of right sides of any height, a beta per row, in one pass:
+a stacked product per kind of beta with a gemv per row, so each row equals its solve alone.
 The functions below factor their system's matrix for one use; a sweep group keeps one
 Factorization for all its cells, since noisy data changes only the right side.
 """
@@ -95,8 +95,9 @@ class Factorization:
         norms; a loss of rank raises SingularMatrixError with the count of scaled singular
         values above PIVOT_RTOL times the largest.  At beta > 0, y = n! c = V diag(sigma /
         (sigma^2 + beta)) U^T b for the SVD of B minimizes ||A c - b||^2 + beta ||y||^2.
-        Each mat-vec is a gemv per row, so a row rounds as it does alone, at any height h.  A
-        non-finite right side or solution raises NumericalError.
+        Each mat-vec is a gemv per row, so a row rounds as it does alone, at any height h and in
+        any mix of betas; the beta = 0 rows go first, so their rank test raises first, and an
+        empty block tests nothing.  A non-finite right side or solution raises NumericalError.
         """
         rhs, betas = np.asarray(rhs, dtype=float), np.asarray(betas, dtype=float)
         listed = betas.tolist()
@@ -105,22 +106,20 @@ class Factorization:
             raise DomainError(f"expected an (h, {len(self.matrix)}) block of right sides and h "
                               f"finite betas >= 0, got shape {rhs.shape} and {listed}")
         check_finite(rhs, "right-hand side contains non-finite entries")
-        if 0.0 in listed and any(listed):  # both kinds: each on its own factors
-            coeffs, damped = np.empty((len(rhs), self.matrix.shape[1])), betas > 0.0
-            for kind in (~damped, damped):
-                coeffs[kind] = self.solve_rows(rhs[kind], betas[kind], subject)
-            return coeffs
+        zero, damped = ((betas == 0.0, betas > 0.0) if 0.0 in listed and any(listed)
+                        else (slice(None), slice(None)))  # one kind: the whole block, unmasked
+        coeffs = np.empty((len(rhs), self.matrix.shape[1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            if any(listed):
-                u, sigma, vt, weights = self._normalized
-                filters = sigma / (sigma * sigma + betas[:, None])
-                coeffs = _gemvs(vt.T, _gemvs(u.T, rhs) * filters) * weights
-            else:
+            if 0.0 in listed:
                 u, sigma, vt, norms, rank = self._equilibrated
                 if rank < sigma.size:
                     raise SingularMatrixError(rank, f"{subject} numerically singular at pivot "
                                                     f"{rank} (rank {rank} of {sigma.size})")
-                coeffs = _gemvs(vt.T, _gemvs(u.T, rhs) / sigma) / norms
+                coeffs[zero] = _gemvs(vt.T, _gemvs(u.T, rhs[zero]) / sigma) / norms
+            if any(listed):
+                u, sigma, vt, weights = self._normalized
+                filters = sigma / (sigma * sigma + betas[damped, None])
+                coeffs[damped] = _gemvs(vt.T, _gemvs(u.T, rhs[damped]) * filters) * weights
         return check_finite(coeffs, "solution contains non-finite entries")
 
     def condition_number(self, beta=0.0):

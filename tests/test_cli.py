@@ -226,6 +226,12 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     unknown = tmp_path / "unknown_family.cfg"
     unknown.write_text("family = cubic\n")
     assert _run(capsys, "solve", "--config", str(unknown), "--out", out)[0] == 2
+    # A config file's unknown preset used to get the Enum's "is not a valid BenchmarkId".
+    unknown.write_text("benchmark = example3\n")
+    code, _, err = _run(capsys, "solve", "--config", str(unknown), "--out", out)
+    error = json.loads(err.strip().splitlines()[-1])
+    assert (code, error["error"], error["message"]) == (
+        2, "config_error", "benchmark must be 'example1' or 'example2', got 'example3'")
     # A zero material parameter used to divide before it was checked.
     for family in ("family = linear\np0 = 0.4\np1 = 0.7\n",
                    "family = sqrt\nalpha = 0.6\nt0 = 0.16\n"):

@@ -144,8 +144,11 @@ def test_grid_validation():
                 {"horizons": (None,)}, {"noise_levels": (0.01, "1")}):
         with pytest.raises(DomainError, match=f"^{next(iter(bad))} must be finite"):
             SweepGrid(orders=(8,), **bad)
-    with pytest.raises(ValueError):
-        SweepGrid(orders=(8,), benchmark="example9")
+    # A plain ValueError from the Enum used to name no preset.
+    for bad in ("example9", "x"):
+        with pytest.raises(DomainError, match=f"^benchmark must be 'example1' or 'example2', "
+                                              f"got '{bad}'$"):
+            SweepGrid(orders=(8,), benchmark=bad)
     # A function whose problem ignores the horizon it is given would mislabel its records.
     with pytest.raises(DomainError, match=r"^benchmark\(2.0\) built a problem of horizon 1.0$"):
         run_sweep(SweepGrid(orders=(8,), horizons=(2.0,), benchmark=lambda horizon: example1()))
@@ -543,16 +546,15 @@ def test_overflowing_solves_are_numerical_errors_without_errstate():
         assert report.residual_norm == scale * np.linalg.norm(d / scale)
 
 
-def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
-    # A group solves, checks and measures up to eight cells in one try, and a
+def test_cells_are_solved_then_measured_in_blocks_of_32(monkeypatch):
+    # A group solves, checks and measures up to 32 cells in one try, and a
     # block that fails goes again cell by cell; the records equal run_case's.
-    # Each group's 18 cells make blocks of 8, 8 and 2 cells, and the 7e307
-    # cells fail every block here.  At N=6 each block reaches one
-    # Factorization.solve_rows call (the second mixes betas, so it solves its
-    # beta = 0 row on its own factors first, height 1, and fails there), then
-    # a height-1 call per cell.  At N=8 seed 0's right side is not finite at
-    # 7e307, so the first two blocks fail before their solve, and only the
-    # seven cells of each with a finite right side reach a call of their own.
+    # Each group's 18 cells make one block, and the 7e307 cells fail it.  At
+    # N=6 the block reaches one Factorization.solve_rows call, which solves
+    # both kinds of beta in one pass, then a height-1 call per cell.  At N=8
+    # seed 0's right side is not finite at 7e307, so the block fails before its
+    # solve, and only the 16 cells with a finite right side reach a call of
+    # their own.  A group of 36 cells makes blocks of 32 and 4.
     heights = []
     solve_rows = experiments.Factorization.solve_rows
     monkeypatch.setattr(experiments.Factorization, "solve_rows",
@@ -563,8 +565,14 @@ def test_cells_are_solved_then_measured_in_blocks_of_eight(monkeypatch):
     records = run_sweep(grid).records
     solved = [rec.error is None for rec in records]
     assert solved == ([True] * 6 + [False] * 3) * 4
-    assert heights == ([8] + [1] * 8 + [8, 1] + [1] * 8 + [2] + [1] * 2
-                       + [1] * 7 + [1] * 7 + [2] + [1] * 2)
+    assert heights == [18] + [1] * 18 + [1] * 16
+    assert [_record_key(rec) for rec in records] == [_case_key(grid, cell)
+                                                     for cell in grid.cells()]
+    heights.clear()
+    grid = SweepGrid(orders=(6,), betas=(0.0, 1e-7), noise_levels=(0.01, 0.05, 0.1),
+                     seeds=range(6), noise_mode="constant")
+    records = run_sweep(grid).records
+    assert heights == [32, 4]
     assert [_record_key(rec) for rec in records] == [_case_key(grid, cell)
                                                      for cell in grid.cells()]
 

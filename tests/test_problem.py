@@ -1,6 +1,7 @@
 """Benchmark problem definitions: pinned values and PDE residual invariants."""
 
 import dataclasses
+import inspect
 import math
 
 import mpmath
@@ -173,8 +174,11 @@ def test_benchmark_factory():
         assert prob.label == "example1"
     prob = benchmark_problem("example2")
     assert prob.label == "example2"
-    with pytest.raises(ValueError):
-        benchmark_problem("example3")
+    # Enum's own "'x' is not a valid BenchmarkId" was a plain ValueError.
+    for bad in ("example3", "x", "EXAMPLE1", None, 1):
+        with pytest.raises(DomainError) as caught:
+            benchmark_problem(bad)
+        assert str(caught.value) == f"benchmark must be 'example1' or 'example2', got {bad!r}"
     # A preset called with a horizon builds the problem benchmark_problem does.
     ts = np.linspace(0.0, 2.0, 5)
     for ident in BenchmarkId:
@@ -231,9 +235,17 @@ def _user(horizon):  # a problem of user callables
                          boundary_rate=lambda t: 1.0, initial_profile=lambda x: 0.0)
 
 
+def _named(build, args, kwargs, message):
+    """A row whose test id names its inputs alone, linear-p0=nan-p1=0.7 say, so that a changed
+    message keeps its test's name; %g keeps them short: 1e+10, not 10000000000.0."""
+    inputs = (*zip(inspect.signature(build).parameters, args), *kwargs.items())
+    return pytest.param(build, args, kwargs, message, id="-".join(
+        [build.__name__.split("_")[0], *(f"{name}={value:g}" for name, value in inputs)]))
+
+
 # Bad family inputs and the DomainError message each raises.  A family boundary is monotone, and
 # so are its rounded values, so its two ends must decide its check as a probe at 101 times would.
-_BAD_FAMILY_INPUTS = [
+_BAD_FAMILY_INPUTS = [*[_named(*row) for row in [
     *[(linear_boundary_problem, (v, 0.7), {}, message) for v, message in (
         (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, _P0 + "-inf"),
         (0.0, _P0 + "0.0"), (-1.0, _P0 + "-1.0"))],
@@ -256,6 +268,7 @@ _BAD_FAMILY_INPUTS = [
     (sqrt_boundary_problem, (1e308,), {"t0": 0.16}, _BOUNDARY),
     # s(0) underflows to 0 while s(horizon) is positive.
     (sqrt_boundary_problem, (5e-324, 1e-300), {}, _BOUNDARY),
+]],
     # An integer horizon beyond the float range, which float() cannot convert.
     *[pytest.param(build, (10 ** 400,), {}, _horizon(10 ** 400), id=f"huge_horizon-{build.__name__}")
       for build in (example1, example2, _user)],

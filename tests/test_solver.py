@@ -284,6 +284,11 @@ def test_block_solve_equals_rows_alone(name, order):
     u, sigma, vt, norms, _ = factors._equilibrated
     nu, nsigma, nvt, weights = factors._normalized
     assert factors.solve_rows(rhs[:0], []).shape == (0, system.size)
+    # An empty block is solved before any rank test: a singular matrix used to raise here.
+    singular = Factorization(np.zeros((2, 2)))
+    assert singular.solve_rows(np.zeros((0, 2)), []).shape == (0, 2)
+    with pytest.raises(SingularMatrixError, match=r"^matrix is numerically singular at pivot 0 "):
+        singular.solve_rows(np.ones((2, 2)), [1e-3, 0.0])
     for h in (1, 2, 7, 8, 9):
         mixed = [(0.0, 1e-9, 1e-7)[k % 3] for k in range(h)]
         for betas in ([0.0] * h, [1e-9] * h, [1e-7] * h, mixed):
