@@ -1,7 +1,6 @@
 """Benchmark problem definitions: pinned values and PDE residual invariants."""
 
 import dataclasses
-import inspect
 import math
 
 import mpmath
@@ -235,17 +234,9 @@ def _user(horizon):  # a problem of user callables
                          boundary_rate=lambda t: 1.0, initial_profile=lambda x: 0.0)
 
 
-def _named(build, args, kwargs, message):
-    """A row whose test id names its inputs alone, linear-p0=nan-p1=0.7 say, so that a changed
-    message keeps its test's name; %g keeps them short: 1e+10, not 10000000000.0."""
-    inputs = (*zip(inspect.signature(build).parameters, args), *kwargs.items())
-    return pytest.param(build, args, kwargs, message, id="-".join(
-        [build.__name__.split("_")[0], *(f"{name}={value:g}" for name, value in inputs)]))
-
-
 # Bad family inputs and the DomainError message each raises.  A family boundary is monotone, and
 # so are its rounded values, so its two ends must decide its check as a probe at 101 times would.
-_BAD_FAMILY_INPUTS = [*[_named(*row) for row in [
+_BAD_FAMILY_INPUTS = [
     *[(linear_boundary_problem, (v, 0.7), {}, message) for v, message in (
         (math.nan, _BOUNDARY), (math.inf, _BOUNDARY), (-math.inf, _P0 + "-inf"),
         (0.0, _P0 + "0.0"), (-1.0, _P0 + "-1.0"))],
@@ -268,7 +259,6 @@ _BAD_FAMILY_INPUTS = [*[_named(*row) for row in [
     (sqrt_boundary_problem, (1e308,), {"t0": 0.16}, _BOUNDARY),
     # s(0) underflows to 0 while s(horizon) is positive.
     (sqrt_boundary_problem, (5e-324, 1e-300), {}, _BOUNDARY),
-]],
     # An integer horizon beyond the float range, which float() cannot convert.
     *[pytest.param(build, (10 ** 400,), {}, _horizon(10 ** 400), id=f"huge_horizon-{build.__name__}")
       for build in (example1, example2, _user)],
