@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands:
-  solve      one reconstruction; writes report.json and flux_curve.csv
+  solve      one reconstruction per noise level; writes report.json and
+             flux_curve.csv, or report_eps_<level>.json and
+             flux_curve_eps_<level>.csv for each of several levels
   sweep      grid of reconstructions; writes sweep.csv and table1_style.csv
-  plotdata   per-noise-level curve series; writes flux_eps_<level>.csv and
-             abs_error_eps_<level>.csv
 
 Each command runs --benchmark or a config file's family, a sweep one problem
 per horizon.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
@@ -131,7 +131,7 @@ def _common_flags(sub):
     sub.add_argument("--beta", type=float, help="damping parameter (default 0)")
     sub.add_argument("--scheme", help="partition counts nD,nS,nI (default preset for N)")
     sub.add_argument("--quad", type=int, help="quadrature order per subinterval (default 16)")
-    sub.add_argument("--noise", help="noise level, or comma list where applicable (default 0)")
+    sub.add_argument("--noise", help="comma list of noise levels (default 0)")
     sub.add_argument("--noise-mode", dest="noise_mode", choices=list(MODES))
     sub.add_argument("--seed", type=int, help="noise seed (default 0)")
     sub.add_argument("--horizon", type=float, help="time horizon T (default 1.0)")
@@ -145,7 +145,9 @@ def build_parser():
                     "by heat-polynomial collocation.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve = subs.add_parser("solve", help="single reconstruction")
+    solve = subs.add_parser("solve", help="one reconstruction per noise level")
+    _common_flags(solve)
+    solve.add_argument("--samples", type=int, help="flux curve sample count (default 101)")
 
     sweep = subs.add_parser("sweep", help="grid of reconstructions")
     _common_flags(sweep)
@@ -154,11 +156,6 @@ def build_parser():
     sweep.add_argument("--horizons", help="comma list of horizons (default --horizon)")
     sweep.add_argument("--seeds", help="comma list of seeds (default --seed)")
     sweep.add_argument("--jobs", type=int, help="no effect, sweeps run in process; 1 <= N < 2**63")
-
-    plotdata = subs.add_parser("plotdata", help="flux curves per noise level")
-    for sub in (solve, plotdata):
-        _common_flags(sub)
-        sub.add_argument("--samples", type=int, help="flux curve sample count (default 101)")
 
     return parser
 
@@ -172,54 +169,57 @@ def _out_dir(options):
     return out
 
 
-def _case_setup(options):
-    """Problem, order, scheme, beta, samples, seed, noise mode and levels of a case."""
+def cmd_solve(options):
     problem = _resolve_problem(options, options.get("horizon", 1.0))
     order = options.get("order", 12)
     quad = options.get("quad", 16)
     scheme = _parse_scheme(options.get("scheme"), quad) or preset_scheme(order, quad)
-    # beta and seed are checked here, before any command creates its output directory.
-    return (problem, order, scheme, check_real(options.get("beta", 0.0), "beta"),
-            options.get("samples", 101), check_seed(options.get("seed", 0)),
-            options.get("noise_mode", "relative"), _parse_list(options.get("noise", "0"), float))
-
-
-def cmd_solve(options):
-    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(options)
-    if len(levels) != 1:
-        raise DomainError("solve takes a single noise level")
-    noise = NoiseSpec(levels[0], seed, mode)
+    # beta, seed and the levels are checked here, before --out is created.
+    beta = check_real(options.get("beta", 0.0), "beta")
+    samples = options.get("samples", 101)
+    seed = check_seed(options.get("seed", 0))
+    mode = options.get("noise_mode", "relative")
+    levels = _parse_list(options.get("noise", "0"), float)
+    if not levels:
+        raise DomainError("solve needs at least one noise level")
+    tokens = [format(level, "g") for level in levels]
+    if len(set(tokens)) != len(tokens):
+        raise DomainError(f"noise levels {list(levels)} would share file names {tokens}")
+    noises = [NoiseSpec(level, seed, mode) for level in levels]
     out = _out_dir(options)
-    report = run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
-                      flux_samples=samples)
-    # run_case validates the samples and scheme; --out is made after it.
+    reports = [run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
+                        flux_samples=samples) for noise in noises]
+    # run_case validates the samples and scheme; --out is made after every case has run.
     out.mkdir(parents=True, exist_ok=True)
 
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "problem": problem.label,
-        "order": order,
-        "beta": beta,
-        "horizon": problem.horizon,
-        "scheme": dataclasses.asdict(scheme),
-        "noise": {"level": levels[0], "seed": seed, "mode": mode},
-        "coefficients": list(report.coefficients),
-        "delta_p": report.delta_p,
-        "delta_u": report.delta_u,
-        "condition_number": report.condition_number,
-        "residual_norm": report.residual_norm,
-        "relative_residual": report.relative_residual,
-        "max_abs_flux_error": report.max_abs_flux_error,
-        "flux_samples": samples,
-    }
-    with open(out / "report.json", "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    _write_csv(out / "flux_curve.csv",
-               ["t", "ux0_reconstructed", "ux0_exact", "abs_error"],
-               report.flux_curve)
-    print(f"solve ok: delta_p={report.delta_p:.6g} delta_u={report.delta_u:.6g} "
-          f"cond={report.condition_number:.6g}")
+    # One level writes report.json and flux_curve.csv; several tag each file with their level.
+    suffixes = [""] if len(levels) == 1 else [f"_eps_{token}" for token in tokens]
+    for level, suffix, report in zip(levels, suffixes, reports):
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "problem": problem.label,
+            "order": order,
+            "beta": beta,
+            "horizon": problem.horizon,
+            "scheme": dataclasses.asdict(scheme),
+            "noise": {"level": level, "seed": seed, "mode": mode},
+            "coefficients": list(report.coefficients),
+            "delta_p": report.delta_p,
+            "delta_u": report.delta_u,
+            "condition_number": report.condition_number,
+            "residual_norm": report.residual_norm,
+            "relative_residual": report.relative_residual,
+            "max_abs_flux_error": report.max_abs_flux_error,
+            "flux_samples": samples,
+        }
+        with open(out / f"report{suffix}.json", "w") as fh:
+            json.dump(payload, fh, indent=2)
+            fh.write("\n")
+        _write_csv(out / f"flux_curve{suffix}.csv",
+                   ["t", "ux0_reconstructed", "ux0_exact", "abs_error"],
+                   report.flux_curve)
+        print(f"solve ok: delta_p={report.delta_p:.6g} delta_u={report.delta_u:.6g} "
+              f"cond={report.condition_number:.6g}")
     return 0
 
 
@@ -261,30 +261,7 @@ def cmd_sweep(options):
     return 0
 
 
-def cmd_plotdata(options):
-    problem, order, scheme, beta, samples, seed, mode, levels = _case_setup(options)
-    if not levels:
-        raise DomainError("plotdata needs at least one noise level")
-    tokens = [format(level, "g") for level in levels]
-    if len(set(tokens)) != len(tokens):
-        raise DomainError(f"noise levels {list(levels)} would share file names {tokens}")
-    noises = [NoiseSpec(level, seed, mode) for level in levels]
-    out = _out_dir(options)
-    reports = [run_case(problem, order, beta=beta, scheme=scheme, noise=noise,
-                        flux_samples=samples) for noise in noises]
-    out.mkdir(parents=True, exist_ok=True)
-    for token, report in zip(tokens, reports):
-        _write_csv(out / f"flux_eps_{token}.csv",
-                   ["t", "ux0_reconstructed", "ux0_exact"],
-                   [(t, rec, ref) for t, rec, ref, _ in report.flux_curve])
-        _write_csv(out / f"abs_error_eps_{token}.csv",
-                   ["t", "abs_error"],
-                   [(t, err) for t, _, _, err in report.flux_curve])
-    print(f"plotdata ok: {len(levels)} level(s) x {samples} samples")
-    return 0
-
-
-COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep, "plotdata": cmd_plotdata}
+COMMANDS = {"solve": cmd_solve, "sweep": cmd_sweep}
 
 
 def main(argv=None):

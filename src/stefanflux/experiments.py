@@ -228,12 +228,17 @@ class SweepGrid:
 
     def __post_init__(self):
         # Orders below 2 cannot carry all three condition families.
-        orders = tuple(check_integer(n, "orders", 2, ORDER_BOUND) for n in self.orders)
-        object.__setattr__(self, "orders", orders)
-        for name, positive in (("betas", False), ("noise_levels", False), ("horizons", True)):
-            object.__setattr__(self, name, tuple(check_real(v, name, positive)
-                                                 for v in getattr(self, name)))
-        object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
+        for name, check in (("orders", lambda n: check_integer(n, "orders", 2, ORDER_BOUND)),
+                            ("betas", lambda v: check_real(v, "betas")),
+                            ("noise_levels", lambda v: check_real(v, "noise_levels")),
+                            ("horizons", lambda v: check_real(v, "horizons", positive=True)),
+                            ("seeds", check_seed)):
+            axis = getattr(self, name)
+            try:
+                values = iter(axis)
+            except TypeError:
+                raise DomainError(f"{name} must be a sequence, got {axis!r}") from None
+            object.__setattr__(self, name, tuple(map(check, values)))
         if not callable(self.benchmark):
             object.__setattr__(self, "benchmark", BenchmarkId(self.benchmark))
         object.__setattr__(self, "quadrature_order", check_quadrature_order(self.quadrature_order))

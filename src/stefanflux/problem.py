@@ -117,6 +117,9 @@ class StefanProblem:
             for name in ("boundary", "boundary_rate", "initial_profile",
                          "exact_flux_gradient", "exact_solution"):
                 f = getattr(self, name)
+                if not (callable(f) or f is None and name.startswith("exact")):
+                    optional = " or None" if name.startswith("exact") else ""
+                    raise DomainError(f"{name} must be callable{optional}, got {f!r}")
                 family = (getattr(f, "__module__", "") == __name__
                           and getattr(f, "__qualname__", "").startswith(_FAMILIES))
                 if f is None or family and name != "boundary":
@@ -298,5 +301,5 @@ def neumann_consistency(alpha):
     one-phase melting problem, so evaluating it at preset constants checks
     that they describe a genuine similarity solution.
     """
-    alpha = float(alpha)
+    alpha = check_real(alpha, "alpha")
     return float(alpha * math.sqrt(math.pi) * np.exp(alpha * alpha) * math.erf(alpha))

@@ -123,28 +123,33 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path, capsys):
     assert (d1 / "table1_style.csv").read_bytes() == (d2 / "table1_style.csv").read_bytes()
 
 
-def test_plotdata_artifacts(tmp_path, capsys):
-    code, out, _ = _run(capsys, "plotdata", "--noise", "0.01,0.03,0.05",
-                        "--samples", "51", "--out", str(tmp_path))
+def test_solve_writes_one_report_per_noise_level(tmp_path, capsys):
+    levels = ("0.01", "0.03", "0.05")
+    code, out, _ = _run(capsys, "solve", "--noise", ",".join(levels),
+                        "--samples", "51", "--out", str(tmp_path / "all"))
     assert code == 0
-    assert "3 level(s) x 51 samples" in out
-    for token in ("0.01", "0.03", "0.05"):
-        header, rows = _read_csv(tmp_path / f"flux_eps_{token}.csv")
-        assert header == ["t", "ux0_reconstructed", "ux0_exact"]
+    assert len(out.splitlines()) == 3
+    for level, line in zip(levels, out.splitlines()):
+        header, rows = _read_csv(tmp_path / "all" / f"flux_curve_eps_{level}.csv")
+        assert header == ["t", "ux0_reconstructed", "ux0_exact", "abs_error"]
         assert len(rows) == 51
         ts = [float(r[0]) for r in rows]
         assert ts == sorted(ts)
-        err_header, err_rows = _read_csv(tmp_path / f"abs_error_eps_{token}.csv")
-        assert err_header == ["t", "abs_error"]
-        assert len(err_rows) == 51
+        # Each level's files and stdout line are the ones a single-level solve writes.
+        one = tmp_path / level
+        assert _run(capsys, "solve", "--noise", level, "--samples", "51",
+                    "--out", str(one))[:2] == (0, line + "\n")
+        for tagged, plain in ((f"report_eps_{level}.json", "report.json"),
+                              (f"flux_curve_eps_{level}.csv", "flux_curve.csv")):
+            assert (tmp_path / "all" / tagged).read_bytes() == (one / plain).read_bytes()
 
 
-def test_plotdata_clean_series_error_scale(tmp_path, capsys):
-    code, _, _ = _run(capsys, "plotdata", "--noise", "0", "--out", str(tmp_path))
+def test_solve_clean_series_error_scale(tmp_path, capsys):
+    code, _, _ = _run(capsys, "solve", "--noise", "0", "--out", str(tmp_path))
     assert code == 0
-    _, rows = _read_csv(tmp_path / "abs_error_eps_0.csv")
+    header, rows = _read_csv(tmp_path / "flux_curve.csv")
     assert len(rows) == 101
-    assert max(float(r[1]) for r in rows) <= 2e-6
+    assert max(float(r[header.index("abs_error")]) for r in rows) <= 2e-6
 
 
 def test_csv_floats_roundtrip():
@@ -203,7 +208,7 @@ def test_flag_errors_exit_2(tmp_path, capsys):
     assert _run(capsys, "solve", "--scheme", "1,2", "--out", out)[0] == 2
     assert _run(capsys, "solve", "--scheme", "2,3,1", "--out", out)[0] == 2
     assert _run(capsys, "solve", "--order", "2", "--out", out)[0] == 2
-    assert _run(capsys, "solve", "--noise", "0.01,0.05", "--out", out)[0] == 2
+    assert _run(capsys, "solve", "--noise", "", "--out", out)[0] == 2
     assert _run(capsys, "solve", "--beta", "-1e-3", "--out", out)[0] == 2
     cfg = tmp_path / "both.cfg"
     cfg.write_text("family = linear\np0 = 0.4\np1 = 0.7\n")
@@ -211,7 +216,7 @@ def test_flag_errors_exit_2(tmp_path, capsys):
                 "--out", out)[0] == 2
     assert _run(capsys, "sweep", "--config", str(cfg), "--benchmark", "example1",
                 "--out", out)[0] == 2
-    # Only solve and plotdata draw a flux curve; sweep used to accept --samples and ignore it.
+    # Only solve draws a flux curve; sweep used to accept --samples and ignore it.
     assert _run(capsys, "sweep", "--orders", "8", "--samples", "5", "--out", out)[0] == 2
     # A missing family parameter is named; it used to get float()'s message about None.
     incomplete = tmp_path / "incomplete.cfg"
@@ -245,25 +250,24 @@ def test_flag_errors_exit_2(tmp_path, capsys):
 
 def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     # Validation runs before the output directory is created.
-    bad = (["solve", "--noise", "-1"], ["plotdata", "--noise", "0,-1"],
-           ["solve", "--beta", "-1"], ["plotdata", "--beta", "-1"],
+    bad = (["solve", "--noise", "-1"], ["solve", "--noise", "0,-1"],
+           ["solve", "--beta", "-1"],
            ["sweep", "--betas", "-1"], ["sweep", "--orders", "1"],
            ["sweep", "--orders", "8", "--noise", "nan"], ["sweep", "--betas", "nan"],
            ["sweep", "--orders", "8", "--jobs", "0"], ["sweep", "--orders", "8", "--jobs", "-1"],
            ["sweep", "--orders", "8", "--jobs", "1" + "0" * 400],
            ["solve", "--order", "1" + "0" * 400], ["sweep", "--orders", "1" + "0" * 400],
            ["solve", "--seed", "-1"], ["solve", "--noise", "0.01", "--seed", str(2 ** 64)],
-           ["plotdata", "--noise", "0.01", "--seed", "-1"],
+           ["solve", "--noise", "0.01", "--seed", "-1"],
            ["sweep", "--orders", "8", "--noise", "0.01", "--seeds", "0,-1"],
-           ["solve", "--samples", "1"], ["plotdata", "--samples", "1"],
+           ["solve", "--samples", "1"],
            ["solve", "--order", "12", "--scheme", "6,5,1"],
            ["solve", "--config", str(tmp_path / "missing.cfg")],
-           ["plotdata", "--noise", "0.01,0.010000001"], ["plotdata", "--noise", "0,0.01,0"],
+           ["solve", "--noise", "0.01,0.010000001"], ["solve", "--noise", "0,0.01,0"],
            ["sweep", "--orders", "8", "--quad", "5"],
            # Bounded before anything is allocated; these used to exit 1 with a MemoryError.
            ["solve", "--quad", "1000000"], ["sweep", "--orders", "8", "--quad", "1000000"],
-           ["solve", "--samples", "1000000000000"], ["plotdata", "--samples", "1000000000000"],
-           ["solve", "--order", "100000"], ["plotdata", "--order", "100000"],
+           ["solve", "--samples", "1000000000000"], ["solve", "--order", "100000"],
            ["sweep", "--orders", "8,100000"],
            # A repeated axis value used to run its cells twice.
            ["sweep", "--orders", "8,8"], ["sweep", "--orders", "8", "--seeds", "3,3"],
@@ -277,7 +281,7 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     # A config file can name a noise mode the --noise-mode flag would refuse.
     cfg = tmp_path / "bogus_mode.cfg"
     cfg.write_text("noise_mode = bogus\nnoise = 0,0.01\norder = 6\n")
-    for argv in (["sweep"], ["solve", "--noise", "0"], ["plotdata", "--noise", "0"]):
+    for argv in (["sweep"], ["solve", "--noise", "0"]):
         out = tmp_path / "out_mode"
         code, _, err = _run(capsys, *argv, "--config", str(cfg), "--out", str(out))
         assert code == 2
@@ -291,7 +295,7 @@ def test_bad_noise_level_exits_2_before_writing(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("kept\n")
     for out in (blocker, blocker / "sub"):
-        for command in ("solve", "sweep", "plotdata"):
+        for command in ("solve", "sweep"):
             code, _, err = _run(capsys, command, "--order", "6", "--out", str(out))
             assert code == 2
             assert json.loads(err.strip().splitlines()[-1])["error"] == "config_error"
@@ -379,6 +383,7 @@ def test_argparse_paths(capsys):
     assert main(["--help"]) == 0
     assert main(["solve", "--help"]) == 0
     assert main(["solve", "--benchmark", "example9"]) == 2
+    assert main(["plotdata"]) == 2  # folded into solve --noise with a list of levels
     capsys.readouterr()
 
 
@@ -462,7 +467,7 @@ def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
     script = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     commands = [line.split()[3:] for line in script.splitlines()
                 if line.startswith("python3 -m stefanflux ")]
-    assert [argv[0] for argv in commands] == ["solve", "solve", "sweep", "sweep", "plotdata"]
+    assert [argv[0] for argv in commands] == ["solve", "solve", "sweep", "sweep", "solve"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
@@ -470,8 +475,8 @@ def test_readme_command_line_examples_run(tmp_path, capsys, monkeypatch):
     written = ["run1/report.json", "run1/flux_curve.csv", "report.json", "flux_curve.csv",
                "sweep.csv", "table1_style.csv", "linear_sweep/sweep.csv",
                "linear_sweep/table1_style.csv"]
-    written += [f"{kind}_eps_{level}.csv" for kind in ("flux", "abs_error")
-                for level in ("0", "0.01", "0.05")]
+    written += [name for level in ("0", "0.01", "0.05")
+                for name in (f"report_eps_{level}.json", f"flux_curve_eps_{level}.csv")]
     assert [name for name in written if not (tmp_path / name).is_file()] == []
 
 

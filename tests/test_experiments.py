@@ -144,6 +144,17 @@ def test_grid_validation():
                 {"horizons": (None,)}, {"noise_levels": (0.01, "1")}):
         with pytest.raises(DomainError, match=f"^{next(iter(bad))} must be finite"):
             SweepGrid(orders=(8,), **bad)
+    # A scalar axis raised a bare "'int' object is not iterable" TypeError.
+    for name, value in (("orders", 8), ("seeds", 5), ("betas", 0.0), ("noise_levels", 0.01),
+                        ("horizons", 1.0), ("orders", np.int64(8)), ("betas", np.array(0.0))):
+        with pytest.raises(DomainError) as caught:
+            SweepGrid(**{"orders": (8,), name: value})
+        assert str(caught.value) == f"{name} must be a sequence, got {value!r}"
+    # Any iterable of valid values is an axis, as before.
+    grid = SweepGrid(orders=range(4, 7, 2), betas=np.array([0.0, 1e-7]), horizons=[1.0, 2.0],
+                     seeds=(s for s in (0, 1)))
+    assert (grid.orders, grid.betas, grid.horizons, grid.seeds) == (
+        (4, 6), (0.0, 1e-7), (1.0, 2.0), (0, 1))
     # A plain ValueError from the Enum used to name no preset.
     for bad in ("example9", "x"):
         with pytest.raises(DomainError, match=f"^benchmark must be 'example1' or 'example2', "

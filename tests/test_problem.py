@@ -152,6 +152,12 @@ def test_neumann_consistency_values():
     assert neumann_consistency(0.0) == 0.0
     assert neumann_consistency(1.0) == pytest.approx(4.0601, abs=1e-3)
     assert neumann_consistency(1.0) > 1.0
+    # None raised a bare TypeError and 10**400 an OverflowError; "1" and -1 returned 4.06,
+    # and nan and inf returned themselves.
+    for value in (None, 10 ** 400, "1", -1, -0.5, math.nan, math.inf):
+        with pytest.raises(DomainError) as caught:
+            neumann_consistency(value)
+        assert str(caught.value) == f"alpha must be finite and >= 0, got {value!r}"
 
 
 def test_interface_flux():
@@ -217,6 +223,19 @@ def test_factory_validation():
             diffusivity=1.0, conductivity=-1.0, latent_heat=1.0, density=1.0,
             melt_temperature=0.0, horizon=1.0, boundary=lambda t: 1.0 + t,
             boundary_rate=lambda t: 1.0, initial_profile=lambda x: 0.0)
+    # None in a required field raised a bare TypeError when a case ran (for boundary_rate, only
+    # a noisy case), and any other non-callable numpy's "When used as a decorator" TypeError.
+    for name in ("boundary", "boundary_rate", "initial_profile"):
+        for value in (None, 1.0, "f"):
+            with pytest.raises(DomainError) as caught:
+                dataclasses.replace(example1(), **{name: value})
+            assert str(caught.value) == f"{name} must be callable, got {value!r}"
+    for name in ("exact_solution", "exact_flux_gradient"):
+        for value in (1.0, "f", np.ones(3)):
+            with pytest.raises(DomainError) as caught:
+                dataclasses.replace(example2(), **{name: value})
+            assert str(caught.value) == f"{name} must be callable or None, got {value!r}"
+        assert getattr(dataclasses.replace(example2(), **{name: None}), name) is None
 
 
 _BOUNDARY = "boundary s(t) must stay positive and finite on [0, horizon]"
